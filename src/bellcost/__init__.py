@@ -87,6 +87,7 @@ from .oracle import (
 from .simulate import (
     RNG_ALGORITHM,
     EmpiricalStats,
+    RoundLog,
     RoundRecord,
     SampleOrder,
     chsh_standard_error,

@@ -130,6 +130,13 @@ def test_sample_missing_model_file_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sample_bad_seed_is_usage_error(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    bc.save_model(bc.table2_model(0.2), str(model_path))
+    assert main(["sample", "--model", str(model_path), "--n", "10", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_verify_report(capsys):
     code = main(["verify", "--class", "causal", "--s", "sq", "--grid", "12"])
     assert code == 0
