@@ -27,6 +27,7 @@ from .core import (
 from .curves import (
     appendix_checks,
     conjugate,
+    curve_point,
     curve_sweep,
     find_p0,
     i_C,
@@ -189,19 +190,12 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cls = {"retro": CausalClass.RETROCAUSAL, "causal": CausalClass.CAUSAL, "onesided": CausalClass.ONE_SIDED}[
-        args.causal_class
-    ]
+    cls = _CLASS_BY_TOKEN[args.causal_class]
     cfg = SearchConfig(
         resolution=args.grid, target_s=args.s, causal_class=cls, tolerance=args.tolerance
     )
+    analytic = curve_point(cls, args.s).info  # rejects S outside [2, 4] before the search
     result = brute_force_min_info(cfg)
-    if cls is CausalClass.RETROCAUSAL:
-        analytic = i_R(args.s)
-    elif cls is CausalClass.CAUSAL:
-        analytic = i_C(args.s).info
-    else:
-        analytic = i_OS(args.s)
     report = {
         "class": args.causal_class,
         "target_s": args.s,

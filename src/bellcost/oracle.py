@@ -13,16 +13,22 @@ model, so the analytic curve at its achieved S is a rigorous lower bound on
 its information cost; the searches here verify that the curves are attained
 up to grid resolution.
 
-The enumeration is exhaustive but organized as a meet-in-the-middle scan:
-state pairs are tabulated by their joint contribution to the setting
-marginal and to the CHSH value, and the two halves are joined on exactly
-complementary contributions.  Equal-value ties resolve to the first hit in
-lexicographic grid order, so results are reproducible.
+The enumeration is exhaustive but organized as a meet-in-the-middle scan.
+For the retrocausal class, state pairs are tabulated by their summed cell
+masses and special-cell mass.  For a fixed first state the pair's
+special-cell mass is its second state's special cell shifted by a
+constant, so each first state fills one dense, shifted slab of the second
+state's grid; the two halves are then joined on exactly complementary
+contributions.  The one-sided marginal constraint fixes the fourth state
+from the other three, so that search scans (N+1)^3 points.  Equal-value
+ties resolve to the first hit in lexicographic grid order, so results are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,8 @@ from .core import (
     Model,
     NoFeasibleModel,
     SettingDist,
+    _LOG2,
+    binary_entropy,
     mutual_information,
     setting_index,
 )
@@ -46,8 +54,6 @@ __all__ = [
     "brute_force_min_info",
     "verify_bound_chain",
 ]
-
-_LOG2 = math.log(2.0)
 
 #: Special setting cell (flat index) per (mu, nu) class: (x, y) = (1-nu, 1-mu).
 _SPECIAL = tuple(setting_index(1 - nu, 1 - mu) for mu, nu in LAMBDA_CLASSES)
@@ -68,8 +74,14 @@ class SearchConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, numbers.Integral):
+            raise DomainError(f"SearchConfig: resolution must be an int, got {self.resolution!r}")
         if self.resolution < 4:
             raise DomainError("SearchConfig: resolution must be >= 4")
+        for name in ("target_s", "tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise DomainError(f"SearchConfig: {name} must be a finite number, got {value!r}")
         if self.tolerance <= 0.0:
             raise DomainError("SearchConfig: tolerance must be positive")
 
@@ -124,10 +136,17 @@ def _row_entropies(counts: np.ndarray, n: int) -> np.ndarray:
     return terms.sum(axis=1) / _LOG2
 
 
+def _floor_budget(slack: float, cap: int) -> int:
+    """floor(slack + 1e-12) clipped to cap (slack may overflow to +-inf); -1 when negative."""
+    slack += 1e-12
+    if slack < 0.0:
+        return -1
+    return math.floor(min(slack, cap))
+
+
 def _special_budget(cfg: SearchConfig, scale: int) -> int:
     """Largest allowed total special-cell mass (in grid units of 1/scale per state)."""
-    budget = math.floor(scale * (4.0 - cfg.target_s + cfg.tolerance) / 2.0 + 1e-12)
-    return min(budget, 4 * scale)
+    return _floor_budget(scale * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
 
 
 def _retro_half(
@@ -138,35 +157,40 @@ def _retro_half(
     (c0, c1, c2) are the pair's cell mass sums for the first three settings
     (the fourth is implied), q the summed special-cell mass.  Cell sums above
     n cannot be completed to an exactly uniform model and are dropped.
+
+    For a fixed first option u the offset d = q - c[sp_second] =
+    u[sp_first] - u[sp_second] is constant, so its pairs fill a shifted box of
+    the second option's grid in the work array W[d + n, c0, c1, c2]; the
+    budget bounds that box along sp_second (which must be one of the first
+    three cells).  Every entry is an exact sum entropies[i] + entropies[j],
+    so the order of the maxima does not matter.
     """
-    q_first = options[:, sp_first]
-    order = np.argsort(options[:, sp_second], kind="stable")
-    second = options[order]
-    second_h = entropies[order]
-    second_q = second[:, sp_second]
-    # options with special mass <= x, for prefix slicing
-    limit = np.searchsorted(second_q, np.arange(budget + 1), side="right")
+    grid = np.full((n + 1, n + 1, n + 1), -np.inf)
+    grid[options[:, 0], options[:, 1], options[:, 2]] = entropies
+    work = np.full((2 * n + 1, n + 1, n + 1, n + 1), -np.inf)
+    for u, h_u in zip(options.tolist(), entropies.tolist()):
+        room = budget - u[sp_first]
+        if room < 0:
+            continue
+        hi = [n + 1 - u[0], n + 1 - u[1], n + 1 - u[2]]
+        hi[sp_second] = min(hi[sp_second], room + 1)
+        out = work[
+            u[sp_first] - u[sp_second] + n,
+            u[0] : u[0] + hi[0],
+            u[1] : u[1] + hi[1],
+            u[2] : u[2] + hi[2],
+        ]
+        np.maximum(out, h_u + grid[: hi[0], : hi[1], : hi[2]], out=out)
+
+    # F[..., q] = W[q - c[sp_second] + n, ...], one slice per c[sp_second] = s
     table = np.full((n + 1, n + 1, n + 1, budget + 1), -np.inf)
-    for i in range(len(options)):
-        qa = int(q_first[i])
-        if qa > budget:
-            continue
-        m = limit[budget - qa]
-        if m == 0:
-            continue
-        k = options[i]
-        c0 = k[0] + second[:m, 0]
-        c1 = k[1] + second[:m, 1]
-        c2 = k[2] + second[:m, 2]
-        c3 = k[3] + second[:m, 3]
-        ok = (c0 <= n) & (c1 <= n) & (c2 <= n) & (c3 <= n)
-        if not ok.any():
-            continue
-        np.maximum.at(
-            table,
-            (c0[ok], c1[ok], c2[ok], qa + second_q[:m][ok]),
-            entropies[i] + second_h[:m][ok],
-        )
+    for s in range(n + 1):
+        top = min(budget, s + n) + 1
+        cells = (slice(None),) * sp_second + (s,)
+        table[cells][..., :top] = np.moveaxis(work[(slice(n - s, n - s + top),) + cells], 0, -1)
+    c = np.arange(n + 1)
+    short = c[:, None, None] + c[None, :, None] + c[None, None, :] < n  # fourth cell sum > n
+    table[short] = -np.inf
     return table
 
 
@@ -183,16 +207,12 @@ def _retro_pair_from(
     """First (lex) ordered option pair matching a half table entry."""
     c3 = 2 * n - sum(cells)
     target = np.array([cells[0], cells[1], cells[2], c3], dtype=np.int64)
-    for i in range(len(options)):
-        k2 = target - options[i]
-        if k2.min() < 0:
-            continue
-        if int(options[i][sp_first] + k2[sp_second]) != q:
-            continue
-        j_h = _row_entropies(k2[None, :], n)[0]
-        if entropies[i] + j_h >= value - 1e-9:
-            return options[i], k2
-    raise NoFeasibleModel("internal: half witness not found")  # pragma: no cover
+    second = target - options
+    rows = np.nonzero((second.min(axis=1) >= 0) & (options[:, sp_first] + second[:, sp_second] == q))[0]
+    hits = rows[entropies[rows] + _row_entropies(second[rows], n) >= value - 1e-9]
+    if len(hits) == 0:
+        raise NoFeasibleModel("internal: half witness not found")  # pragma: no cover
+    return options[hits[0]], second[hits[0]]
 
 
 def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
@@ -281,7 +301,7 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     budget = _special_budget(cfg, n * n)
     if budget < 0:
         raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    h_grid = np.array([_binary_entropy_float(k / n) for k in range(n + 1)])
+    h_grid = np.array([binary_entropy(k / n) for k in range(n + 1)])
 
     a1, b1, a2, b2, q_a, val_a = _causal_half_arrays(n, budget, h_grid)
     i1, j1 = _causal_raw(a1, b1, *LAMBDA_CLASSES[0], n)
@@ -352,12 +372,6 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     return SearchResult(best_info=mutual_information(model), best_model=model)
 
 
-def _binary_entropy_float(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log(p) + (1 - p) * math.log(1 - p)) / _LOG2
-
-
 # ---------------------------------------------------------------------------
 # one-sided: factorized grid, unbiased Y
 # ---------------------------------------------------------------------------
@@ -365,18 +379,22 @@ def _binary_entropy_float(p: float) -> float:
 
 def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
-    budget = math.floor(n * (4.0 - cfg.target_s + cfg.tolerance) + 1e-12)
+    budget = _floor_budget(n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
     if budget < 0:
         raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    h_grid = np.array([_binary_entropy_float(k / n) for k in range(n + 1)])
+    h_grid = np.array([binary_entropy(k / n) for k in range(n + 1)])
     rng = np.arange(n + 1, dtype=np.int64)
-    a1, a2, a3, a4 = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    feasible = (a1 + a2 == a3 + a4) & (a1 + a2 + a3 + a4 <= budget)
-    value = h_grid[a1] + h_grid[a2] + h_grid[a3] + h_grid[a4]
+    # the marginal constraint a1 + a2 == a3 + a4 fixes a4, so scan (a1, a2, a3);
+    # lexicographic order over them is the order over the feasible 4-tuples
+    a1, a2, a3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    a4 = a1 + a2 - a3
+    feasible = (a4 >= 0) & (a4 <= n) & (2 * (a1 + a2) <= budget)
+    value = h_grid[a1] + h_grid[a2] + h_grid[a3] + h_grid[np.clip(a4, 0, n)]
     value = np.where(feasible, value, -np.inf)
     if not np.isfinite(value.max()):
         raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
     best = np.unravel_index(int(value.argmax()), value.shape)
+    best = (*best, a4[best])
     dists = []
     for (mu, nu), a in zip(LAMBDA_CLASSES, best):
         px0 = (n - int(a)) / n if nu == 0 else int(a) / n

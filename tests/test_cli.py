@@ -145,3 +145,30 @@ def test_verify_report(capsys):
     assert doc["achieved_s"] >= S_Q - 1e-9
     witness = bc.model_from_dict(doc["witness_model"])
     assert bc.mutual_information(witness) == pytest.approx(doc["brute_force"], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--s", "nan"],
+        ["--s", "inf"],
+        ["--s=-inf"],
+        ["--s", "3", "--tolerance", "nan"],
+        ["--s", "3", "--tolerance", "inf"],
+    ],
+)
+def test_verify_non_finite_is_usage_error(flags, capsys):
+    assert main(["verify", "--class", "retro", "--grid", "8", *flags]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["1.5", "4.5"])
+def test_verify_out_of_range_s_fails_before_search(s, monkeypatch, capsys):
+    import bellcost.cli as cli
+
+    def no_search(cfg):
+        raise AssertionError("search ran on an out-of-range S")
+
+    monkeypatch.setattr(cli, "brute_force_min_info", no_search)
+    assert main(["verify", "--class", "causal", "--s", s, "--grid", "8"]) == 2
+    assert "outside [2.0, 4]" in capsys.readouterr().err

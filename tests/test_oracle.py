@@ -1,5 +1,7 @@
 """Brute-force grid searches and the CHSH bound-chain audit."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -34,6 +36,41 @@ def test_config_validation():
         run(8, 2.5, bc.CausalClass.SUPERDETERMINISTIC)
     with pytest.raises(bc.DomainError):
         run(8, 2.5, bc.CausalClass.ZIGZAG)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(target_s=math.nan),
+        dict(target_s=math.inf),
+        dict(target_s=-math.inf),
+        dict(target_s=2.5, tolerance=math.nan),
+        dict(target_s=2.5, tolerance=math.inf),
+        dict(target_s=True),
+        dict(target_s="2.5"),
+        dict(target_s=2.5, resolution=8.0),
+        dict(target_s=2.5, resolution=True),
+        dict(target_s=2.5, resolution="8"),
+    ],
+)
+def test_config_rejects_non_finite_and_non_int(kwargs):
+    kwargs = {"resolution": 8, "causal_class": RETRO, **kwargs}
+    with pytest.raises(bc.DomainError):
+        bc.SearchConfig(**kwargs)
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = bc.SearchConfig(resolution=np.int64(8), target_s=np.float64(2.5), causal_class=RETRO)
+    assert bc.brute_force_min_info(cfg).best_info == run(8, 2.5, RETRO).best_info
+
+
+def test_extreme_finite_config_values_stay_in_domain():
+    for cls in (RETRO, CAUSAL, ONE_SIDED):
+        with pytest.raises(bc.NoFeasibleModel):
+            run(6, 1e308, cls)
+        # a slack beyond every grid budget lifts the CHSH constraint altogether
+        assert run(6, -1e308, cls).best_info == run(6, -10.0, cls).best_info
+        assert run(6, 3.0, cls, tol=1e308).best_info == run(6, -10.0, cls).best_info
 
 
 def test_infeasible_target():
@@ -193,6 +230,89 @@ def test_gap_shrinkage(oracle_n40):
         gaps.append(oracle_n40[cls].best_info - curve)
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), (cls, gaps)
         assert all(g >= -1e-9 for g in gaps)
+
+
+# ---------------------------------------------------------------------------
+# golden witnesses and reference kernels
+# ---------------------------------------------------------------------------
+
+# best_info.hex() and the sha256 of the sorted-key JSON of the witness model
+GOLDEN = [
+    (RETRO, 8, 2.0, "0x0.0p+0", "4e0ff4da1942cc6e74b467c8d913813a680bc5af033154173571f55ada51d3e1"),
+    (RETRO, 16, S_Q, "0x1.016e860887a40p-4", "119d85898f320bbe35f2ac1bf48d7fce70721a58fc1fa8a9b5d7ba4390382051"),
+    (RETRO, 24, S_Q, "0x1.a116f426cdb60p-5", "c4f63c623e2d6a92ba050c40b7273dbf37cc4f39764b9058f1421a25e304c5f1"),
+    (RETRO, 24, 3.5, "0x1.7ab85b3a38750p-3", "b33f64597e4ce64a13878d58c267b5af3121dbad8e342f34336f3fbf51340889"),
+    (RETRO, 40, S_Q, "0x1.9ef2b65d72da0p-5", "18298b0e5eff3861201fb609e6a6aaeb3091b1b7b04d753acbb59be06fbb4dd6"),
+    (CAUSAL, 24, S_Q, "0x1.7546d267e6a90p-4", "05bffdef2eeff2025f2b0693ef556994dd7db027641c1352385d8cdeeb9c5dd4"),
+    (ONE_SIDED, 16, S_Q, "0x1.2bb542cb251c0p-3", "eb34e9610e0bc9df50b9d1973eb543ac7a7c5cff4440b8aa9e4bc3ae0d5b68f3"),
+    (ONE_SIDED, 24, 3.5, "0x1.d363d7b4c1d38p-2", "dc5ea2ecd1ecef3878b15dde067ec7c76195d31b641e9d29f6a1bcb3b3184805"),
+    (ONE_SIDED, 40, S_Q, "0x1.14a5109abe748p-3", "18f26d7226dd5afeccc91f172680615337d0d34442b2fcb5fd999e98855e9448"),
+    (ONE_SIDED, 40, 3.9, "0x1.a9a5463e37c26p-1", "2727f6057ff540c4c29b162eeb5dab63828857aa2b38b46853895292843ec8ff"),
+]
+
+
+@pytest.mark.parametrize("cls, n, target, info_hex, model_sha", GOLDEN)
+def test_golden_witnesses(cls, n, target, info_hex, model_sha, request):
+    if cls is RETRO and n == 40:
+        res = request.getfixturevalue("oracle_n40")[RETRO]
+    else:
+        res = run(n, target, cls)
+    assert res.best_info.hex() == info_hex
+    doc = json.dumps(bc.model_to_dict(res.best_model), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == model_sha
+
+
+def _pairwise_retro_half(n, sp_first, sp_second, budget):
+    """F[c0, c1, c2, q] by a direct double loop over ordered option pairs."""
+    from bellcost.oracle import _compositions4, _row_entropies
+
+    K = _compositions4(n)
+    H = _row_entropies(K, n)
+    table = np.full((n + 1, n + 1, n + 1, budget + 1), -np.inf)
+    for i in range(len(K)):
+        for j in range(len(K)):
+            c = K[i] + K[j]
+            q = K[i][sp_first] + K[j][sp_second]
+            if c.max() <= n and q <= budget:
+                table[c[0], c[1], c[2], q] = max(table[c[0], c[1], c[2], q], H[i] + H[j])
+    return table
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_retro_half_matches_pairwise_loop(n):
+    from bellcost.oracle import _compositions4, _retro_half, _row_entropies, _SPECIAL
+
+    K = _compositions4(n)
+    H = _row_entropies(K, n)
+    for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
+        for budget in (0, 1, n, 4 * n):
+            want = _pairwise_retro_half(n, sp_first, sp_second, budget)
+            got = _retro_half(K, H, sp_first, sp_second, n, budget)
+            assert np.array_equal(got, want), (n, sp_first, budget)  # -inf cells included
+
+
+def _full_one_sided_witness(n, target, tol=1e-9):
+    """First lexicographic argmax over the full (N+1)^4 one-sided grid."""
+    budget = math.floor(n * (4.0 - target + tol) + 1e-12)
+    h = np.array([bc.binary_entropy(k / n) for k in range(n + 1)])
+    rng = np.arange(n + 1)
+    a1, a2, a3, a4 = np.meshgrid(rng, rng, rng, rng, indexing="ij")
+    feasible = (a1 + a2 == a3 + a4) & (a1 + a2 + a3 + a4 <= budget)
+    value = np.where(feasible, h[a1] + h[a2] + h[a3] + h[a4], -np.inf)
+    return tuple(int(a) for a in np.unravel_index(int(value.argmax()), value.shape))
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+@pytest.mark.parametrize("target", [2.0, 2.5, S_Q, 3.5, 4.0])
+def test_one_sided_witness_matches_full_grid(n, target):
+    from bellcost.models import LAMBDA_CLASSES
+
+    res = run(n, target, ONE_SIDED)
+    got = []
+    for st, (mu, nu) in zip(res.best_model.states, LAMBDA_CLASSES):
+        a = round(st.dist.px0() * n)
+        got.append(n - a if nu == 0 else a)
+    assert tuple(got) == _full_one_sided_witness(n, target)
 
 
 # ---------------------------------------------------------------------------
