@@ -65,6 +65,7 @@ STRUCT_TOL = 1e-12
 MODEL_SCHEMA = "bellcost-model/1"
 
 _LOG2 = math.log(2.0)
+_LOG2_3 = math.log(3.0) / _LOG2
 
 #: Joint settings (x, y) in lexicographic order.
 SETTINGS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -125,7 +126,7 @@ class CausalClass(Enum):
 
 def binary_entropy(p: float) -> float:
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), in bits."""
-    if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
+    if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
         raise DomainError(f"binary_entropy: p={p!r} outside [0, 1]")
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -171,7 +172,7 @@ class SettingDist:
         if len(probs) != 4:
             raise InvalidModel("SettingDist needs exactly 4 probabilities")
         for p in probs:
-            if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
+            if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
                 raise InvalidModel(f"setting probability {p!r} outside [0, 1]")
         if abs(sum(probs) - 1.0) > SUM_TOL:
             raise InvalidModel(f"setting probabilities sum to {sum(probs)!r}, not 1")
@@ -180,6 +181,9 @@ class SettingDist:
                 raise InvalidModel("factorized SettingDist requires marginals")
             px0, py0 = (float(v) for v in self.marginals)
             object.__setattr__(self, "marginals", (px0, py0))
+            for v in (px0, py0):
+                if not -STRUCT_TOL <= v <= 1.0 + STRUCT_TOL:
+                    raise InvalidModel(f"setting marginal {v!r} outside [0, 1]")
             expected = (px0 * py0, px0 * (1 - py0), (1 - px0) * py0, (1 - px0) * (1 - py0))
             for got, want in zip(probs, expected):
                 if abs(got - want) > STRUCT_TOL:
@@ -225,10 +229,9 @@ class SettingDist:
 
 
 def _check_sign(value: float, what: str) -> int:
-    v = int(value)
-    if v != value or v not in (-1, 1):
+    if value not in (-1, 1):
         raise InvalidModel(f"{what} must be exactly +1 or -1, got {value!r}")
-    return v
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,7 @@ class HiddenState:
     def __post_init__(self) -> None:
         w = float(self.weight)
         object.__setattr__(self, "weight", w)
-        if w < -STRUCT_TOL or w > 1.0 + STRUCT_TOL:
+        if not -STRUCT_TOL <= w <= 1.0 + STRUCT_TOL:
             raise InvalidModel(f"state weight {w!r} outside [0, 1]")
         if len(self.responses) != 4:
             raise InvalidModel("responses must be (A0, A1, B0, B1)")
@@ -295,7 +298,7 @@ class Correlations:
         if len(table) != 16:
             raise InvalidModel("correlations table needs 16 entries")
         for v in table:
-            if v < -STRUCT_TOL or v > 1.0 + STRUCT_TOL:
+            if not -STRUCT_TOL <= v <= 1.0 + STRUCT_TOL:
                 raise InvalidModel(f"correlation probability {v!r} outside [0, 1]")
         for x, y in SETTINGS:
             s = sum(table[setting_index(x, y) * 4 + k] for k in range(4))
@@ -465,8 +468,12 @@ def model_to_json(m: Model) -> str:
     return json.dumps(model_to_dict(m), indent=2)
 
 
+def _reject_constant(name: str) -> float:
+    raise InvalidModel(f"model JSON holds the non-finite literal {name}")
+
+
 def model_from_json(text: str) -> Model:
-    return model_from_dict(json.loads(text))
+    return model_from_dict(json.loads(text, parse_constant=_reject_constant))
 
 
 def save_model(m: Model, path: str) -> None:

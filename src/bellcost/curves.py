@@ -10,21 +10,20 @@ settings:
 * superdeterministic: i_SD(s) = 2 exactly
 
 The i_2 branch is parameterized by conjugate probability pairs (p, p*) with
-equal values of f(p) = p log2((1-p)/p); the solvers here are plain bisection
-on analytically bracketed monotone functions.
+equal values of f(p) = p log2((1-p)/p) and 4 - 8 p p* = s.  Every solver here
+is plain bisection on an analytic bracket holding a single sign change; the
+i_2 inversion bisects g(p*) = f((4-s)/(8 p*)) - f(p*) on [p0, 1/2].
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
 
 from ._util import atomic_write_text, fmt12
-from .core import CausalClass, DomainError, binary_entropy
+from .core import CausalClass, DomainError, _LOG2, _LOG2_3, binary_entropy
 
 __all__ = [
     "Branch",
@@ -51,8 +50,6 @@ __all__ = [
     "appendix_checks",
 ]
 
-_LOG2 = math.log(2.0)
-_LOG2_3 = math.log(3.0) / _LOG2
 _EDGE_TOL = 1e-12
 
 
@@ -96,20 +93,29 @@ class ConjugatePair:
 
 def f_of_p(p: float) -> float:
     """f(p) = p log2((1-p)/p) on [0, 1/2], with f(0) = 0 by continuity."""
-    if p < -_EDGE_TOL or p > 0.5 + _EDGE_TOL:
+    if not -_EDGE_TOL <= p <= 0.5 + _EDGE_TOL:
         raise DomainError(f"f_of_p: p={p!r} outside [0, 1/2]")
     if p <= 0.0:
         return 0.0
     return p * math.log((1.0 - p) / p) / _LOG2
 
 
+def _h_slope(p: float) -> float:
+    """h'(p) = log2((1-p)/p), for p in (0, 1)."""
+    return math.log((1.0 - p) / p) / _LOG2
+
+
 def f_slope(p: float) -> float:
     """df/dp = log2((1-p)/p) - 1/((1-p) ln 2), for p in (0, 1/2]."""
-    return math.log((1.0 - p) / p) / _LOG2 - 1.0 / ((1.0 - p) * _LOG2)
+    return _h_slope(p) - 1.0 / ((1.0 - p) * _LOG2)
 
 
 def _bisect(func, lo: float, hi: float, increasing: bool, tol: float = 1e-15) -> float:
-    """Root of a monotone sign-changing func on [lo, hi] by plain bisection."""
+    """Root of func on [lo, hi] by plain bisection.
+
+    func must change sign once on the bracket: from negative to positive if
+    increasing, from positive to negative otherwise.
+    """
     for _ in range(200):
         if hi - lo <= tol:
             break
@@ -141,7 +147,7 @@ def s0() -> float:
 def conjugate(p: float) -> ConjugatePair:
     """The pair (p, p*) with f(p*) = f(p) and p* on the decreasing branch [p0, 1/2]."""
     p0 = find_p0()
-    if p < -_EDGE_TOL or p > p0 + _EDGE_TOL:
+    if not -_EDGE_TOL <= p <= p0 + _EDGE_TOL:
         raise DomainError(f"conjugate: p={p!r} outside [0, p0]")
     p = min(max(p, 0.0), p0)
     if p == 0.0:
@@ -155,7 +161,7 @@ def conjugate(p: float) -> ConjugatePair:
 
 
 def _check_s(s: float, lo: float = 2.0) -> float:
-    if s < lo - 1e-9 or s > 4.0 + 1e-9:
+    if not lo - 1e-9 <= s <= 4.0 + 1e-9:
         raise DomainError(f"CHSH value s={s!r} outside [{lo}, 4]")
     return min(max(s, lo), 4.0)
 
@@ -174,28 +180,26 @@ def i_1(s: float) -> float:
 
 
 def i_2_pair(s: float) -> ConjugatePair:
-    """Solve 4 - 8 p p*(p) = s for p in [0, p0] (the product is monotone there)."""
+    """The conjugate pair with 4 - 8 p p* = s, for s in [S0, 4].
+
+    Strictly between the endpoints, with target = (4-s)/8, bisects
+    g(p*) = f(target/p*) - f(p*) on [p0, 1/2]: g <= 0 at p0, g > 0 at 1/2, and
+    the sign changes once because p p*(p) is monotone on [0, p0].  The product
+    constraint holds by construction.
+    """
+    s = _check_s(s, lo=s0())
     p0 = find_p0()
-    lo = s0()
-    if s < lo - 1e-9 or s > 4.0 + 1e-9:
-        raise DomainError(f"i_2: s={s!r} outside [S0, 4]")
-    if s >= 4.0 - _EDGE_TOL:
+    if s == 4.0:
         return ConjugatePair(0.0, 0.5)
-    if s <= lo:
+    if s == s0():
         return ConjugatePair(p0, p0)
     target = (4.0 - s) / 8.0
-    p = _bisect(lambda q: q * conjugate(q).p_star - target, 0.0, p0, increasing=True)
-    return ConjugatePair(p, conjugate(p).p_star)
+    p_star = _bisect(lambda q: f_of_p(target / q) - f_of_p(q), p0, 0.5, increasing=True)
+    return ConjugatePair(target / p_star, p_star)
 
 
 def i_2(s: float) -> float:
     """Conjugate-pair causal branch on [S0, 4]: 2 - h(p) - h(p*)."""
-    if s >= 4.0 - _EDGE_TOL:
-        _check_s(s)
-        return 1.0  # analytic endpoint, pair (0, 1/2)
-    if s <= s0():
-        _check_s(s, lo=s0())
-        return i_1(s0())
     pair = i_2_pair(s)
     return 2.0 - binary_entropy(pair.p) - binary_entropy(pair.p_star)
 
@@ -240,22 +244,10 @@ def curve_point(causal_class: CausalClass, s: float) -> CurvePoint:
     raise DomainError(f"unknown causal class {causal_class!r}")  # pragma: no cover
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BELLCOST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def curve_sweep(
     causal_class: CausalClass, s_min: float, s_max: float, n: int
 ) -> list[CurvePoint]:
-    """n evenly spaced curve points on [s_min, s_max].
-
-    Evaluation order never affects the result; BELLCOST_THREADS > 1 spreads the
-    evaluations over a thread pool.
-    """
+    """n evenly spaced curve points on [s_min, s_max]."""
     if n < 2:
         raise DomainError("curve_sweep needs n >= 2")
     s_min = _check_s(s_min)
@@ -263,10 +255,6 @@ def curve_sweep(
     if s_min > s_max:
         raise DomainError("curve_sweep needs s_min <= s_max")
     grid = [s_min + (s_max - s_min) * k / (n - 1) for k in range(n)]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda s: curve_point(causal_class, s), grid))
     return [curve_point(causal_class, s) for s in grid]
 
 
@@ -298,10 +286,6 @@ class AppendixReport:
     @property
     def tangent_gap(self) -> float:
         return abs(self.slope_i1_at_s0 - self.slope_i2_at_s0)
-
-
-def _h_slope(p: float) -> float:
-    return math.log((1.0 - p) / p) / _LOG2
 
 
 def i_1_curvature(s: float) -> float:

@@ -17,7 +17,6 @@ base model while re-weighting the settings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -29,9 +28,11 @@ from .core import (
     Model,
     SETTINGS,
     SettingDist,
+    _LOG2_3,
     binary_entropy,
     posterior_weights,
     setting_index,
+    shannon_entropy,
 )
 from .curves import conjugate, find_p0
 
@@ -50,9 +51,6 @@ __all__ = [
     "biased_lift",
     "biased_info",
 ]
-
-_LOG2 = math.log(2.0)
-_LOG2_3 = math.log(3.0) / _LOG2
 
 #: (mu, nu) classes in table row order.
 LAMBDA_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -91,7 +89,7 @@ class Bias:
 
     def __post_init__(self) -> None:
         for name, eps in (("eps_x", self.eps_x), ("eps_y", self.eps_y)):
-            if abs(eps) > 1.0 + 1e-12:
+            if not abs(eps) <= 1.0 + 1e-12:
                 raise DomainError(f"{name}={eps!r} outside [-1, 1]")
 
     def px0(self) -> float:
@@ -331,10 +329,6 @@ def biased_lift(
     return Model(tuple(states), label=label)
 
 
-def _entropy_term(v: float) -> float:
-    return 0.0 if v <= 0.0 else -v * math.log(v) / _LOG2
-
-
 def biased_info(
     base: CausalClass,
     bias: Bias,
@@ -364,12 +358,16 @@ def biased_info(
             s = 4.0 - 8.0 * p
         if not 2.0 - 1e-9 <= s <= 4.0 + 1e-9:
             raise DomainError(f"biased_info: s={s!r} outside [2, 4]")
-        acc = 0.0
-        for sx in (1.0, -1.0):
-            for sy in (1.0, -1.0):
-                v = (4.0 + s) / 24.0 + (1 + sx * ex) / 2.0 * (1 + sy * ey) / 2.0 * (2.0 - s) / 6.0
-                acc += _entropy_term(v)
-        return acc - binary_entropy((4.0 - s) / 8.0) - (4.0 + s) / 8.0 * _LOG2_3
+        outcomes = [
+            (4.0 + s) / 24.0 + (1 + sx * ex) / 2.0 * (1 + sy * ey) / 2.0 * (2.0 - s) / 6.0
+            for sx in (1.0, -1.0)
+            for sy in (1.0, -1.0)
+        ]
+        return (
+            shannon_entropy(outcomes)
+            - binary_entropy((4.0 - s) / 8.0)
+            - (4.0 + s) / 8.0 * _LOG2_3
+        )
     if base in (CausalClass.CAUSAL, CausalClass.ZIGZAG):
         if p is None or ptilde is None:
             raise DomainError("causal biased_info needs p and ptilde")

@@ -28,6 +28,7 @@ from .core import (
     Model,
     OrderUnavailable,
     SETTINGS,
+    _LOG2,
     derived_marginal,
     is_factorized_per_lambda,
     posterior_weights,
@@ -49,8 +50,6 @@ __all__ = [
 
 #: Identifier of the pseudo-random stream backing sample_rounds.
 RNG_ALGORITHM = "numpy-philox4x64"
-
-_LOG2 = math.log(2.0)
 
 _CSV_HEADER = ["round", "lambda", "x", "y", "a", "b", "pred_a", "pred_b"]
 

@@ -75,6 +75,12 @@ def test_model_bad_parameter_is_usage_error(capsys):
     assert main(["model", "--family", "table2", "--p", "sq"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--bias-x", "--bias-y"])
+def test_model_nan_bias_is_usage_error(flag, capsys):
+    assert main(["model", "--family", "table1", "--p", "0.1", flag, "nan"]) == 2
+    assert "outside [-1, 1]" in capsys.readouterr().err
+
+
 def test_model_flip_and_roundtrip_through_sample(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     code = main(

@@ -99,6 +99,22 @@ def test_hidden_state_validation():
     assert st_.a(1) == -1 and st_.b(0) == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bc.SettingDist.joint([math.nan, 0.5, 0.25, 0.25]),
+        lambda: bc.SettingDist((0.25, 0.25, 0.25, 0.25), "factorized", (0.5, math.nan)),
+        lambda: bc.SettingDist.factorized(math.nan, 0.5),
+        lambda: bc.HiddenState(math.nan, bc.SettingDist.uniform(), (1, 1, 1, 1)),
+        lambda: bc.HiddenState(1.0, bc.SettingDist.uniform(), (1, 1, 1, math.nan)),
+        lambda: bc.Correlations((math.nan,) + (0.25,) * 15),
+    ],
+)
+def test_validators_reject_nan(build):
+    with pytest.raises(bc.InvalidModel):
+        build()
+
+
 def test_model_weight_validation():
     d = bc.SettingDist.uniform()
     s = bc.HiddenState(0.6, d, (1, 1, 1, 1))
@@ -269,6 +285,14 @@ def test_model_json_schema_field():
     doc["schema"] = "other/9"
     with pytest.raises(bc.InvalidModel):
         bc.model_from_dict(doc)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_model_json_rejects_non_finite_literals(literal):
+    text = bc.model_to_json(bc.table1_model(0.2)).replace('"weight": 0.25', f'"weight": {literal}', 1)
+    assert literal in text
+    with pytest.raises(bc.InvalidModel, match="non-finite literal"):
+        bc.model_from_json(text)
 
 
 def test_model_from_dict_rejects_malformed_documents():

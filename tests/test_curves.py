@@ -121,6 +121,51 @@ def test_i_2_inversion_residuals():
         assert abs(4.0 - 8.0 * pair.p * pair.p_star - s) < 1e-9
 
 
+def test_i_2_against_high_precision_reference():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    h = lambda p: -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
+    f = lambda p: p * mp.log((1 - p) / p, 2)
+    deriv = lambda p: mp.log((1 - p) / p, 2) - 1 / ((1 - p) * mp.log(2))
+    p0 = mp.findroot(deriv, mp.mpf("0.218"))
+
+    def reference(s):
+        target = (4 - mp.mpf(s)) / 8
+        lo, hi = p0, mp.mpf(1) / 2
+        for _ in range(200):  # bisection to far below double precision
+            mid = (lo + hi) / 2
+            if f(target / mid) < f(mid):
+                lo = mid
+            else:
+                hi = mid
+        p_star = (lo + hi) / 2
+        return float(2 - h(target / p_star) - h(p_star))
+
+    near_s0 = [bc.s0() + d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3)]
+    for s in near_s0 + [3.7, 3.8, 3.9, 3.99, 4.0 - 1e-7]:
+        assert bc.i_2(s) == pytest.approx(reference(s), abs=1e-14), s
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        bc.i_R,
+        bc.i_1,
+        bc.i_2,
+        bc.i_2_pair,
+        bc.i_OS,
+        bc.i_SD,
+        bc.i_1_curvature,
+        bc.f_of_p,
+        bc.conjugate,
+        bc.binary_entropy,
+    ],
+)
+def test_curve_entry_points_reject_nan(func):
+    with pytest.raises(bc.DomainError):
+        func(math.nan)
+
+
 def test_i_C_branches():
     pt = bc.i_C(S_Q)
     assert pt.branch is bc.Branch.I1
@@ -233,13 +278,6 @@ def test_sweep_csv_format(tmp_path):
     # 12 significant digits
     assert row[1] == f"{bc.i_C(2.5).info:.12g}"
     assert "\r" not in text
-
-
-def test_sweep_threaded_matches_sequential(monkeypatch):
-    seq = bc.curve_sweep(bc.CausalClass.CAUSAL, 2.0, 4.0, 41)
-    monkeypatch.setenv("BELLCOST_THREADS", "4")
-    par = bc.curve_sweep(bc.CausalClass.CAUSAL, 2.0, 4.0, 41)
-    assert par == seq
 
 
 # ---------------------------------------------------------------------------

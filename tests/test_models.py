@@ -323,6 +323,12 @@ def test_biased_state_distributions_match_closed_forms():
         assert st.weight == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [(math.nan, 0.0), (0.0, math.nan)])
+def test_bias_rejects_nan(eps):
+    with pytest.raises(bc.DomainError):
+        bc.Bias(*eps)
+
+
 def test_biased_lift_degenerate_bias_rejected():
     with pytest.raises(bc.DomainError):
         bc.biased_lift(bc.CausalClass.RETROCAUSAL, bc.Bias(1.0, 0.0), p=0.1)
