@@ -2,7 +2,8 @@
 
 Sweeps the minimal-information curve of every causal structure over
 S in [2, 4], prints the values at the quantum maximum S_Q = 2*sqrt(2) and at
-the algebraic maximum S = 4, and writes the full sweeps to CSV files.
+the algebraic maximum S = 4, and writes the full sweeps to CSV files in a
+fresh temporary directory, whose path it prints.
 
 The punchline: retrocausal models are the cheapest, causal (= zigzag) models
 cost almost twice as much at S_Q, one-sided models more again, and
@@ -10,6 +11,8 @@ superdeterministic models always pay the full 2 bits.
 """
 
 import math
+import os
+import tempfile
 
 import bellcost as bc
 
@@ -31,11 +34,11 @@ def main():
     print()
     print(f"at S_Q the causal/retro cost ratio is {bc.i_C(S_Q).info / bc.i_R(S_Q):.3f}")
 
+    out_dir = tempfile.mkdtemp(prefix="bellcost-curves-")
     for cls in bc.CausalClass:
         points = bc.curve_sweep(cls, 2.0, 4.0, 201)
-        path = f"curve_{cls.value}.csv"
-        bc.sweep_to_csv(points, cls, path)
-        print(f"wrote {path}")
+        bc.sweep_to_csv(points, cls, os.path.join(out_dir, f"curve_{cls.value}.csv"))
+    print(f"wrote curve_<class>.csv for {len(bc.CausalClass)} classes to {out_dir}")
 
 
 if __name__ == "__main__":

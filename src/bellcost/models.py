@@ -34,7 +34,7 @@ from .core import (
     setting_index,
     shannon_entropy,
 )
-from .curves import conjugate, find_p0
+from .curves import _check_s, conjugate, find_p0
 
 __all__ = [
     "LAMBDA_CLASSES",
@@ -113,6 +113,26 @@ def _special_cell(mu: int, nu: int) -> int:
     return setting_index(1 - nu, 1 - mu)
 
 
+def _flip_marginals(mu: int, nu: int, a, b, whole=1.0):
+    """(P(x=0), P(y=0)) * whole of a (mu, nu) state with masses a, b on its special side.
+
+    a and b are the masses of the special cell's x = 1-nu and y = 1-mu, so the
+    x side flips when nu = 0 and the y side when mu = 0.  The map is its own
+    inverse, and it takes floats and integer arrays alike.
+    """
+    return (whole - a if nu == 0 else a), (whole - b if mu == 0 else b)
+
+
+def _class_model(dists, label: str, signs: OutcomeSigns | None = None) -> Model:
+    """Four equal-weight states, one per LAMBDA_CLASSES row, with the signs' responses."""
+    signs = signs or OutcomeSigns()
+    states = tuple(
+        HiddenState(0.25, dist, signs.responses_for(mu, nu))
+        for (mu, nu), dist in zip(LAMBDA_CLASSES, dists, strict=True)
+    )
+    return Model(states, label=label)
+
+
 def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     """Retrocausal optimum: four equal-weight states, joint conditionals.
 
@@ -122,16 +142,13 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     if not -1e-12 <= p <= 0.25 + 1e-12:
         raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
-    signs = signs or OutcomeSigns()
     rest = (1.0 - p) / 3.0
-    states = []
+    dists = []
     for mu, nu in LAMBDA_CLASSES:
         probs = [rest] * 4
         probs[_special_cell(mu, nu)] = p
-        states.append(
-            HiddenState(0.25, SettingDist.joint(probs), signs.responses_for(mu, nu))
-        )
-    return Model(tuple(states), label=f"retro-optimal(p={p!r})")
+        dists.append(SettingDist.joint(probs))
+    return _class_model(dists, f"retro-optimal(p={p!r})", signs)
 
 
 def causal_pair_model(
@@ -147,17 +164,10 @@ def causal_pair_model(
             raise DomainError(f"causal_pair_model: {name}={v!r} outside [0, 1/2]")
     p = min(max(p, 0.0), 0.5)
     ptilde = min(max(ptilde, 0.0), 0.5)
-    signs = signs or OutcomeSigns()
-    states = []
-    for mu, nu in LAMBDA_CLASSES:
-        px0 = 1.0 - p if nu == 0 else p
-        py0 = 1.0 - ptilde if mu == 0 else ptilde
-        states.append(
-            HiddenState(
-                0.25, SettingDist.factorized(px0, py0), signs.responses_for(mu, nu)
-            )
-        )
-    return Model(tuple(states), label=label or f"causal-pair(p={p!r}, ptilde={ptilde!r})")
+    dists = [
+        SettingDist.factorized(*_flip_marginals(mu, nu, p, ptilde)) for mu, nu in LAMBDA_CLASSES
+    ]
+    return _class_model(dists, label or f"causal-pair(p={p!r}, ptilde={ptilde!r})", signs)
 
 
 def table2_model(
@@ -238,12 +248,10 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
     weights = {(0, 0): q * q, (1, 0): q * (1 - q), (0, 1): q * (1 - q), (1, 1): (1 - q) ** 2}
     states = []
     for mu, nu in LAMBDA_CLASSES:
-        px0 = 1.0 if nu == 0 else 0.0
-        py0 = 1.0 if mu == 0 else 0.0
         states.append(
             HiddenState(
                 weights[(mu, nu)],
-                SettingDist.factorized(px0, py0),
+                SettingDist.factorized(*_flip_marginals(mu, nu, 0.0, 0.0)),
                 signs.responses_for(mu, nu),
             )
         )
@@ -356,18 +364,18 @@ def biased_info(
             if p is None:
                 raise DomainError("retrocausal biased_info needs s or p")
             s = 4.0 - 8.0 * p
-        if not 2.0 - 1e-9 <= s <= 4.0 + 1e-9:
-            raise DomainError(f"biased_info: s={s!r} outside [2, 4]")
+        s = _check_s(s)
         outcomes = [
             (4.0 + s) / 24.0 + (1 + sx * ex) / 2.0 * (1 + sy * ey) / 2.0 * (2.0 - s) / 6.0
             for sx in (1.0, -1.0)
             for sy in (1.0, -1.0)
         ]
-        return (
+        value = (
             shannon_entropy(outcomes)
             - binary_entropy((4.0 - s) / 8.0)
             - (4.0 + s) / 8.0 * _LOG2_3
         )
+        return max(0.0, value)  # the closed form leaves -2e-16 at s = 2
     if base in (CausalClass.CAUSAL, CausalClass.ZIGZAG):
         if p is None or ptilde is None:
             raise DomainError("causal biased_info needs p and ptilde")
@@ -382,7 +390,6 @@ def biased_info(
             if p is None:
                 raise DomainError("one-sided biased_info needs s or p")
             s = 4.0 - 4.0 * p
-        if not 2.0 - 1e-9 <= s <= 4.0 + 1e-9:
-            raise DomainError(f"biased_info: s={s!r} outside [2, 4]")
+        s = _check_s(s)
         return binary_entropy((1.0 + ex * (s / 2.0 - 1.0)) / 2.0) - binary_entropy(s / 4.0)
     raise DomainError(f"no biased_info for base {base!r}")

@@ -19,10 +19,12 @@ masses and special-cell mass.  For a fixed first state the pair's
 special-cell mass is its second state's special cell shifted by a
 constant, so each first state fills one dense, shifted slab of the second
 state's grid; the two halves are then joined on exactly complementary
-contributions.  The one-sided marginal constraint fixes the fourth state
-from the other three, so that search scans (N+1)^3 points.  Equal-value
-ties resolve to the first hit in lexicographic grid order, so results are
-reproducible.
+contributions.  The two causal halves are one set of ordered state pairs
+within the special-product budget, enumerated once and read under two
+class maps; each half is keyed by its summed raw marginals.  The one-sided
+marginal constraint fixes the fourth state from the other three, so that
+search scans (N+1)^3 points.  Equal-value ties resolve to the first hit in
+lexicographic grid order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ from .core import (
     SettingDist,
     _LOG2,
     binary_entropy,
+    chsh_value,
+    derived_marginal,
+    is_factorized_per_lambda,
     mutual_information,
-    setting_index,
 )
-from .models import LAMBDA_CLASSES, OutcomeSigns
+from .models import LAMBDA_CLASSES, _class_model, _flip_marginals, _special_cell
 
 __all__ = [
     "SearchConfig",
@@ -56,7 +60,7 @@ __all__ = [
 ]
 
 #: Special setting cell (flat index) per (mu, nu) class: (x, y) = (1-nu, 1-mu).
-_SPECIAL = tuple(setting_index(1 - nu, 1 - mu) for mu, nu in LAMBDA_CLASSES)
+_SPECIAL = tuple(_special_cell(mu, nu) for mu, nu in LAMBDA_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,6 @@ def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
     )
 
 
-def _build_model(dists: list[SettingDist], label: str) -> Model:
-    signs = OutcomeSigns()
-    states = tuple(
-        HiddenState(0.25, dist, signs.responses_for(mu, nu))
-        for (mu, nu), dist in zip(LAMBDA_CLASSES, dists)
-    )
-    return Model(states, label=label)
-
-
 # ---------------------------------------------------------------------------
 # retrocausal: joint grid
 # ---------------------------------------------------------------------------
@@ -127,6 +122,11 @@ def _compositions4(total: int) -> np.ndarray:
             for c in range(total - a - b + 1):
                 rows.append((a, b, c, total - a - b - c))
     return np.array(rows, dtype=np.int64)
+
+
+def _grid_entropies(n: int) -> np.ndarray:
+    """h(k/n) for k = 0..n."""
+    return np.array([binary_entropy(k / n) for k in range(n + 1)])
 
 
 def _row_entropies(counts: np.ndarray, n: int) -> np.ndarray:
@@ -253,35 +253,13 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
         options, entropies, _SPECIAL[2], _SPECIAL[3], cells_b, qb, float(col_b[qb]), n
     )
     dists = [SettingDist.joint((row / n).tolist()) for row in (k1, k2, k3, k4)]
-    model = _build_model(dists, label=f"oracle-retro(N={n}, target={cfg.target_s!r})")
+    model = _class_model(dists, f"oracle-retro(N={n}, target={cfg.target_s!r})")
     return SearchResult(best_info=mutual_information(model), best_model=model)
 
 
 # ---------------------------------------------------------------------------
 # causal: factorized grid
 # ---------------------------------------------------------------------------
-
-
-def _causal_half_arrays(n: int, budget: int, h_grid: np.ndarray):
-    """Enumerate ordered (A1, B1, A2, B2) per half; A, B are special-side masses.
-
-    Returns (a1, b1, a2, b2, q, value) filtered to summed special products
-    q = A1*B1 + A2*B2 within the CHSH budget.
-    """
-    rng = np.arange(n + 1, dtype=np.int64)
-    a1, b1, a2, b2 = (g.ravel() for g in np.meshgrid(rng, rng, rng, rng, indexing="ij"))
-    q = a1 * b1 + a2 * b2
-    keep = q <= budget
-    a1, b1, a2, b2, q = a1[keep], b1[keep], a2[keep], b2[keep], q[keep]
-    value = h_grid[a1] + h_grid[b1] + h_grid[a2] + h_grid[b2]
-    return a1, b1, a2, b2, q, value
-
-
-def _causal_raw(a: np.ndarray, b: np.ndarray, mu: int, nu: int, n: int):
-    """Raw grid marginals (i, j) = N*(P(x=0), P(y=0)) for a class-(mu, nu) state."""
-    i = (n - a) if nu == 0 else a
-    j = (n - b) if mu == 0 else b
-    return i, j
 
 
 def _segmented_prefix_max(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -301,24 +279,31 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     budget = _special_budget(cfg, n * n)
     if budget < 0:
         raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    h_grid = np.array([binary_entropy(k / n) for k in range(n + 1)])
+    h_grid = _grid_entropies(n)
 
-    a1, b1, a2, b2, q_a, val_a = _causal_half_arrays(n, budget, h_grid)
-    i1, j1 = _causal_raw(a1, b1, *LAMBDA_CLASSES[0], n)
-    i2, j2 = _causal_raw(a2, b2, *LAMBDA_CLASSES[1], n)
-    si_a, sj_a, sij_a = i1 + i2, j1 + j2, i1 * j1 + i2 * j2
+    # per-state options (a, b): masses on the special x and y values, in grid units
+    a = np.repeat(np.arange(n + 1, dtype=np.int64), n + 1)
+    b = np.tile(np.arange(n + 1, dtype=np.int64), n + 1)
+    q1 = a * b
+    # ordered state pairs within the budget, lexicographic in (a, b, a', b');
+    # both halves enumerate this one set and differ only in their class maps
+    first, second = np.nonzero(q1[:, None] + q1[None, :] <= budget)
+    q = q1[first] + q1[second]
+    value = h_grid[a[first]] + h_grid[b[first]] + h_grid[a[second]] + h_grid[b[second]]
 
-    a3, b3, a4, b4, q_b, val_b = _causal_half_arrays(n, budget, h_grid)
-    i3, j3 = _causal_raw(a3, b3, *LAMBDA_CLASSES[2], n)
-    i4, j4 = _causal_raw(a4, b4, *LAMBDA_CLASSES[3], n)
-    si_b, sj_b, sij_b = i3 + i4, j3 + j4, i3 * j3 + i4 * j4
+    def raw_sums(cls_first, cls_second):
+        """Summed raw marginals (sum i, sum j, sum i*j) of each pair under two class maps."""
+        i1, j1 = _flip_marginals(*cls_first, a, b, n)
+        i2, j2 = _flip_marginals(*cls_second, a, b, n)
+        return i1[first] + i2[second], j1[first] + j2[second], (i1 * j1)[first] + (i2 * j2)[second]
 
     nn = n * n
-    keep_b = sij_b <= nn
-    key_b = ((si_b[keep_b] * (2 * n + 1) + sj_b[keep_b]) * (nn + 1) + sij_b[keep_b]).astype(np.int64)
-    qb = q_b[keep_b]
-    vb = val_b[keep_b]
-    idx_b = np.nonzero(keep_b)[0]
+    si_b, sj_b, sij_b = raw_sums(LAMBDA_CLASSES[2], LAMBDA_CLASSES[3])
+    idx_b = np.nonzero(sij_b <= nn)[0]
+    key_b = (si_b[idx_b] * (2 * n + 1) + sj_b[idx_b]) * (nn + 1) + sij_b[idx_b]
+    del si_b, sj_b, sij_b
+    qb = q[idx_b]
+    vb = value[idx_b]
 
     qcap = 1
     while qcap <= budget + 1:
@@ -329,46 +314,36 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     sorted_group = key_b[order]
     prefix = _segmented_prefix_max(sorted_group, vb[order])
 
-    keep_a = sij_a <= nn
-    key_a = ((2 * n - si_a[keep_a]) * (2 * n + 1) + (2 * n - sj_a[keep_a])) * (nn + 1) + (
-        nn - sij_a[keep_a]
+    si_a, sj_a, sij_a = raw_sums(LAMBDA_CLASSES[0], LAMBDA_CLASSES[1])
+    idx_a = np.nonzero(sij_a <= nn)[0]
+    key_a = ((2 * n - si_a[idx_a]) * (2 * n + 1) + (2 * n - sj_a[idx_a])) * (nn + 1) + (
+        nn - sij_a[idx_a]
     )
-    want = key_a.astype(np.int64) * qcap + (budget - q_a[keep_a])
+    del si_a, sj_a, sij_a
+    want = key_a * qcap + (budget - q[idx_a])
     pos = np.searchsorted(sorted_keys, want, side="right") - 1
     valid = pos >= 0
     pos_c = np.clip(pos, 0, len(sorted_keys) - 1)
     valid &= sorted_group[pos_c] == key_a
-    totals = np.where(valid, val_a[keep_a] + prefix[pos_c], -np.inf)
+    totals = np.where(valid, value[idx_a] + prefix[pos_c], -np.inf)
     if not np.isfinite(totals.max()):
         raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
 
     row = int(totals.argmax())
-    idx_a = np.nonzero(keep_a)[0][row]
-    half_a = (int(a1[idx_a]), int(b1[idx_a]), int(a2[idx_a]), int(b2[idx_a]))
+    pair_a = idx_a[row]
     # B-side witness: first sorted entry in the matching key run, value equal to the
     # prefix max at or before pos (ties resolve to the smallest special mass)
     p = int(pos_c[row])
-    target_val = prefix[p]
-    run = p
-    while run > 0 and sorted_group[run - 1] == sorted_group[p]:
-        run -= 1
-    seg = slice(run, p + 1)
-    hit = run + int(np.argmax(vb[order][seg] >= target_val - 1e-12))
-    b_idx = idx_b[order[hit]]
-    half_b = (int(a3[b_idx]), int(b3[b_idx]), int(a4[b_idx]), int(b4[b_idx]))
+    run = int(np.searchsorted(sorted_group, sorted_group[p], side="left"))
+    hit = run + int(np.argmax(vb[order[run : p + 1]] >= prefix[p] - 1e-12))
+    pair_b = idx_b[order[hit]]
 
-    ab = (
-        (half_a[0], half_a[1]),
-        (half_a[2], half_a[3]),
-        (half_b[0], half_b[1]),
-        (half_b[2], half_b[3]),
-    )
+    states = (first[pair_a], second[pair_a], first[pair_b], second[pair_b])
     dists = []
-    for (mu, nu), (a, b) in zip(LAMBDA_CLASSES, ab):
-        px0 = (n - a) / n if nu == 0 else a / n
-        py0 = (n - b) / n if mu == 0 else b / n
-        dists.append(SettingDist.factorized(px0, py0))
-    model = _build_model(dists, label=f"oracle-causal(N={n}, target={cfg.target_s!r})")
+    for (mu, nu), k in zip(LAMBDA_CLASSES, states):
+        i, j = _flip_marginals(mu, nu, int(a[k]), int(b[k]), n)
+        dists.append(SettingDist.factorized(i / n, j / n))
+    model = _class_model(dists, f"oracle-causal(N={n}, target={cfg.target_s!r})")
     return SearchResult(best_info=mutual_information(model), best_model=model)
 
 
@@ -382,7 +357,7 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     budget = _floor_budget(n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
     if budget < 0:
         raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    h_grid = np.array([binary_entropy(k / n) for k in range(n + 1)])
+    h_grid = _grid_entropies(n)
     rng = np.arange(n + 1, dtype=np.int64)
     # the marginal constraint a1 + a2 == a3 + a4 fixes a4, so scan (a1, a2, a3);
     # lexicographic order over them is the order over the feasible 4-tuples
@@ -395,11 +370,11 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
         raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
     best = np.unravel_index(int(value.argmax()), value.shape)
     best = (*best, a4[best])
-    dists = []
-    for (mu, nu), a in zip(LAMBDA_CLASSES, best):
-        px0 = (n - int(a)) / n if nu == 0 else int(a) / n
-        dists.append(SettingDist.factorized(px0, 0.5))
-    model = _build_model(dists, label=f"oracle-onesided(N={n}, target={cfg.target_s!r})")
+    dists = [
+        SettingDist.factorized(_flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
+        for (mu, nu), a in zip(LAMBDA_CLASSES, best)
+    ]
+    model = _class_model(dists, f"oracle-onesided(N={n}, target={cfg.target_s!r})")
     return SearchResult(best_info=mutual_information(model), best_model=model)
 
 
@@ -440,8 +415,6 @@ def _state_class(st: HiddenState) -> tuple[int, int]:
 
 def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
     """Classify each state, evaluate the CHSH bound chain, and test saturation."""
-    from .core import chsh_value, derived_marginal, is_factorized_per_lambda
-
     classes = tuple(_state_class(st) for st in m.states)
     s_value = chsh_value(m)
     marg = derived_marginal(m)
@@ -454,7 +427,7 @@ def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
     for st, (mu, nu) in zip(m.states, classes):
         if st.weight <= 0.0:
             continue
-        special = st.dist.probs[setting_index(1 - nu, 1 - mu)]
+        special = st.dist.probs[_special_cell(mu, nu)]
         gap = 1.0 - 2.0 * special
         general += 4.0 * st.weight * abs(gap)
         if abs(gap) > tol and st.a(0) * st.b(0) != (-1) ** (mu * nu) * (1 if gap > 0 else -1):
@@ -476,8 +449,7 @@ def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
             pmin_x = min(px0, 1.0 - px0)
             pmin_y = min(py0, 1.0 - py0)
             causal_bound += st.weight * (4.0 - 8.0 * pmin_x * pmin_y)
-            p_xbar = px0 if nu == 1 else 1.0 - px0
-            p_ybar = py0 if mu == 1 else 1.0 - py0
+            p_xbar, p_ybar = _flip_marginals(mu, nu, px0, py0)  # special-side masses
             if abs(p_xbar - pmin_x) > tol or abs(p_ybar - pmin_y) > tol:
                 causal_sat = False
 

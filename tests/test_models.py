@@ -374,6 +374,15 @@ def test_biased_info_superdeterministic_limits():
     assert small < 0.02
 
 
+@pytest.mark.parametrize("base", [bc.CausalClass.RETROCAUSAL, bc.CausalClass.ONE_SIDED])
+@pytest.mark.parametrize("s", [4.0 + 1e-11, 4.0 + 1e-9, 2.0 - 1e-9])
+def test_biased_info_clamps_edge_s(base, s):
+    for bias in (bc.Bias(0.0, 0.0), bc.Bias(0.3, -0.6), bc.Bias(0.9, 0.9)):
+        value = bc.biased_info(base, bias, s=s)
+        assert value == bc.biased_info(base, bias, s=min(max(s, 2.0), 4.0))
+        assert value >= 0.0
+
+
 def test_biased_info_parameter_errors():
     with pytest.raises(bc.DomainError):
         bc.biased_info(bc.CausalClass.RETROCAUSAL, bc.Bias(0.2, 0.2))

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
 
@@ -14,6 +15,7 @@ from conftest import S_Q, random_uniform_marginal_model
 RETRO = bc.CausalClass.RETROCAUSAL
 CAUSAL = bc.CausalClass.CAUSAL
 ONE_SIDED = bc.CausalClass.ONE_SIDED
+CURVES = {RETRO: bc.i_R, CAUSAL: lambda s: bc.i_C(s).info, ONE_SIDED: bc.i_OS}
 
 
 def run(n, target, cls, tol=1e-9):
@@ -109,11 +111,7 @@ def test_witness_is_feasible_and_consistent():
 
 
 def test_never_below_curve_at_achieved_s():
-    for cls, curve in (
-        (RETRO, bc.i_R),
-        (CAUSAL, lambda s: bc.i_C(s).info),
-        (ONE_SIDED, bc.i_OS),
-    ):
+    for cls, curve in CURVES.items():
         for n in (8, 16):
             for target in (2.4, S_Q, 3.5):
                 res = run(n, target, cls)
@@ -215,7 +213,7 @@ def test_matches_naive_enumeration_on_small_grids():
             naive = _naive_retro_best(n, target)
             mitm = run(n, target, RETRO).best_info
             assert naive == pytest.approx(mitm, abs=1e-12), (n, target)
-    for n in (4, 6):
+    for n in (4, 5, 6):
         for target in (2.0, 2.5, 3.0):
             naive = _naive_causal_best(n, target)
             mitm = run(n, target, CAUSAL).best_info
@@ -243,7 +241,12 @@ GOLDEN = [
     (RETRO, 24, S_Q, "0x1.a116f426cdb60p-5", "c4f63c623e2d6a92ba050c40b7273dbf37cc4f39764b9058f1421a25e304c5f1"),
     (RETRO, 24, 3.5, "0x1.7ab85b3a38750p-3", "b33f64597e4ce64a13878d58c267b5af3121dbad8e342f34336f3fbf51340889"),
     (RETRO, 40, S_Q, "0x1.9ef2b65d72da0p-5", "18298b0e5eff3861201fb609e6a6aaeb3091b1b7b04d753acbb59be06fbb4dd6"),
+    (CAUSAL, 16, S_Q, "0x1.7546d267e6a90p-4", "369e661eb29922df139808e1fc4be35b47ba3335dc4a38d18281a9f0e23a9e2a"),
+    # ties broken by the left-to-right order of the four entropy terms
+    (CAUSAL, 16, 3.3, "0x1.0dcf35e30aba4p-2", "b84ad5d75e17de607816c7dbda9c396436de292df11ae17a53d98add69cf07b4"),
     (CAUSAL, 24, S_Q, "0x1.7546d267e6a90p-4", "05bffdef2eeff2025f2b0693ef556994dd7db027641c1352385d8cdeeb9c5dd4"),
+    (CAUSAL, 40, S_Q, "0x1.53735f0435940p-4", "f3db3ed0d14143c9e3089e0ab4302d4f383b824c62a7c74a7054286e7f4411c6"),
+    (CAUSAL, 40, 3.9, "0x1.a9a5463e37c26p-1", "30df8bd19ac4907e8bc1879be6cbe3bc8db1b9377f9c5f2387c74965244e626c"),
     (ONE_SIDED, 16, S_Q, "0x1.2bb542cb251c0p-3", "eb34e9610e0bc9df50b9d1973eb543ac7a7c5cff4440b8aa9e4bc3ae0d5b68f3"),
     (ONE_SIDED, 24, 3.5, "0x1.d363d7b4c1d38p-2", "dc5ea2ecd1ecef3878b15dde067ec7c76195d31b641e9d29f6a1bcb3b3184805"),
     (ONE_SIDED, 40, S_Q, "0x1.14a5109abe748p-3", "18f26d7226dd5afeccc91f172680615337d0d34442b2fcb5fd999e98855e9448"),
@@ -253,8 +256,8 @@ GOLDEN = [
 
 @pytest.mark.parametrize("cls, n, target, info_hex, model_sha", GOLDEN)
 def test_golden_witnesses(cls, n, target, info_hex, model_sha, request):
-    if cls is RETRO and n == 40:
-        res = request.getfixturevalue("oracle_n40")[RETRO]
+    if cls in (RETRO, CAUSAL) and n == 40 and target == S_Q:
+        res = request.getfixturevalue("oracle_n40")[cls]
     else:
         res = run(n, target, cls)
     assert res.best_info.hex() == info_hex
@@ -313,6 +316,26 @@ def test_one_sided_witness_matches_full_grid(n, target):
         a = round(st.dist.px0() * n)
         got.append(n - a if nu == 0 else a)
     assert tuple(got) == _full_one_sided_witness(n, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cls=st.sampled_from([RETRO, CAUSAL, ONE_SIDED]),
+    n=st.integers(4, 10),
+    target=st.floats(1.0, 5.0),
+)
+def test_search_returns_certified_witness_or_raises(cls, n, target):
+    try:
+        res = run(n, target, cls)
+    except bc.NoFeasibleModel:
+        return
+    m = res.best_model
+    assert math.isfinite(res.best_info) and res.best_info >= -1e-12
+    achieved = bc.chsh_value(m)
+    assert achieved >= target - 1e-9
+    assert all(abs(v - 0.25) <= 1e-12 for v in bc.derived_marginal(m).probs)
+    if achieved >= 2.0:
+        assert res.best_info >= CURVES[cls](achieved) - 1e-9
 
 
 # ---------------------------------------------------------------------------
