@@ -25,10 +25,22 @@ class maps; each half is keyed by its summed raw marginals.  The one-sided
 marginal constraint fixes the fourth state from the other three, so that
 search scans (N+1)^3 points.  Equal-value ties resolve to the first hit in
 lexicographic grid order, so results are reproducible.
+
+A point's information is 2 - (sum of its four state entropies)/4 and each
+state entropy is at most 2 bits, so once the best entropy sum is known to be
+at least a floor F, no state below F - 6 and no ordered state pair below
+F - 4 can be part of the optimum.  The retrocausal and causal searches run
+at most two passes pruned that way.  Pass 1 takes F from the analytic curve
+plus 0.5/N, a guess that is exact whenever pass 1 reaches F; otherwise
+pass 2 takes F from pass 1's best point (or no floor if it found none),
+which is a true lower bound.  The curve only seeds the pruning: every
+point within the tie tolerances of the optimum survives either pass, so
+the value and witness never depend on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -49,6 +61,7 @@ from .core import (
     is_factorized_per_lambda,
     mutual_information,
 )
+from .curves import curve_point
 from .models import LAMBDA_CLASSES, _class_model, _flip_marginals, _special_cell
 
 __all__ = [
@@ -61,6 +74,11 @@ __all__ = [
 
 #: Special setting cell (flat index) per (mu, nu) class: (x, y) = (1-nu, 1-mu).
 _SPECIAL = tuple(_special_cell(mu, nu) for mu, nu in LAMBDA_CLASSES)
+
+#: Slack (bits) under every pruning threshold.  It dwarfs the rounding of a
+#: four-term entropy sum and the 1e-9 and 1e-12 tie tolerances of the witness
+#: lookups, so equal-value ties resolve to the same first hit as unpruned.
+_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,8 +110,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Least information on the grid and its witness, with how the search got there.
+
+    passes is the number of pruned passes run (1 or 2); states_searched and
+    states_total count the per-state grid options that the final pass kept
+    and that the grid holds.
+    """
+
     best_info: float
     best_model: Model
+    passes: int = 1
+    states_searched: int | None = None
+    states_total: int | None = None
 
 
 def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
@@ -107,6 +135,32 @@ def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
     raise DomainError(
         "brute_force_min_info supports the retrocausal, causal and one-sided classes"
     )
+
+
+def _info_ceiling(cfg: SearchConfig) -> float:
+    """Guessed upper bound on the optimum: the curve just below the target, plus 0.5/N."""
+    s = min(max(cfg.target_s - cfg.tolerance, 2.0), 4.0)
+    return curve_point(cfg.causal_class, s).info + 0.5 / cfg.resolution
+
+
+def _pruned_search(cfg: SearchConfig, label: str, run_pass, states_total: int) -> SearchResult:
+    """Run run_pass(floor) at the hinted entropy floor and, unless that is exact, once more.
+
+    run_pass returns (best entropy sum, witness conditionals or None, states
+    kept) over the grid pruned at floor; it is exact when the best sum
+    reaches floor.  Otherwise that best sum, or -inf when there was none, is
+    a true floor for the second pass.
+    """
+    floor = 4.0 * (2.0 - _info_ceiling(cfg))
+    best, dists, searched = run_pass(floor)
+    passes = 1
+    if best < floor:
+        best, dists, searched = run_pass(best)
+        passes = 2
+    if dists is None:
+        raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
+    model = _class_model(dists, f"{label}(N={cfg.resolution}, target={cfg.target_s!r})")
+    return SearchResult(mutual_information(model), model, passes, searched, states_total)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +190,16 @@ def _row_entropies(counts: np.ndarray, n: int) -> np.ndarray:
     return terms.sum(axis=1) / _LOG2
 
 
+@functools.lru_cache(maxsize=8)
+def _retro_options(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state joint grid options (lexicographic) and their entropies, read-only."""
+    options = _compositions4(n)
+    entropies = _row_entropies(options, n)
+    options.flags.writeable = False
+    entropies.flags.writeable = False
+    return options, entropies
+
+
 def _floor_budget(slack: float, cap: int) -> int:
     """floor(slack + 1e-12) clipped to cap (slack may overflow to +-inf); -1 when negative."""
     slack += 1e-12
@@ -150,7 +214,13 @@ def _special_budget(cfg: SearchConfig, scale: int) -> int:
 
 
 def _retro_half(
-    options: np.ndarray, entropies: np.ndarray, sp_first: int, sp_second: int, n: int, budget: int
+    options: np.ndarray,
+    entropies: np.ndarray,
+    sp_first: int,
+    sp_second: int,
+    n: int,
+    budget: int,
+    floor: float = -math.inf,
 ) -> np.ndarray:
     """Dense table F[c0, c1, c2, q] = max entropy sum over ordered state pairs.
 
@@ -164,23 +234,31 @@ def _retro_half(
     budget bounds that box along sp_second (which must be one of the first
     three cells).  Every entry is an exact sum entropies[i] + entropies[j],
     so the order of the maxima does not matter.
+
+    With a finite entropy floor, u's partners are the options v with
+    h_u + h_v >= floor - 4 (less _MARGIN): a prefix of the options sorted by
+    falling entropy, whose running bounding box clips u's slab.  Cells whose
+    best pair reaches that bound keep their exact value; no cell exceeds it.
     """
     grid = np.full((n + 1, n + 1, n + 1), -np.inf)
     grid[options[:, 0], options[:, 1], options[:, 2]] = entropies
+    order = np.argsort(-entropies, kind="stable")
+    falling = entropies[order]
+    partners = np.searchsorted(-falling, falling - (floor - 4.0 - _MARGIN), side="right")
+    first = options[order]
+    box = np.maximum(partners - 1, 0)  # last partner of each first option u
+    lo = np.minimum.accumulate(first[:, :3], axis=0)[box]
+    hi = np.minimum(np.maximum.accumulate(first[:, :3], axis=0)[box] + 1, n + 1 - first[:, :3])
+    hi[:, sp_second] = np.minimum(hi[:, sp_second], budget - first[:, sp_first] + 1)
+    live = (partners > 0) & (lo < hi).all(axis=1)
+    offset = first[:, sp_first] - first[:, sp_second] + n
+    slabs = np.column_stack([offset, first[:, :3] + lo, first[:, :3] + hi, lo, hi])[live]
     work = np.full((2 * n + 1, n + 1, n + 1, n + 1), -np.inf)
-    for u, h_u in zip(options.tolist(), entropies.tolist()):
-        room = budget - u[sp_first]
-        if room < 0:
-            continue
-        hi = [n + 1 - u[0], n + 1 - u[1], n + 1 - u[2]]
-        hi[sp_second] = min(hi[sp_second], room + 1)
-        out = work[
-            u[sp_first] - u[sp_second] + n,
-            u[0] : u[0] + hi[0],
-            u[1] : u[1] + hi[1],
-            u[2] : u[2] + hi[2],
-        ]
-        np.maximum(out, h_u + grid[: hi[0], : hi[1], : hi[2]], out=out)
+    for (d, s0, s1, s2, t0, t1, t2, l0, l1, l2, h0, h1, h2), h_u in zip(
+        slabs.tolist(), falling[live].tolist()
+    ):
+        out = work[d, s0:t0, s1:t1, s2:t2]
+        np.maximum(out, h_u + grid[l0:h0, l1:h1, l2:h2], out=out)
 
     # F[..., q] = W[q - c[sp_second] + n, ...], one slice per c[sp_second] = s
     table = np.full((n + 1, n + 1, n + 1, budget + 1), -np.inf)
@@ -220,12 +298,19 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     budget = _special_budget(cfg, n)
     if budget < 0:
         raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    options = _compositions4(n)
-    entropies = _row_entropies(options, n)
+    run_pass = functools.partial(_retro_pass, n, budget)
+    return _pruned_search(cfg, "oracle-retro", run_pass, math.comb(n + 3, 3))
+
+
+def _retro_pass(n: int, budget: int, floor: float):
+    """One retrocausal pass pruned at the entropy floor (see _pruned_search)."""
+    all_options, all_entropies = _retro_options(n)
+    keep = all_entropies >= floor - 6.0 - _MARGIN
+    options, entropies = all_options[keep], all_entropies[keep]
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
-    table_a = _retro_half(options, entropies, _SPECIAL[0], _SPECIAL[1], n, budget)
-    table_b = _retro_half(options, entropies, _SPECIAL[2], _SPECIAL[3], n, budget)
+    table_a = _retro_half(options, entropies, _SPECIAL[0], _SPECIAL[1], n, budget, floor)
+    table_b = _retro_half(options, entropies, _SPECIAL[2], _SPECIAL[3], n, budget, floor)
 
     best_b_upto = np.maximum.accumulate(table_b, axis=3)
     flipped = best_b_upto[::-1, ::-1, ::-1, :]  # complement cell sums: c -> n - c
@@ -238,7 +323,7 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
             best_val = val
             best_at = (qa, np.unravel_index(int(cand.argmax()), cand.shape))
     if not np.isfinite(best_val):
-        raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
+        return -np.inf, None, len(options)
 
     qa, cells_a = best_at
     cells_a = tuple(int(c) for c in cells_a)
@@ -253,8 +338,7 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
         options, entropies, _SPECIAL[2], _SPECIAL[3], cells_b, qb, float(col_b[qb]), n
     )
     dists = [SettingDist.joint((row / n).tolist()) for row in (k1, k2, k3, k4)]
-    model = _class_model(dists, f"oracle-retro(N={n}, target={cfg.target_s!r})")
-    return SearchResult(best_info=mutual_information(model), best_model=model)
+    return float(best_val), dists, len(options)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +363,28 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     budget = _special_budget(cfg, n * n)
     if budget < 0:
         raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
+    run_pass = functools.partial(_causal_pass, n, budget)
+    return _pruned_search(cfg, "oracle-causal", run_pass, (n + 1) ** 2)
+
+
+def _causal_pass(n: int, budget: int, floor: float):
+    """One causal pass pruned at the entropy floor (see _pruned_search)."""
     h_grid = _grid_entropies(n)
 
     # per-state options (a, b): masses on the special x and y values, in grid units
     a = np.repeat(np.arange(n + 1, dtype=np.int64), n + 1)
     b = np.tile(np.arange(n + 1, dtype=np.int64), n + 1)
     q1 = a * b
-    # ordered state pairs within the budget, lexicographic in (a, b, a', b');
-    # both halves enumerate this one set and differ only in their class maps
-    first, second = np.nonzero(q1[:, None] + q1[None, :] <= budget)
+    h1 = h_grid[a] + h_grid[b]
+    keep = np.nonzero(h1 >= floor - 6.0 - _MARGIN)[0]
+    qk, hk = q1[keep], h1[keep]
+    # ordered state pairs within the budget and the floor, lexicographic in
+    # (a, b, a', b'); both halves enumerate this one set and differ only in
+    # their class maps
+    first, second = np.nonzero(
+        (qk[:, None] + qk[None, :] <= budget) & (hk[:, None] + hk[None, :] >= floor - 4.0 - _MARGIN)
+    )
+    first, second = keep[first], keep[second]
     q = q1[first] + q1[second]
     value = h_grid[a[first]] + h_grid[b[first]] + h_grid[a[second]] + h_grid[b[second]]
 
@@ -320,6 +417,8 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
         nn - sij_a[idx_a]
     )
     del si_a, sj_a, sij_a
+    if not (len(idx_a) and len(idx_b)):  # a high floor can leave a half empty
+        return -np.inf, None, len(keep)
     want = key_a * qcap + (budget - q[idx_a])
     pos = np.searchsorted(sorted_keys, want, side="right") - 1
     valid = pos >= 0
@@ -327,7 +426,7 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     valid &= sorted_group[pos_c] == key_a
     totals = np.where(valid, value[idx_a] + prefix[pos_c], -np.inf)
     if not np.isfinite(totals.max()):
-        raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
+        return -np.inf, None, len(keep)
 
     row = int(totals.argmax())
     pair_a = idx_a[row]
@@ -343,8 +442,7 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     for (mu, nu), k in zip(LAMBDA_CLASSES, states):
         i, j = _flip_marginals(mu, nu, int(a[k]), int(b[k]), n)
         dists.append(SettingDist.factorized(i / n, j / n))
-    model = _class_model(dists, f"oracle-causal(N={n}, target={cfg.target_s!r})")
-    return SearchResult(best_info=mutual_information(model), best_model=model)
+    return float(totals[row]), dists, len(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +473,7 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
         for (mu, nu), a in zip(LAMBDA_CLASSES, best)
     ]
     model = _class_model(dists, f"oracle-onesided(N={n}, target={cfg.target_s!r})")
-    return SearchResult(best_info=mutual_information(model), best_model=model)
+    return SearchResult(mutual_information(model), model, states_searched=n + 1, states_total=n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,17 @@ def test_verify_report(capsys):
     assert bc.mutual_information(witness) == pytest.approx(doc["brute_force"], abs=1e-12)
 
 
+@pytest.mark.parametrize("cls, total", [("retro", math.comb(16 + 3, 3)), ("causal", 17**2), ("onesided", 17)])
+def test_verify_reports_search_counts(cls, total, capsys):
+    assert main(["verify", "--class", cls, "--s", "sq", "--grid", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passes"] in (1, 2)
+    assert doc["states_total"] == total
+    assert 0 < doc["states_searched"] <= total
+    if cls != "onesided":  # the pruned searches keep only states near the entropy floor
+        assert doc["states_searched"] < total
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -294,6 +294,78 @@ def test_retro_half_matches_pairwise_loop(n):
             assert np.array_equal(got, want), (n, sp_first, budget)  # -inf cells included
 
 
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_pruned_retro_half_is_exact_above_the_floor(n):
+    from bellcost.oracle import _compositions4, _retro_half, _row_entropies, _SPECIAL
+
+    K = _compositions4(n)
+    H = _row_entropies(K, n)
+    for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
+        for budget in (1, n, 4 * n):
+            want = _pairwise_retro_half(n, sp_first, sp_second, budget)
+            for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
+                kept = H >= floor - 6.0
+                for options, entropies in ((K, H), (K[kept], H[kept])):
+                    got = _retro_half(options, entropies, sp_first, sp_second, n, budget, floor)
+                    above = want >= floor - 4.0
+                    assert np.array_equal(got[above], want[above]), (n, budget, floor)
+                    assert np.all(got <= want), (n, budget, floor)
+
+
+# first-pass information ceilings: 2 bits (an entropy floor of 0, so pass 1 is
+# exact), 0 bits (a floor of 8 that only cost-free points reach) and -1 bit (a
+# floor above every state, so pass 1 keeps nothing)
+HINTS = (2.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("hint", HINTS)
+def test_golden_witnesses_do_not_depend_on_the_hint(hint, monkeypatch):
+    import bellcost.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_info_ceiling", lambda cfg: hint)
+    for cls, n, target, info_hex, model_sha in GOLDEN:
+        res = run(n, target, cls)
+        assert res.best_info.hex() == info_hex, (cls, n, target)
+        doc = json.dumps(bc.model_to_dict(res.best_model), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == model_sha, (cls, n, target)
+        if cls is not ONE_SIDED and hint != 0.0:
+            assert res.passes == (1 if hint == 2.0 else 2)
+
+
+@pytest.mark.parametrize("hint", HINTS)
+def test_small_grids_do_not_depend_on_the_hint(hint, monkeypatch):
+    import bellcost.oracle as oracle_mod
+
+    # the cases test_matches_naive_enumeration_on_small_grids checks against full enumeration
+    cases = [(RETRO, n, t) for n in (4, 5) for t in (2.0, 2.5, 3.0)]
+    cases += [(CAUSAL, n, t) for n in (4, 5, 6) for t in (2.0, 2.5, 3.0)]
+    want = {case: run(case[1], case[2], case[0]) for case in cases}
+    monkeypatch.setattr(oracle_mod, "_info_ceiling", lambda cfg: hint)
+    for cls, n, target in cases:
+        got = run(n, target, cls)
+        assert got.best_info.hex() == want[cls, n, target].best_info.hex(), (cls, n, target)
+        assert got.best_model == want[cls, n, target].best_model, (cls, n, target)
+
+
+def test_floor_at_the_optimum_keeps_it(monkeypatch):
+    """A first-pass floor just under the optimum must be exact, so one pass suffices.
+
+    At S = 2 every state of the optimum is uniform (2 bits), so it sits on
+    both pruning thresholds, F - 6 per state and F - 4 per pair.
+    """
+    import bellcost.oracle as oracle_mod
+
+    cases = [(cls, n, t) for cls in (RETRO, CAUSAL) for n in (4, 5, 6, 8) for t in (2.0, 2.5, S_Q)]
+    want = {case: run(case[1], case[2], case[0]) for case in cases}
+    for cls, n, target in cases:
+        ceiling = want[cls, n, target].best_info + 1e-9
+        monkeypatch.setattr(oracle_mod, "_info_ceiling", lambda cfg, ceiling=ceiling: ceiling)
+        got = run(n, target, cls)
+        assert got.passes == 1, (cls, n, target)
+        assert got.best_info.hex() == want[cls, n, target].best_info.hex(), (cls, n, target)
+        assert got.best_model == want[cls, n, target].best_model, (cls, n, target)
+
+
 def _full_one_sided_witness(n, target, tol=1e-9):
     """First lexicographic argmax over the full (N+1)^4 one-sided grid."""
     budget = math.floor(n * (4.0 - target + tol) + 1e-12)
