@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
+from collections.abc import Iterator
+from typing import TextIO
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename, so readers never see a partial file."""
+@contextlib.contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """Open a text file (LF written as is) that replaces path only when the block exits cleanly.
+
+    The text goes to a temp file beside path, renamed over it at the end, so readers never
+    see a partial file; an exception inside the block removes the temp file instead.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -20,6 +28,12 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path via a temp file + rename, so readers never see a partial file."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def fmt12(value: float) -> str:

@@ -7,11 +7,12 @@ Exit codes: 0 on success, 1 when a verification or reproduction check fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
-from ._util import atomic_write_text, fmt12
+from ._util import atomic_write_text, atomic_writer, fmt12
 from .core import (
     BellcostError,
     CausalClass,
@@ -50,14 +51,7 @@ from .models import (
     table2_model,
 )
 from .oracle import SearchConfig, brute_force_min_info
-from .simulate import (
-    RNG_ALGORITHM,
-    SampleOrder,
-    chsh_standard_error,
-    empirical_stats,
-    rounds_to_csv,
-    sample_rounds,
-)
+from .simulate import RNG_ALGORITHM, SampleOrder, _sample_summary
 
 _SQRT2 = math.sqrt(2.0)
 _TOKENS = {"sq": 2.0 * _SQRT2, "sqrt2": _SQRT2}
@@ -218,8 +212,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     m = load_model(args.model)
-    rounds = sample_rounds(m, args.n, args.seed, SampleOrder(args.order))
-    stats = empirical_stats(rounds)
+    rounds_out = contextlib.nullcontext() if args.rounds_out is None else atomic_writer(args.rounds_out)
+    with rounds_out as fh:
+        stats, se = _sample_summary(m, args.n, args.seed, SampleOrder(args.order), fh)
     doc = {
         "model_file": args.model,
         "label": m.label,
@@ -230,12 +225,11 @@ def _cmd_sample(args) -> int:
         "s_exact": chsh_value(m),
         "info_exact": mutual_information(m),
         "s_hat": stats.s_hat,
-        "s_standard_error": chsh_standard_error(rounds),
+        "s_standard_error": se,
         "info_hat": stats.info_hat,
         "prediction_accuracy": stats.prediction_accuracy,
     }
     if args.rounds_out is not None:
-        rounds_to_csv(rounds, path=args.rounds_out)
         doc["rounds_file"] = args.rounds_out
     text = json.dumps(doc, indent=2)
     print(text)

@@ -9,6 +9,8 @@ The round stream comes from numpy's Philox counter-based generator (algorithm
 identifier recorded in RNG_ALGORITHM), so identical (model, n, seed, order)
 always reproduce the same rounds.  A round log is held as columns
 (RoundLog), and every statistic is computed from counts over those columns.
+Sampling, counting, writing and reading run in blocks of _BLOCK rounds, so
+their temporaries are bounded by the block, not by the number of rounds.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum, unique
+from typing import TextIO
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_writer
 from .core import (
     DomainError,
     MissingSetting,
@@ -52,9 +56,14 @@ __all__ = [
 RNG_ALGORITHM = "numpy-philox4x64"
 
 _CSV_HEADER = ["round", "lambda", "x", "y", "a", "b", "pred_a", "pred_b"]
+_CSV_HEADER_LINE = ",".join(_CSV_HEADER) + "\n"
 
 #: Philox keys are 128-bit.
 _SEED_LIMIT = 2**128
+
+#: Rows per block of the round pipeline.  Sampling, counting, writing and
+#: reading a log hold temporaries for one block of rounds, never for all n.
+_BLOCK = 1 << 16
 
 
 @unique
@@ -151,17 +160,23 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
-    """Draw n rounds from the model under the given sampling order.
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive row slices of at most _BLOCK rows that cover range(n)."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
 
-    Source-first needs per-state factorized conditionals (it samples
-    x ~ p(x|lambda) and y ~ p(y|lambda) independently) and raises
-    OrderUnavailable otherwise.  Outcomes are set deterministically from the
-    response functions, and the adversary's predictions with them.  The seed
-    is an integer in [0, 2**128).
+
+def _round_blocks(
+    m: Model, n: int, seed: int, order: SampleOrder
+) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
+    """Check the arguments of sample_rounds, then return its rounds block by block.
+
+    The iterator yields (rows, (lambda, x, y, a, b)) per block of _blocks(n); the
+    adversary's predictions are a and b.  Each block draws its uniforms as one
+    (rows, k) array, and Philox fills consecutive blocks with consecutive rows of
+    the single (n, k) draw, so the rounds do not depend on the block size.
     """
-    if n < 1:
-        raise DomainError("sample_rounds needs n >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"sample_rounds needs an integer n >= 1, not {n!r}")
     rng = _generator(seed)
     n_states = len(m.states)
 
@@ -170,101 +185,196 @@ def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
             raise OrderUnavailable(
                 "source-first sampling needs p(x,y|lambda) = p(x|lambda) p(y|lambda)"
             )
-        u = rng.random((n, 3))
         cum_w = np.cumsum([st.weight for st in m.states])
-        lam = np.searchsorted(cum_w, u[:, 0], side="right")
-        lam = np.minimum(lam, n_states - 1)
         px0 = np.array([st.dist.px0() for st in m.states])
         py0 = np.array([st.dist.py0() for st in m.states])
-        xs = (u[:, 1] >= px0[lam]).astype(np.int64)
-        ys = (u[:, 2] >= py0[lam]).astype(np.int64)
+        width = 3
+
+        def draw(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            lam = np.searchsorted(cum_w, u[:, 0], side="right")
+            lam = np.minimum(lam, n_states - 1)
+            xs = (u[:, 1] >= px0[lam]).astype(np.int64)
+            ys = (u[:, 2] >= py0[lam]).astype(np.int64)
+            return lam, xs, ys
+
     elif order is SampleOrder.SETTINGS_FIRST:
-        u = rng.random((n, 2))
         marg = derived_marginal(m)
         cum_s = np.cumsum(marg.probs)
-        sidx = np.searchsorted(cum_s, u[:, 0], side="right")
-        sidx = np.minimum(sidx, 3)
         cum_post = np.zeros((4, n_states))
         for k, (x, y) in enumerate(SETTINGS):
             if marg.prob(x, y) > 0.0:
                 cum_post[k] = np.cumsum(posterior_weights(m, x, y))
             else:
                 cum_post[k] = 1.0  # never drawn
-        lam = (u[:, 1, None] > cum_post[sidx]).sum(axis=1)
-        lam = np.minimum(lam, n_states - 1)
-        xs = sidx // 2
-        ys = sidx % 2
+        width = 2
+
+        def draw(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            sidx = np.searchsorted(cum_s, u[:, 0], side="right")
+            sidx = np.minimum(sidx, 3)
+            lam = (u[:, 1, None] > cum_post[sidx]).sum(axis=1)
+            lam = np.minimum(lam, n_states - 1)
+            return lam, sidx // 2, sidx % 2
+
     else:  # pragma: no cover
         raise DomainError(f"unknown sample order {order!r}")
 
     resp_a = np.array([[st.a(0), st.a(1)] for st in m.states])
     resp_b = np.array([[st.b(0), st.b(1)] for st in m.states])
-    avals = resp_a[lam, xs]
-    bvals = resp_b[lam, ys]
+
+    def blocks():
+        for rows in _blocks(n):
+            lam, xs, ys = draw(rng.random((rows.stop - rows.start, width)))
+            yield rows, (lam, xs, ys, resp_a[lam, xs], resp_b[lam, ys])
+
+    return blocks()
+
+
+def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
+    """Draw n rounds from the model under the given sampling order.
+
+    Source-first needs per-state factorized conditionals (it samples
+    x ~ p(x|lambda) and y ~ p(y|lambda) independently) and raises
+    OrderUnavailable otherwise.  Outcomes are set deterministically from the
+    response functions, and the adversary's predictions with them.  n is an
+    integer >= 1 and the seed an integer in [0, 2**128); anything else raises
+    DomainError.  Besides the log itself, sampling holds one block of rounds.
+    """
+    blocks = _round_blocks(m, n, seed, order)
+    columns = np.empty((5, n), np.int64)
+    for rows, block in blocks:
+        columns[:, rows] = block
+    lam, xs, ys, avals, bvals = columns
     return RoundLog(lam, xs, ys, avals, bvals, avals, bvals)
 
 
-def _counts(rounds: RoundLog) -> tuple[np.ndarray, np.ndarray]:
-    """Round counts per (lambda, setting), and per setting the rounds with a == b."""
-    sidx = 2 * rounds.x + rounds.y
-    n_lam = int(rounds.lambda_index.max(initial=-1)) + 1
-    joint = np.bincount(4 * rounds.lambda_index + sidx, minlength=4 * n_lam)
-    agree = np.bincount(sidx[rounds.a == rounds.b], minlength=4)
-    return joint.reshape(n_lam, 4), agree
+def _ranks(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct hidden states of a block, ascending, and each round's rank among them.
+
+    A table over 0..max(lam) is cheaper than a sort while it is no longer than
+    twice the block; a sparse index such as 2**62 is sorted instead.
+    """
+    top = int(lam.max()) + 1
+    if top > 2 * len(lam):
+        return np.unique(lam, return_inverse=True)
+    present = np.bincount(lam, minlength=top) > 0
+    return np.flatnonzero(present), np.cumsum(present)[lam] - 1
 
 
-def _correlators(joint: np.ndarray, agree: np.ndarray) -> list[tuple[float, int]]:
-    """(empirical <ab>, round count) per setting, in SETTINGS order."""
-    out = []
-    for x, y in SETTINGS:
-        k = setting_index(x, y)
-        cnt = int(joint[:, k].sum())
-        if cnt == 0:
-            raise MissingSetting(f"setting ({x},{y}) never occurs in the round log")
-        out.append(((2 * int(agree[k]) - cnt) / cnt, cnt))
-    return out
+class _Tally:
+    """Round counts that blocks of rounds add to, and the estimators read off them.
+
+    The counts are per (hidden state, setting), over the states that occur, in
+    ascending order; per setting, the rounds with a == b; and the rounds whose
+    outcomes were both predicted.  They are integers, so a log counted block by
+    block gives the same estimator bits as counted whole.
+    """
+
+    def __init__(self) -> None:
+        self.states = np.zeros(0, np.int64)
+        self.joint = np.zeros((0, 4), np.int64)
+        self.agree = np.zeros(4, np.int64)
+        self.hits = 0
+
+    def add(self, lam, x, y, a, b, pred_a, pred_b) -> None:
+        sidx = 2 * x + y
+        states, rank = _ranks(lam)
+        if not len(self.states):  # the first block's states, which later blocks mostly repeat
+            self.states, self.joint = states, np.zeros((len(states), 4), np.int64)
+        elif not np.array_equal(states, self.states):
+            merged = np.union1d(self.states, states)
+            joint = np.zeros((len(merged), 4), np.int64)
+            joint[np.searchsorted(merged, self.states)] = self.joint
+            self.states, self.joint = merged, joint
+        rows = np.searchsorted(self.states, states)
+        self.joint[rows] += np.bincount(4 * rank + sidx, minlength=4 * len(states)).reshape(-1, 4)
+        self.agree += np.bincount(sidx[a == b], minlength=4)
+        self.hits += int(np.count_nonzero((pred_a == a) & (pred_b == b)))
+
+    def correlators(self) -> list[tuple[float, int]]:
+        """(empirical <ab>, round count) per setting, in SETTINGS order."""
+        out = []
+        for x, y in SETTINGS:
+            k = setting_index(x, y)
+            cnt = int(self.joint[:, k].sum())
+            if cnt == 0:
+                raise MissingSetting(f"setting ({x},{y}) never occurs in the round log")
+            out.append(((2 * int(self.agree[k]) - cnt) / cnt, cnt))
+        return out
+
+    def stats(self) -> EmpiricalStats:
+        n = int(self.joint.sum())
+        if n == 0:
+            raise DomainError("empirical_stats needs at least one round")
+
+        s_hat = 0.0
+        for (x, y), (corr, _) in zip(SETTINGS, self.correlators()):
+            s_hat += corr if (x, y) != (1, 1) else -corr
+
+        joint = self.joint / n
+        p_lam = joint.sum(axis=1)
+        p_set = joint.sum(axis=0)
+        info = 0.0
+        for i in range(joint.shape[0]):
+            for k in range(4):
+                pij = joint[i, k]
+                if pij > 0.0:
+                    info += pij * math.log(pij / (p_lam[i] * p_set[k]))
+        info_hat = info / _LOG2
+        return EmpiricalStats(s_hat=s_hat, info_hat=info_hat, prediction_accuracy=self.hits / n)
+
+    def standard_error(self) -> float:
+        var = 0.0
+        for corr, cnt in self.correlators():
+            var += max(0.0, 1.0 - corr * corr) / cnt
+        return math.sqrt(var)
+
+
+def _tally(rounds: RoundLog) -> _Tally:
+    tally = _Tally()
+    columns = rounds._columns()
+    for rows in _blocks(len(rounds)):
+        tally.add(*(col[rows] for col in columns))
+    return tally
 
 
 def empirical_stats(rounds: RoundLog) -> EmpiricalStats:
     """Plug-in estimates of S, the setting/source information, and the prediction rate."""
-    n = len(rounds)
-    if n == 0:
-        raise DomainError("empirical_stats needs at least one round")
-    counts, agree = _counts(rounds)
-
-    s_hat = 0.0
-    for (x, y), (corr, _) in zip(SETTINGS, _correlators(counts, agree)):
-        s_hat += corr if (x, y) != (1, 1) else -corr
-
-    joint = counts / n
-    p_lam = joint.sum(axis=1)
-    p_set = joint.sum(axis=0)
-    info = 0.0
-    for i in range(joint.shape[0]):
-        for k in range(4):
-            pij = joint[i, k]
-            if pij > 0.0:
-                info += pij * math.log(pij / (p_lam[i] * p_set[k]))
-    info_hat = info / _LOG2
-
-    hits = (rounds.predicted_a == rounds.a) & (rounds.predicted_b == rounds.b)
-    return EmpiricalStats(s_hat=s_hat, info_hat=info_hat, prediction_accuracy=float(hits.mean()))
+    return _tally(rounds).stats()
 
 
 def chsh_standard_error(rounds: RoundLog) -> float:
     """Standard error of the empirical S from the binomial variance of each correlator."""
-    var = 0.0
-    for corr, cnt in _correlators(*_counts(rounds)):
-        var += max(0.0, 1.0 - corr * corr) / cnt
-    return math.sqrt(var)
+    return _tally(rounds).standard_error()
 
 
-def _csv_rows(columns: tuple[np.ndarray, ...]) -> str:
-    """Comma-separated decimal rows with LF endings, one per index of the int64 columns.
+def _sample_summary(
+    m: Model, n: int, seed: int, order: SampleOrder, out: TextIO | None = None
+) -> tuple[EmpiricalStats, float]:
+    """empirical_stats and chsh_standard_error of sample_rounds(m, n, seed, order).
+
+    The rounds are drawn, counted and, when out is given, written to it as the
+    text of rounds_to_csv one block at a time, so no more than one block of
+    rounds is ever held.
+    """
+    blocks = _round_blocks(m, n, seed, order)
+    tally = _Tally()
+    if out is not None:
+        out.write(_CSV_HEADER_LINE)
+    for rows, (lam, xs, ys, avals, bvals) in blocks:
+        block = (lam, xs, ys, avals, bvals, avals, bvals)
+        tally.add(*block)
+        if out is not None:
+            out.write(_csv_rows(rows, block))
+    return tally.stats(), tally.standard_error()
+
+
+def _csv_rows(rows: slice, columns: Sequence[np.ndarray]) -> str:
+    """CSV rows with LF endings for one block: the round numbers of rows, then the int64 columns.
 
     Each row is laid out at a fixed width, with a NUL byte wherever a shorter
     number leaves a place empty; squeezing the NULs out leaves the text.
     """
+    columns = (np.arange(rows.start, rows.stop), *columns)
     n = len(columns[0])
     if n == 0:
         return ""
@@ -285,36 +395,104 @@ def _csv_rows(columns: tuple[np.ndarray, ...]) -> str:
         chars[pos] = ord(",")
         pos += 1
     chars[-1] = ord("\n")
-    rows = np.ascontiguousarray(chars.T)
-    return rows[rows != 0].tobytes().decode("ascii")
+    laid_out = np.ascontiguousarray(chars.T)
+    return laid_out[laid_out != 0].tobytes().decode("ascii")
 
 
 def rounds_to_csv(rounds: RoundLog, path: str | None = None) -> str:
-    """Render rounds as CSV `round,lambda,x,y,a,b,pred_a,pred_b` (LF endings)."""
-    body = _csv_rows((np.arange(len(rounds)), *rounds._columns()))
-    text = ",".join(_CSV_HEADER) + "\n" + body
+    """Render rounds as CSV `round,lambda,x,y,a,b,pred_a,pred_b` (LF endings).
+
+    The text is rendered one block of rounds at a time and, when path is
+    given, written to it atomically.
+    """
+    columns = rounds._columns()
+    pieces = [_CSV_HEADER_LINE]
+    pieces += (_csv_rows(rows, [col[rows] for col in columns]) for rows in _blocks(len(rounds)))
     if path is not None:
-        atomic_write_text(path, text)
-    return text
+        with atomic_writer(path) as fh:
+            fh.writelines(pieces)
+    return "".join(pieces)
+
+
+def _line_count(path: str) -> int:
+    """Lines in a file, ended by LF, CRLF or CR as Python's universal newlines split them."""
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            buf = np.frombuffer(last + chunk, np.uint8)  # a CRLF may straddle two chunks
+            new = buf[len(last):]
+            crs = np.count_nonzero(new == ord("\r"))
+            lines += np.count_nonzero(new == ord("\n")) + crs
+            if crs or last == b"\r":
+                lines -= np.count_nonzero((buf[:-1] == ord("\r")) & (buf[1:] == ord("\n")))
+            last = chunk[-1:]
+    return int(lines) + (last not in (b"", b"\n", b"\r"))
+
+
+def _parse(lines: list[str]) -> np.ndarray:
+    """np.loadtxt of CSV lines as a 2-D int64 table; blank lines are skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines has no rows
+        return np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+
+
+def _row_lines(lines: list[str]) -> list[int]:
+    """Indices of the lines that hold rows; np.loadtxt skips blank ones."""
+    return [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
+
+
+def _read_block(lines: list[str], first: int) -> np.ndarray:
+    """The (rows, 8) table of a block of round-log lines whose first is file line `first`."""
+    try:
+        table = _parse(lines)
+    except ValueError:
+        table = None
+    if table is not None and table.size == 0:
+        return table.reshape(0, len(_CSV_HEADER))
+    if table is None or table.shape[1] != len(_CSV_HEADER):
+        bad = next(i for i in _row_lines(lines) if not _is_round(lines[i]))
+        text = lines[bad].rstrip("\r\n")
+        raise DomainError(
+            f"line {first + bad}: {text!r} is not a round of {len(_CSV_HEADER)} integer fields"
+        )
+    return table
+
+
+def _is_round(line: str) -> bool:
+    try:
+        return _parse([line]).shape == (1, len(_CSV_HEADER))
+    except ValueError:
+        return False
 
 
 def rounds_from_csv(path: str) -> RoundLog:
-    """Read a round log written by rounds_to_csv; a malformed log raises DomainError."""
-    with open(path, newline="") as fh:
+    """Read a round log written by rounds_to_csv; a malformed log raises DomainError.
+
+    Lines may end in LF, CRLF or CR, the last one may lack its ending, and blank
+    lines are skipped.  The file is parsed one block of lines at a time into
+    columns allocated once, and an error names the file line at fault.
+    """
+    columns = np.empty((len(_COLUMNS), max(_line_count(path) - 1, 0)), np.int64)
+    n = 0
+    # undecodable bytes become U+FFFD, which no header or round matches
+    with open(path, newline="", errors="replace") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != _CSV_HEADER:
             raise DomainError(f"unexpected round-log header {header!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header-only log has no rows
-                table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise DomainError(f"malformed round log: {exc}") from None
-    if table.size == 0:
-        table = table.reshape(0, len(_CSV_HEADER))
-    if table.shape[1] != len(_CSV_HEADER):
-        raise DomainError(f"round-log rows have {table.shape[1]} fields, not {len(_CSV_HEADER)}")
-    gaps = np.flatnonzero(table[:, 0] != np.arange(len(table)))
-    if gaps.size:
-        raise DomainError(f"round column is not 0..n-1: row {gaps[0]} holds {table[gaps[0], 0]}")
-    return RoundLog(*np.ascontiguousarray(table[:, 1:].T))
+        first = 2  # file line number of the block's first line
+        while lines := list(itertools.islice(fh, _BLOCK)):
+            table = _read_block(lines, first)
+            rows = slice(n, n + len(table))
+            if rows.stop > columns.shape[1]:
+                raise DomainError("round log grew while it was read")
+            gaps = np.flatnonzero(table[:, 0] != np.arange(rows.start, rows.stop))
+            if gaps.size:
+                row = int(gaps[0])
+                raise DomainError(
+                    f"line {first + _row_lines(lines)[row]}: round column holds "
+                    f"{table[row, 0]}, not {rows.start + row}"
+                )
+            columns[:, rows] = table[:, 1:].T
+            n = rows.stop
+            first += len(lines)
+    return RoundLog(*columns[:, :n])

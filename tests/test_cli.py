@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import tracemalloc
 
 import pytest
 
 import bellcost as bc
+from bellcost import simulate
 from bellcost.cli import main, number
 
 from conftest import S_Q
@@ -116,6 +119,62 @@ def test_model_flip_and_roundtrip_through_sample(tmp_path, capsys):
     assert stats["info_exact"] == pytest.approx(evaluation["I"], abs=1e-12)
     assert stats["prediction_accuracy"] == 1.0
     assert rounds_path.read_text().splitlines()[0] == "round,lambda,x,y,a,b,pred_a,pred_b"
+
+
+def test_sample_output_is_independent_of_block_size(tmp_path, capsys, monkeypatch):
+    model_path = tmp_path / "m.json"
+    bc.save_model(bc.flip_lift(bc.table1_model(0.1)), str(model_path))
+    rounds_path = tmp_path / "rounds.csv"
+    argv = ["sample", "--model", str(model_path), "--n", "1000", "--seed", "3",
+            "--rounds-out", str(rounds_path)]
+    outputs = []
+    for block in (7, 1000):  # many blocks, then one
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, rounds_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    # and the streamed command agrees with the in-memory pipeline
+    rounds = bc.sample_rounds(bc.load_model(str(model_path)), 1000, 3, bc.SampleOrder.SETTINGS_FIRST)
+    stats = bc.empirical_stats(rounds)
+    doc = json.loads(outputs[0][0])
+    assert (doc["s_hat"], doc["info_hat"], doc["prediction_accuracy"]) == (
+        stats.s_hat, stats.info_hat, stats.prediction_accuracy
+    )
+    assert doc["s_standard_error"] == bc.chsh_standard_error(rounds)
+    assert outputs[0][1] == bc.rounds_to_csv(rounds).encode()
+
+
+def test_sample_memory_does_not_grow_with_n(tmp_path, capsys, monkeypatch):
+    block = 1024
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    model_path = tmp_path / "m.json"
+    bc.save_model(bc.flip_lift(bc.table1_model(0.1)), str(model_path))
+
+    def peak(n: int) -> int:
+        argv = ["sample", "--model", str(model_path), "--n", str(n),
+                "--rounds-out", str(tmp_path / "rounds.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(2 * block)  # fill caches first
+    # round numbers below 8 * block have the same width, so the blocks' text has too;
+    # one int64 column of all 8 * block rounds would add 48 * block bytes
+    assert peak(8 * block) - peak(2 * block) < 16 * block
+
+
+def test_failed_sample_leaves_no_rounds_file(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    bc.save_model(bc.table2_model(0.2), str(model_path))
+    # one round cannot show all four settings, so the stats fail after it is written
+    argv = ["sample", "--model", str(model_path), "--n", "1", "--rounds-out", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    assert "never occurs" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["m.json"]
 
 
 def test_model_families_build(capsys, tmp_path):

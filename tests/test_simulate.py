@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import bellcost as bc
+from bellcost import simulate
 
 from conftest import P_Q, S_Q
 
@@ -55,6 +56,18 @@ def test_sample_rounds_argument_validation():
     assert len(bc.sample_rounds(quantum_causal_model(), 10, seed=2**128 - 1, order=SOURCE)) == 10
     assert bc.sample_rounds(quantum_causal_model(), 10, seed=np.int64(3), order=SOURCE) == (
         bc.sample_rounds(quantum_causal_model(), 10, seed=3, order=SOURCE)
+    )
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, "10", None])
+def test_sample_rounds_rejects_n_that_is_not_a_positive_integer(n):
+    with pytest.raises(bc.DomainError):
+        bc.sample_rounds(quantum_causal_model(), n, seed=0, order=SOURCE)
+
+
+def test_sample_rounds_accepts_numpy_integer_n():
+    assert bc.sample_rounds(quantum_causal_model(), np.int64(10), seed=0, order=SOURCE) == (
+        bc.sample_rounds(quantum_causal_model(), 10, seed=0, order=SOURCE)
     )
 
 
@@ -217,3 +230,116 @@ def test_round_log_columns_validated():
         bc.RoundLog(*good.astype(float))  # not integers
     with pytest.raises(bc.DomainError):
         bc.RoundLog(*good[:, :, None])  # not 1-D
+
+
+@pytest.mark.parametrize("block", [1, 7, 2000])
+@pytest.mark.parametrize("order", [SOURCE, SETTINGS_FIRST])
+def test_golden_round_log_is_independent_of_block_size(tmp_path, monkeypatch, order, block):
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    rounds = bc.sample_rounds(quantum_causal_model(), 2000, seed=42, order=order)
+    stats = bc.empirical_stats(rounds)
+    path = tmp_path / "rounds.csv"
+    digest = hashlib.sha256(bc.rounds_to_csv(rounds, str(path)).encode()).hexdigest()
+    se = bc.chsh_standard_error(rounds)
+    assert (digest, stats.s_hat.hex(), stats.info_hat.hex(), se.hex()) == GOLDEN[order]
+    assert bc.rounds_from_csv(str(path)) == rounds
+
+
+@pytest.mark.parametrize(
+    "block, n", [(7, 6), (7, 7), (7, 8), (7, 3 * 7 + 7), (1 << 16, (1 << 16) + 1)]
+)
+@pytest.mark.parametrize("order", [SOURCE, SETTINGS_FIRST])
+def test_round_pipeline_is_independent_of_block_boundaries(tmp_path, monkeypatch, order, block, n):
+    path = tmp_path / "rounds.csv"
+    runs = []
+    for size in (block, n):  # blocks of `block` rounds, then all n rounds in one block
+        monkeypatch.setattr(simulate, "_BLOCK", size)
+        rounds = bc.sample_rounds(quantum_causal_model(), n, seed=n, order=order)
+        text = bc.rounds_to_csv(rounds, str(path))
+        runs.append((rounds, text, path.read_bytes(), bc.rounds_from_csv(str(path))))
+    (rounds, text, data, back), reference = runs
+    assert (rounds, text, data, back) == reference
+    assert back == rounds and data == text.encode()
+
+
+def test_stats_of_large_hidden_state_indices(tmp_path):
+    # as a count-table row index, 2**62 overflowed and 10**11 asked for terabytes
+    rounds = bc.sample_rounds(quantum_causal_model(), 3000, seed=8, order=SETTINGS_FIRST)
+    assert set(rounds.lambda_index.tolist()) == {0, 1, 2, 3}
+    relabel = np.array([0, 12345, 10**11, 2**62])  # increasing, so the states keep their order
+    big = bc.RoundLog(
+        relabel[rounds.lambda_index], rounds.x, rounds.y, rounds.a, rounds.b,
+        rounds.predicted_a, rounds.predicted_b,
+    )
+    path = tmp_path / "rounds.csv"
+    bc.rounds_to_csv(big, str(path))
+    back = bc.rounds_from_csv(str(path))
+    assert back == big
+    assert bc.empirical_stats(back) == bc.empirical_stats(rounds)
+    assert bc.chsh_standard_error(back).hex() == bc.chsh_standard_error(rounds).hex()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (_HEADER + _GOOD_ROWS).replace("\n", "\r\n"),
+        (_HEADER + _GOOD_ROWS).replace("\n", "\r"),
+        (_HEADER + _GOOD_ROWS)[:-1],
+        _HEADER + "\n" + _GOOD_ROWS.replace("\n", "\n\r\n", 2) + "\n\n",
+    ],
+    ids=["crlf", "cr", "no-final-newline", "blank-lines"],
+)
+@pytest.mark.parametrize("block", [2, 1 << 16])
+def test_round_log_reader_accepts_line_ending_forms(tmp_path, monkeypatch, text, block):
+    path = tmp_path / "rounds.csv"
+    path.write_bytes((_HEADER + _GOOD_ROWS).encode())
+    expected = bc.rounds_from_csv(str(path))
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    path.write_bytes(text.encode())
+    assert bc.rounds_from_csv(str(path)) == expected
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("7,0,0,0,1,1,1", "line 10: '7,0,0,0,1,1,1' is not a round of 8 integer fields"),
+        ("7,0,0,0,1,1,1,x", "line 10: '7,0,0,0,1,1,1,x' is not a round of 8 integer fields"),
+        ("8,0,0,0,1,1,1,1", "line 10: round column holds 8, not 7"),
+    ],
+    ids=["short-row", "not-an-integer", "round-gap"],
+)
+def test_bad_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, bad, message):
+    monkeypatch.setattr(simulate, "_BLOCK", 3)
+    rows = [f"{i},0,0,0,1,1,1,1" for i in range(10)]
+    rows[7] = bad
+    rows.insert(7, "")  # the third block of lines is round 6, a blank line and round 7
+    path = tmp_path / "rounds.csv"
+    path.write_text(_HEADER + "\n".join(rows) + "\n")
+    with pytest.raises(bc.DomainError) as err:
+        bc.rounds_from_csv(str(path))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"round,lambda,x,y,a,b,pred_a,pred_\xff\n", _HEADER.encode() + b"0,0,0,0,1,1,1,\xff\n"],
+    ids=["header", "row"],
+)
+def test_undecodable_round_log_rejected(tmp_path, data):
+    path = tmp_path / "rounds.csv"
+    path.write_bytes(data)
+    with pytest.raises(bc.DomainError):
+        bc.rounds_from_csv(str(path))
+
+
+def test_line_count_matches_universal_newlines(tmp_path):
+    # rounds_from_csv sizes its columns by this count; it reads the file in 1 MiB chunks
+    rng = np.random.default_rng(5)
+    ends = np.frombuffer(b"a\r\n", np.uint8)
+    head = rng.choice(ends, size=(1 << 20) - 1, p=[0.9, 0.05, 0.05]).tobytes()
+    rest = rng.choice(ends[[0, 2]], size=5000, p=[0.9, 0.1]).tobytes()  # no CR
+    path = tmp_path / "lines.txt"
+    for tail in (b"", b"\r", b"a"):
+        path.write_bytes(head + b"\r\n" + rest + tail)  # a CRLF split between two chunks
+        with open(path, newline="") as fh:
+            assert simulate._line_count(str(path)) == sum(1 for _ in fh)
