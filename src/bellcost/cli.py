@@ -198,7 +198,6 @@ def _cmd_verify(args) -> int:
         "analytic": analytic,
         "brute_force": result.best_info,
         "gap": result.best_info - analytic,
-        "passes": result.passes,
         "states_searched": result.states_searched,
         "states_total": result.states_total,
         "witness_model": model_to_dict(result.best_model),

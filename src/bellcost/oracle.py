@@ -29,13 +29,12 @@ lexicographic grid order, so results are reproducible.
 A point's information is 2 - (sum of its four state entropies)/4 and each
 state entropy is at most 2 bits, so once the best entropy sum is known to be
 at least a floor F, no state below F - 6 and no ordered state pair below
-F - 4 can be part of the optimum.  The retrocausal and causal searches run
-at most two passes pruned that way.  Pass 1 takes F from the analytic curve
-plus 0.5/N, a guess that is exact whenever pass 1 reaches F; otherwise
-pass 2 takes F from pass 1's best point (or no floor if it found none),
-which is a true lower bound.  The curve only seeds the pruning: every
-point within the tie tolerances of the optimum survives either pass, so
-the value and witness never depend on it.
+F - 4 can be part of the optimum.  The retrocausal and causal searches take
+F from a feasible grid point of their own family, the incumbent, and run
+one pass pruned that way.  The incumbent is built from the grid alone, so
+the oracle never reads the analytic curves it verifies, and every point
+within the tie tolerances of the optimum survives the pruning, so the value
+and witness are those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .core import (
     is_factorized_per_lambda,
     mutual_information,
 )
-from .curves import curve_point
 from .models import LAMBDA_CLASSES, _class_model, _flip_marginals, _special_cell
 
 __all__ = [
@@ -112,16 +110,14 @@ class SearchConfig:
 class SearchResult:
     """Least information on the grid and its witness, with how the search got there.
 
-    passes is the number of pruned passes run (1 or 2); states_searched and
-    states_total count the per-state grid options that the final pass kept
-    and that the grid holds.
+    states_searched and states_total count the per-state grid options that
+    the pruned search kept and that the grid holds.
     """
 
     best_info: float
     best_model: Model
-    passes: int = 1
-    states_searched: int | None = None
-    states_total: int | None = None
+    states_searched: int
+    states_total: int
 
 
 def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
@@ -137,30 +133,12 @@ def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
     )
 
 
-def _info_ceiling(cfg: SearchConfig) -> float:
-    """Guessed upper bound on the optimum: the curve just below the target, plus 0.5/N."""
-    s = min(max(cfg.target_s - cfg.tolerance, 2.0), 4.0)
-    return curve_point(cfg.causal_class, s).info + 0.5 / cfg.resolution
-
-
-def _pruned_search(cfg: SearchConfig, label: str, run_pass, states_total: int) -> SearchResult:
-    """Run run_pass(floor) at the hinted entropy floor and, unless that is exact, once more.
-
-    run_pass returns (best entropy sum, witness conditionals or None, states
-    kept) over the grid pruned at floor; it is exact when the best sum
-    reaches floor.  Otherwise that best sum, or -inf when there was none, is
-    a true floor for the second pass.
-    """
-    floor = 4.0 * (2.0 - _info_ceiling(cfg))
-    best, dists, searched = run_pass(floor)
-    passes = 1
-    if best < floor:
-        best, dists, searched = run_pass(best)
-        passes = 2
-    if dists is None:
-        raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
+def _grid_result(
+    cfg: SearchConfig, label: str, dists: list[SettingDist], states_searched: int, states_total: int
+) -> SearchResult:
+    """SearchResult for the four-state grid witness with setting conditionals dists."""
     model = _class_model(dists, f"{label}(N={cfg.resolution}, target={cfg.target_s!r})")
-    return SearchResult(mutual_information(model), model, passes, searched, states_total)
+    return SearchResult(mutual_information(model), model, states_searched, states_total)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +178,20 @@ def _retro_options(n: int) -> tuple[np.ndarray, np.ndarray]:
     return options, entropies
 
 
-def _floor_budget(slack: float, cap: int) -> int:
-    """floor(slack + 1e-12) clipped to cap (slack may overflow to +-inf); -1 when negative."""
+def _floor_budget(cfg: SearchConfig, slack: float, cap: int) -> int:
+    """floor(slack + 1e-12) clipped to cap (slack may overflow to +-inf).
+
+    A negative slack means cfg's target lies beyond every grid point.
+    """
     slack += 1e-12
     if slack < 0.0:
-        return -1
+        raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
     return math.floor(min(slack, cap))
 
 
 def _special_budget(cfg: SearchConfig, scale: int) -> int:
     """Largest allowed total special-cell mass (in grid units of 1/scale per state)."""
-    return _floor_budget(scale * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
+    return _floor_budget(cfg, scale * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
 
 
 def _retro_half(
@@ -293,17 +274,31 @@ def _retro_pair_from(
     return options[hits[0]], second[hits[0]]
 
 
+def _retro_incumbent(n: int, budget: int) -> tuple[float, list[SettingDist]]:
+    """A feasible point of the retrocausal search and its entropy sum, a floor under the best.
+
+    For an even special total T <= budget every state puts k = T // 4 units
+    on its special cell, states 0 and 2 one more when T % 4 == 2, and spreads
+    the rest evenly over its other cells.  State i holds its j-th share at
+    cell (3 - i - j) % 4, a circulant in which every cell sums to n, so the
+    marginal is exactly uniform.  The best such T is taken.
+    """
+    k, extra = np.divmod(np.arange(0, budget + 1, 2), 4)
+    rest = n - k
+    plain = np.column_stack([k, (rest + 1) // 3, (rest + 2) // 3, rest // 3])
+    bumped = plain + np.outer(extra // 2, [1, 0, -1, 0])  # share 2 is a largest share
+    sums = 2.0 * (_row_entropies(plain, n) + _row_entropies(bumped, n))
+    t = int(sums.argmax())
+    cells = np.arange(4)
+    rows = (bumped[t], plain[t], bumped[t], plain[t])
+    dists = [SettingDist.joint((row[(3 - i - cells) % 4] / n).tolist()) for i, row in enumerate(rows)]
+    return float(sums[t]), dists
+
+
 def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n)
-    if budget < 0:
-        raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    run_pass = functools.partial(_retro_pass, n, budget)
-    return _pruned_search(cfg, "oracle-retro", run_pass, math.comb(n + 3, 3))
-
-
-def _retro_pass(n: int, budget: int, floor: float):
-    """One retrocausal pass pruned at the entropy floor (see _pruned_search)."""
+    floor, _ = _retro_incumbent(n, budget)
     all_options, all_entropies = _retro_options(n)
     keep = all_entropies >= floor - 6.0 - _MARGIN
     options, entropies = all_options[keep], all_entropies[keep]
@@ -315,15 +310,12 @@ def _retro_pass(n: int, budget: int, floor: float):
     best_b_upto = np.maximum.accumulate(table_b, axis=3)
     flipped = best_b_upto[::-1, ::-1, ::-1, :]  # complement cell sums: c -> n - c
     best_val = -np.inf
-    best_at = None
     for qa in range(budget + 1):
         cand = table_a[:, :, :, qa] + flipped[:, :, :, budget - qa]
         val = cand.max()
         if val > best_val:
             best_val = val
             best_at = (qa, np.unravel_index(int(cand.argmax()), cand.shape))
-    if not np.isfinite(best_val):
-        return -np.inf, None, len(options)
 
     qa, cells_a = best_at
     cells_a = tuple(int(c) for c in cells_a)
@@ -338,7 +330,7 @@ def _retro_pass(n: int, budget: int, floor: float):
         options, entropies, _SPECIAL[2], _SPECIAL[3], cells_b, qb, float(col_b[qb]), n
     )
     dists = [SettingDist.joint((row / n).tolist()) for row in (k1, k2, k3, k4)]
-    return float(best_val), dists, len(options)
+    return _grid_result(cfg, "oracle-retro", dists, len(options), math.comb(n + 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +350,28 @@ def _segmented_prefix_max(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _causal_incumbent(n: int, budget: int) -> tuple[float, list[SettingDist]]:
+    """A feasible point of the causal search and its entropy sum, a floor under the best.
+
+    All four states share the special-side masses (a, b), the
+    causal_pair_model family on the grid, which is exactly uniform for every
+    (a, b); the best (a, b) with 4ab <= budget is taken.
+    """
+    h_grid = _grid_entropies(n)
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    sums = np.where(4 * a * b <= budget, 4.0 * (h_grid[a] + h_grid[b]), -np.inf)
+    t = int(sums.argmax())
+    dists = [
+        SettingDist.factorized(*(m / n for m in _flip_marginals(mu, nu, int(a[t]), int(b[t]), n)))
+        for mu, nu in LAMBDA_CLASSES
+    ]
+    return float(sums[t]), dists
+
+
 def _search_causal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n * n)
-    if budget < 0:
-        raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
-    run_pass = functools.partial(_causal_pass, n, budget)
-    return _pruned_search(cfg, "oracle-causal", run_pass, (n + 1) ** 2)
-
-
-def _causal_pass(n: int, budget: int, floor: float):
-    """One causal pass pruned at the entropy floor (see _pruned_search)."""
+    floor, _ = _causal_incumbent(n, budget)
     h_grid = _grid_entropies(n)
 
     # per-state options (a, b): masses on the special x and y values, in grid units
@@ -417,16 +420,12 @@ def _causal_pass(n: int, budget: int, floor: float):
         nn - sij_a[idx_a]
     )
     del si_a, sj_a, sij_a
-    if not (len(idx_a) and len(idx_b)):  # a high floor can leave a half empty
-        return -np.inf, None, len(keep)
     want = key_a * qcap + (budget - q[idx_a])
     pos = np.searchsorted(sorted_keys, want, side="right") - 1
     valid = pos >= 0
     pos_c = np.clip(pos, 0, len(sorted_keys) - 1)
     valid &= sorted_group[pos_c] == key_a
     totals = np.where(valid, value[idx_a] + prefix[pos_c], -np.inf)
-    if not np.isfinite(totals.max()):
-        return -np.inf, None, len(keep)
 
     row = int(totals.argmax())
     pair_a = idx_a[row]
@@ -442,7 +441,7 @@ def _causal_pass(n: int, budget: int, floor: float):
     for (mu, nu), k in zip(LAMBDA_CLASSES, states):
         i, j = _flip_marginals(mu, nu, int(a[k]), int(b[k]), n)
         dists.append(SettingDist.factorized(i / n, j / n))
-    return float(totals[row]), dists, len(keep)
+    return _grid_result(cfg, "oracle-causal", dists, len(keep), (n + 1) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +451,7 @@ def _causal_pass(n: int, budget: int, floor: float):
 
 def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
-    budget = _floor_budget(n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
-    if budget < 0:
-        raise NoFeasibleModel(f"target S {cfg.target_s!r} unreachable on the grid")
+    budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
     h_grid = _grid_entropies(n)
     rng = np.arange(n + 1, dtype=np.int64)
     # the marginal constraint a1 + a2 == a3 + a4 fixes a4, so scan (a1, a2, a3);
@@ -464,16 +461,13 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     feasible = (a4 >= 0) & (a4 <= n) & (2 * (a1 + a2) <= budget)
     value = h_grid[a1] + h_grid[a2] + h_grid[a3] + h_grid[np.clip(a4, 0, n)]
     value = np.where(feasible, value, -np.inf)
-    if not np.isfinite(value.max()):
-        raise NoFeasibleModel("no grid model meets the marginal and CHSH constraints")
     best = np.unravel_index(int(value.argmax()), value.shape)
     best = (*best, a4[best])
     dists = [
         SettingDist.factorized(_flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
         for (mu, nu), a in zip(LAMBDA_CLASSES, best)
     ]
-    model = _class_model(dists, f"oracle-onesided(N={n}, target={cfg.target_s!r})")
-    return SearchResult(mutual_information(model), model, states_searched=n + 1, states_total=n + 1)
+    return _grid_result(cfg, "oracle-onesided", dists, n + 1, n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -236,11 +236,15 @@ def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
     x ~ p(x|lambda) and y ~ p(y|lambda) independently) and raises
     OrderUnavailable otherwise.  Outcomes are set deterministically from the
     response functions, and the adversary's predictions with them.  n is an
-    integer >= 1 and the seed an integer in [0, 2**128); anything else raises
-    DomainError.  Besides the log itself, sampling holds one block of rounds.
+    integer >= 1 and the seed an integer in [0, 2**128); anything else, or a
+    log too large to allocate, raises DomainError.  Besides the log itself,
+    sampling holds one block of rounds.
     """
     blocks = _round_blocks(m, n, seed, order)
-    columns = np.empty((5, n), np.int64)
+    try:
+        columns = np.empty((5, n), np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        raise DomainError(f"sample_rounds: a log of n = {n} rounds does not fit in memory") from None
     for rows, block in blocks:
         columns[:, rows] = block
     lam, xs, ys, avals, bvals = columns

@@ -216,7 +216,7 @@ def test_verify_report(capsys):
 def test_verify_reports_search_counts(cls, total, capsys):
     assert main(["verify", "--class", cls, "--s", "sq", "--grid", "16"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["passes"] in (1, 2)
+    assert "passes" not in doc
     assert doc["states_total"] == total
     assert 0 < doc["states_searched"] <= total
     if cls != "onesided":  # the pruned searches keep only states near the entropy floor

@@ -312,58 +312,74 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
                     assert np.all(got <= want), (n, budget, floor)
 
 
-# first-pass information ceilings: 2 bits (an entropy floor of 0, so pass 1 is
-# exact), 0 bits (a floor of 8 that only cost-free points reach) and -1 bit (a
-# floor above every state, so pass 1 keeps nothing)
-HINTS = (2.0, 0.0, -1.0)
-
-
-@pytest.mark.parametrize("hint", HINTS)
-def test_golden_witnesses_do_not_depend_on_the_hint(hint, monkeypatch):
+def _set_floor(monkeypatch, floor):
+    """Make the retrocausal and causal searches prune at floor instead of their incumbent's sum."""
     import bellcost.oracle as oracle_mod
 
-    monkeypatch.setattr(oracle_mod, "_info_ceiling", lambda cfg: hint)
-    for cls, n, target, info_hex, model_sha in GOLDEN:
-        res = run(n, target, cls)
-        assert res.best_info.hex() == info_hex, (cls, n, target)
-        doc = json.dumps(bc.model_to_dict(res.best_model), sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == model_sha, (cls, n, target)
-        if cls is not ONE_SIDED and hint != 0.0:
-            assert res.passes == (1 if hint == 2.0 else 2)
+    for hook in ("_retro_incumbent", "_causal_incumbent"):
+        monkeypatch.setattr(oracle_mod, hook, lambda n, budget: (floor, None))
 
 
-@pytest.mark.parametrize("hint", HINTS)
-def test_small_grids_do_not_depend_on_the_hint(hint, monkeypatch):
-    import bellcost.oracle as oracle_mod
+@pytest.mark.parametrize("cls, n, target, info_hex, model_sha", GOLDEN)
+def test_golden_witnesses_do_not_depend_on_the_floor(cls, n, target, info_hex, model_sha, monkeypatch):
+    _set_floor(monkeypatch, -math.inf)
+    res = run(n, target, cls)
+    assert res.best_info.hex() == info_hex
+    doc = json.dumps(bc.model_to_dict(res.best_model), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == model_sha
+    if cls is not ONE_SIDED:
+        assert res.states_searched == res.states_total
 
-    # the cases test_matches_naive_enumeration_on_small_grids checks against full enumeration
-    cases = [(RETRO, n, t) for n in (4, 5) for t in (2.0, 2.5, 3.0)]
-    cases += [(CAUSAL, n, t) for n in (4, 5, 6) for t in (2.0, 2.5, 3.0)]
-    want = {case: run(case[1], case[2], case[0]) for case in cases}
-    monkeypatch.setattr(oracle_mod, "_info_ceiling", lambda cfg: hint)
-    for cls, n, target in cases:
-        got = run(n, target, cls)
-        assert got.best_info.hex() == want[cls, n, target].best_info.hex(), (cls, n, target)
-        assert got.best_model == want[cls, n, target].best_model, (cls, n, target)
+
+# the cases test_matches_naive_enumeration_on_small_grids checks against full enumeration
+SMALL_GRIDS = [(RETRO, n, t) for n in (4, 5) for t in (2.0, 2.5, 3.0)]
+SMALL_GRIDS += [(CAUSAL, n, t) for n in (4, 5, 6) for t in (2.0, 2.5, 3.0)]
+
+
+@pytest.mark.parametrize("cls, n, target", SMALL_GRIDS)
+def test_small_grids_do_not_depend_on_the_floor(cls, n, target, monkeypatch):
+    want = run(n, target, cls)
+    _set_floor(monkeypatch, -math.inf)
+    got = run(n, target, cls)
+    assert got.best_info.hex() == want.best_info.hex()
+    assert got.best_model == want.best_model
 
 
 def test_floor_at_the_optimum_keeps_it(monkeypatch):
-    """A first-pass floor just under the optimum must be exact, so one pass suffices.
+    """A floor just under the optimum must keep it and its first-hit witness.
 
     At S = 2 every state of the optimum is uniform (2 bits), so it sits on
     both pruning thresholds, F - 6 per state and F - 4 per pair.
     """
-    import bellcost.oracle as oracle_mod
-
     cases = [(cls, n, t) for cls in (RETRO, CAUSAL) for n in (4, 5, 6, 8) for t in (2.0, 2.5, S_Q)]
     want = {case: run(case[1], case[2], case[0]) for case in cases}
     for cls, n, target in cases:
-        ceiling = want[cls, n, target].best_info + 1e-9
-        monkeypatch.setattr(oracle_mod, "_info_ceiling", lambda cfg, ceiling=ceiling: ceiling)
+        _set_floor(monkeypatch, 4.0 * (2.0 - (want[cls, n, target].best_info + 1e-9)))
         got = run(n, target, cls)
-        assert got.passes == 1, (cls, n, target)
         assert got.best_info.hex() == want[cls, n, target].best_info.hex(), (cls, n, target)
         assert got.best_model == want[cls, n, target].best_model, (cls, n, target)
+
+
+@pytest.mark.parametrize("cls", [RETRO, CAUSAL])
+def test_incumbent_is_a_feasible_point_under_the_optimum(cls):
+    """The pruning floor is the entropy sum of an exactly uniform model that reaches the target."""
+    from bellcost.models import _class_model
+    from bellcost.oracle import _causal_incumbent, _retro_incumbent, _special_budget
+
+    remainders = set()
+    for n in range(4, 17):
+        for target in np.linspace(1.9, 4.0, 15):
+            cfg = bc.SearchConfig(resolution=n, target_s=float(target), causal_class=cls)
+            budget = _special_budget(cfg, n if cls is RETRO else n * n)
+            remainders.add(budget % 4)
+            floor, dists = (_retro_incumbent if cls is RETRO else _causal_incumbent)(n, budget)
+            m = _class_model(dists, "incumbent")
+            assert all(abs(p - 0.25) <= 1e-12 for p in bc.derived_marginal(m).probs), (n, target)
+            assert bc.chsh_value(m) >= cfg.target_s - cfg.tolerance, (n, target)
+            entropies = [-sum(p * math.log2(p) for p in st.dist.probs if p > 0) for st in m.states]
+            assert sum(entropies) == pytest.approx(floor, abs=1e-9), (n, target)
+            assert floor <= 4.0 * (2.0 - bc.brute_force_min_info(cfg).best_info) + 1e-9, (n, target)
+    assert remainders == {0, 1, 2, 3}
 
 
 def _full_one_sided_witness(n, target, tol=1e-9):

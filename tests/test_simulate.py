@@ -65,6 +65,14 @@ def test_sample_rounds_rejects_n_that_is_not_a_positive_integer(n):
         bc.sample_rounds(quantum_causal_model(), n, seed=0, order=SOURCE)
 
 
+# 35.5 PiB, beyond any address space, and more bytes than an array can index:
+# both fail at once, before anything is allocated
+@pytest.mark.parametrize("n", [10**15, 2**63])
+def test_sample_rounds_rejects_a_log_too_large_to_allocate(n):
+    with pytest.raises(bc.DomainError, match=f"n = {n} "):
+        bc.sample_rounds(quantum_causal_model(), n, seed=0, order=SOURCE)
+
+
 def test_sample_rounds_accepts_numpy_integer_n():
     assert bc.sample_rounds(quantum_causal_model(), np.int64(10), seed=0, order=SOURCE) == (
         bc.sample_rounds(quantum_causal_model(), 10, seed=0, order=SOURCE)
