@@ -15,16 +15,20 @@ up to grid resolution.
 
 The enumeration is exhaustive but organized as a meet-in-the-middle scan.
 For the retrocausal class, state pairs are tabulated by their summed cell
-masses and special-cell mass.  For a fixed first state the pair's
-special-cell mass is its second state's special cell shifted by a
-constant, so each first state fills one dense, shifted slab of the second
-state's grid; the two halves are then joined on exactly complementary
-contributions.  The two causal halves are one set of ordered state pairs
-within the special-product budget, enumerated once and read under two
-class maps; each half is keyed by its summed raw marginals.  The one-sided
-marginal constraint fixes the fourth state from the other three, so that
-search scans (N+1)^3 points.  Equal-value ties resolve to the first hit in
-lexicographic grid order, so results are reproducible.
+masses and special-cell mass q, as a table F[q, c0, c1, c2] whose q axis
+stops at the budget or at 2N, the most one pair can hold.  For a fixed
+first state the pair's q is its second state's special cell mass c shifted
+by a constant offset d, so each first state fills one shifted slab of the
+second state's grid.  The first states are taken one offset at a time:
+their slabs fill the work array W[d + N, ...], one reused (N+1)^3 buffer,
+which is then copied into F along the diagonal q = d + c.  The two halves
+are joined on exactly complementary contributions.  The two causal halves
+are one set of ordered state pairs within the special-product budget,
+enumerated once and read under two class maps; each half is keyed by its
+summed raw marginals.  The one-sided marginal constraint fixes the fourth
+state from the other three, so that search scans (N+1)^3 points.
+Equal-value ties resolve to the first hit in lexicographic grid order, so
+results are reproducible.
 
 A point's information is 2 - (sum of its four state entropies)/4 and each
 state entropy is at most 2 bits, so once the best entropy sum is known to be
@@ -40,6 +44,7 @@ and witness are those of the unpruned search.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -203,18 +208,22 @@ def _retro_half(
     budget: int,
     floor: float = -math.inf,
 ) -> np.ndarray:
-    """Dense table F[c0, c1, c2, q] = max entropy sum over ordered state pairs.
+    """Dense table F[q, c0, c1, c2] = max entropy sum over ordered state pairs.
 
     (c0, c1, c2) are the pair's cell mass sums for the first three settings
-    (the fourth is implied), q the summed special-cell mass.  Cell sums above
-    n cannot be completed to an exactly uniform model and are dropped.
+    (the fourth is implied), q <= min(budget, 2n) the summed special-cell
+    mass.  Cell sums above n cannot be completed to an exactly uniform model
+    and are dropped.
 
     For a fixed first option u the offset d = q - c[sp_second] =
     u[sp_first] - u[sp_second] is constant, so its pairs fill a shifted box of
-    the second option's grid in the work array W[d + n, c0, c1, c2]; the
-    budget bounds that box along sp_second (which must be one of the first
-    three cells).  Every entry is an exact sum entropies[i] + entropies[j],
-    so the order of the maxima does not matter.
+    the second option's grid; the budget bounds that box along sp_second
+    (which must be one of the first three cells).  The first options are
+    taken one offset at a time: the work array W[d + n, c0, c1, c2] is one
+    reused (n+1)^3 buffer, filled with the boxes of the options at offset d
+    and then copied into F along the diagonal q = d + c[sp_second].  Every
+    entry is an exact sum entropies[i] + entropies[j], so neither the order
+    nor the grouping of the maxima matters.
 
     With a finite entropy floor, u's partners are the options v with
     h_u + h_v >= floor - 4 (less _MARGIN): a prefix of the options sorted by
@@ -232,24 +241,25 @@ def _retro_half(
     hi = np.minimum(np.maximum.accumulate(first[:, :3], axis=0)[box] + 1, n + 1 - first[:, :3])
     hi[:, sp_second] = np.minimum(hi[:, sp_second], budget - first[:, sp_first] + 1)
     live = (partners > 0) & (lo < hi).all(axis=1)
-    offset = first[:, sp_first] - first[:, sp_second] + n
+    offset = first[:, sp_first] - first[:, sp_second]
     slabs = np.column_stack([offset, first[:, :3] + lo, first[:, :3] + hi, lo, hi])[live]
-    work = np.full((2 * n + 1, n + 1, n + 1, n + 1), -np.inf)
-    for (d, s0, s1, s2, t0, t1, t2, l0, l1, l2, h0, h1, h2), h_u in zip(
-        slabs.tolist(), falling[live].tolist()
-    ):
-        out = work[d, s0:t0, s1:t1, s2:t2]
-        np.maximum(out, h_u + grid[l0:h0, l1:h1, l2:h2], out=out)
-
-    # F[..., q] = W[q - c[sp_second] + n, ...], one slice per c[sp_second] = s
-    table = np.full((n + 1, n + 1, n + 1, budget + 1), -np.inf)
-    for s in range(n + 1):
-        top = min(budget, s + n) + 1
-        cells = (slice(None),) * sp_second + (s,)
-        table[cells][..., :top] = np.moveaxis(work[(slice(n - s, n - s + top),) + cells], 0, -1)
+    by_offset = np.argsort(slabs[:, 0], kind="stable")
+    rows = zip(slabs[by_offset].tolist(), falling[live][by_offset].tolist())
+    top = min(budget, 2 * n)
+    table = np.full((top + 1, n + 1, n + 1, n + 1), -np.inf)
+    work = np.empty((n + 1, n + 1, n + 1))
+    for d, group in itertools.groupby(rows, key=lambda row: row[0][0]):
+        work.fill(-np.inf)
+        for (_, s0, s1, s2, t0, t1, t2, l0, l1, l2, h0, h1, h2), h_u in group:
+            out = work[s0:t0, s1:t1, s2:t2]
+            np.maximum(out, h_u + grid[l0:h0, l1:h1, l2:h2], out=out)
+        # F[d + s, ...] = W[d + n, ...] on the cells with c[sp_second] = s
+        for s in range(max(0, -d), min(n, top - d) + 1):
+            cells = (slice(None),) * sp_second + (s,)
+            table[(d + s,) + cells] = work[cells]
     c = np.arange(n + 1)
     short = c[:, None, None] + c[None, :, None] + c[None, None, :] < n  # fourth cell sum > n
-    table[short] = -np.inf
+    table[:, short] = -np.inf
     return table
 
 
@@ -307,11 +317,13 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     table_a = _retro_half(options, entropies, _SPECIAL[0], _SPECIAL[1], n, budget, floor)
     table_b = _retro_half(options, entropies, _SPECIAL[2], _SPECIAL[3], n, budget, floor)
 
-    best_b_upto = np.maximum.accumulate(table_b, axis=3)
-    flipped = best_b_upto[::-1, ::-1, ::-1, :]  # complement cell sums: c -> n - c
+    # the B side's best entry with special mass at most q, for every q
+    np.maximum.accumulate(table_b, axis=0, out=table_b)
+    top = len(table_b) - 1
+    flipped = table_b[:, ::-1, ::-1, ::-1]  # complement cell sums: c -> n - c
     best_val = -np.inf
-    for qa in range(budget + 1):
-        cand = table_a[:, :, :, qa] + flipped[:, :, :, budget - qa]
+    for qa in range(len(table_a)):
+        cand = table_a[qa] + flipped[min(budget - qa, top)]
         val = cand.max()
         if val > best_val:
             best_val = val
@@ -320,11 +332,12 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     qa, cells_a = best_at
     cells_a = tuple(int(c) for c in cells_a)
     cells_b = tuple(n - c for c in cells_a)
-    # smallest special mass q_b achieving the joined maximum on the B side
-    col_b = table_b[cells_b[0], cells_b[1], cells_b[2], : budget - qa + 1]
-    qb = int(np.argmax(col_b == col_b.max()))
+    # smallest special mass q_b achieving the joined maximum on the B side: the
+    # first index at which the running maximum reaches its last entry
+    col_b = table_b[(slice(min(budget - qa, top) + 1),) + cells_b]
+    qb = int(np.argmax(col_b == col_b[-1]))
     k1, k2 = _retro_pair_from(
-        options, entropies, _SPECIAL[0], _SPECIAL[1], cells_a, qa, float(table_a[cells_a][qa]), n
+        options, entropies, _SPECIAL[0], _SPECIAL[1], cells_a, qa, float(table_a[(qa,) + cells_a]), n
     )
     k3, k4 = _retro_pair_from(
         options, entropies, _SPECIAL[2], _SPECIAL[3], cells_b, qb, float(col_b[qb]), n

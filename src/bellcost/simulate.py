@@ -255,12 +255,15 @@ def _ranks(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct hidden states of a block, ascending, and each round's rank among them.
 
     A table over 0..max(lam) is cheaper than a sort while it is no longer than
-    twice the block; a sparse index such as 2**62 is sorted instead.
+    twice the block; a sparse index such as 2**62 is sorted instead.  When
+    every state 0..max(lam) occurs, each round's rank is its state.
     """
     top = int(lam.max()) + 1
     if top > 2 * len(lam):
         return np.unique(lam, return_inverse=True)
     present = np.bincount(lam, minlength=top) > 0
+    if present.all():
+        return np.arange(top), lam
     return np.flatnonzero(present), np.cumsum(present)[lam] - 1
 
 

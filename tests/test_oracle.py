@@ -266,18 +266,18 @@ def test_golden_witnesses(cls, n, target, info_hex, model_sha, request):
 
 
 def _pairwise_retro_half(n, sp_first, sp_second, budget):
-    """F[c0, c1, c2, q] by a direct double loop over ordered option pairs."""
+    """F[q, c0, c1, c2] for q = 0..budget by a direct double loop over ordered option pairs."""
     from bellcost.oracle import _compositions4, _row_entropies
 
     K = _compositions4(n)
     H = _row_entropies(K, n)
-    table = np.full((n + 1, n + 1, n + 1, budget + 1), -np.inf)
+    table = np.full((budget + 1, n + 1, n + 1, n + 1), -np.inf)
     for i in range(len(K)):
         for j in range(len(K)):
             c = K[i] + K[j]
             q = K[i][sp_first] + K[j][sp_second]
             if c.max() <= n and q <= budget:
-                table[c[0], c[1], c[2], q] = max(table[c[0], c[1], c[2], q], H[i] + H[j])
+                table[q, c[0], c[1], c[2]] = max(table[q, c[0], c[1], c[2]], H[i] + H[j])
     return table
 
 
@@ -290,8 +290,10 @@ def test_retro_half_matches_pairwise_loop(n):
     for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
         for budget in (0, 1, n, 4 * n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)
+            if budget > 2 * n:  # one half's special mass never exceeds 2n, so the cap loses nothing
+                assert not np.isfinite(want[2 * n + 1 :]).any(), (n, sp_first)
             got = _retro_half(K, H, sp_first, sp_second, n, budget)
-            assert np.array_equal(got, want), (n, sp_first, budget)  # -inf cells included
+            assert np.array_equal(got, want[: 2 * n + 1]), (n, sp_first, budget)  # -inf cells included
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
@@ -302,14 +304,35 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
     H = _row_entropies(K, n)
     for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
         for budget in (1, n, 4 * n):
-            want = _pairwise_retro_half(n, sp_first, sp_second, budget)
+            want = _pairwise_retro_half(n, sp_first, sp_second, budget)[: 2 * n + 1]
             for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
                 kept = H >= floor - 6.0
                 for options, entropies in ((K, H), (K[kept], H[kept])):
                     got = _retro_half(options, entropies, sp_first, sp_second, n, budget, floor)
+                    assert got.shape == want.shape, (n, budget, floor)
                     above = want >= floor - 4.0
                     assert np.array_equal(got[above], want[above]), (n, budget, floor)
                     assert np.all(got <= want), (n, budget, floor)
+
+
+@pytest.mark.parametrize("target", [S_Q, 2.0, -10.0])
+def test_retro_search_holds_at_most_three_half_tables(target):
+    """One search's traced peak stays within three half tables, each cut at special mass 2n."""
+    import tracemalloc
+
+    from bellcost.oracle import _retro_options, _special_budget
+
+    n = 24
+    cfg = bc.SearchConfig(resolution=n, target_s=target, causal_class=RETRO)
+    table_bytes = (min(_special_budget(cfg, n), 2 * n) + 1) * (n + 1) ** 3 * 8
+    _retro_options(n)  # cached across searches, so not part of one search's peak
+    tracemalloc.start()
+    try:
+        bc.brute_force_min_info(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table_bytes, (target, peak / table_bytes)
 
 
 def _set_floor(monkeypatch, floor):

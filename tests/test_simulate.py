@@ -285,6 +285,13 @@ def test_stats_of_large_hidden_state_indices(tmp_path):
     assert back == big
     assert bc.empirical_stats(back) == bc.empirical_stats(rounds)
     assert bc.chsh_standard_error(back).hex() == bc.chsh_standard_error(rounds).hex()
+    # states 0..3 rank as themselves, 2**62 by a sort, and states with a gap by the counting table
+    gap = bc.RoundLog(
+        np.array([2, 3, 5, 7])[rounds.lambda_index], rounds.x, rounds.y, rounds.a, rounds.b,
+        rounds.predicted_a, rounds.predicted_b,
+    )
+    assert bc.empirical_stats(gap) == bc.empirical_stats(rounds)
+    assert bc.chsh_standard_error(gap).hex() == bc.chsh_standard_error(rounds).hex()
 
 
 @pytest.mark.parametrize(
