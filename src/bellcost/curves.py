@@ -194,13 +194,23 @@ def i_2_pair(s: float) -> ConjugatePair:
     if s == s0():
         return ConjugatePair(p0, p0)
     target = (4.0 - s) / 8.0
-    p_star = _bisect(lambda q: f_of_p(target / q) - f_of_p(q), p0, 0.5, increasing=True)
+
+    def residual(q: float) -> float:
+        # f(target/q) - f(q) with f_of_p's arithmetic inlined: both arguments lie in (0, p0]
+        # and [p0, 1/2), so its range checks and p <= 0 case never apply
+        r = target / q
+        return r * math.log((1.0 - r) / r) / _LOG2 - q * math.log((1.0 - q) / q) / _LOG2
+
+    p_star = _bisect(residual, p0, 0.5, increasing=True)
     return ConjugatePair(target / p_star, p_star)
 
 
 def i_2(s: float) -> float:
     """Conjugate-pair causal branch on [S0, 4]: 2 - h(p) - h(p*)."""
-    pair = i_2_pair(s)
+    return _pair_info(i_2_pair(s))
+
+
+def _pair_info(pair: ConjugatePair) -> float:
     return 2.0 - binary_entropy(pair.p) - binary_entropy(pair.p_star)
 
 
@@ -324,11 +334,13 @@ def appendix_checks(grid_points: int = 400) -> AppendixReport:
         (i_1(s + h2) - 2.0 * i_1(s) + i_1(s - h2)) / (h2 * h2) for s in grid1
     )
     grid2 = [branch_point + (4.0 - branch_point) * k / (n - 1) for k in range(1, n - 1)]
+    pairs2 = [i_2_pair(s) for s in grid2]
     min_dd2 = min(
-        (i_2(s + h2) - 2.0 * i_2(s) + i_2(s - h2)) / (h2 * h2) for s in grid2
+        (i_2(s + h2) - 2.0 * _pair_info(pair) + i_2(s - h2)) / (h2 * h2)
+        for s, pair in zip(grid2, pairs2)
     )
 
-    ratios = [f_of_p(i_2_pair(s).p) / (4.0 - s) for s in grid2]
+    ratios = [f_of_p(pair.p) / (4.0 - s) for s, pair in zip(grid2, pairs2)]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
 
     return AppendixReport(

@@ -30,12 +30,19 @@ state from the other three, so that search scans (N+1)^3 points.
 Equal-value ties resolve to the first hit in lexicographic grid order, so
 results are reproducible.
 
-A point's information is 2 - (sum of its four state entropies)/4 and each
-state entropy is at most 2 bits, so once the best entropy sum is known to be
-at least a floor F, no state below F - 6 and no ordered state pair below
-F - 4 can be part of the optimum.  The retrocausal and causal searches take
-F from a feasible grid point of their own family, the incumbent, and run
-one pass pruned that way.  The incumbent is built from the grid alone, so
+A point's information is 2 - (sum of its four state entropies)/4, so once
+the best entropy sum is known to be at least a floor F, only states and
+state pairs that can still reach F with the rest of the point matter.  The
+rest is bounded by an entropy ceiling C_k(m), the most entropy k grid states
+can hold with special masses summing to at most m: k times the upper concave
+hull, at m/k, of the best single-state entropy with special mass at most a
+given value, read off the grid.  A state with special mass c is kept only if
+its entropy plus C_3(budget - c) reaches F, a retrocausal pair's first state
+only takes partners whose entropy reaches F less its own and C_2 of its
+spare budget, and a causal pair is kept only if its entropy plus C_2 of its
+spare budget reaches F.  The retrocausal and causal searches take F from a
+feasible grid point of their own family, the incumbent, and run one pass
+pruned that way.  Incumbent and ceiling are built from the grid alone, so
 the oracle never reads the analytic curves it verifies, and every point
 within the tie tolerances of the optimum survives the pruning, so the value
 and witness are those of the unpruned search.
@@ -115,8 +122,9 @@ class SearchConfig:
 class SearchResult:
     """Least information on the grid and its witness, with how the search got there.
 
-    states_searched and states_total count the per-state grid options that
-    the pruned search kept and that the grid holds.
+    states_searched counts the per-state grid options the pruned search kept
+    in at least one of the four state roles, and states_total the options
+    the grid holds.
     """
 
     best_info: float
@@ -199,6 +207,61 @@ def _special_budget(cfg: SearchConfig, scale: int) -> int:
     return _floor_budget(cfg, scale * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
 
 
+def _entropy_hull(masses: np.ndarray, entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the upper concave hull of psi(x), the best entropy with special mass <= x.
+
+    psi is a running maximum over one state's grid options (masses are their
+    special masses, nonnegative ints); it only rises at integer x, so the
+    hull of the points (x, psi(x)) where it rises bounds it everywhere.
+    """
+    psi = np.full(int(masses.max()) + 1, -np.inf)
+    np.maximum.at(psi, masses, entropies)
+    np.maximum.accumulate(psi, out=psi)
+    hull: list[tuple[int, float]] = []
+    for x in np.flatnonzero(np.diff(psi, prepend=-np.inf) > 0).tolist():
+        y = float(psi[x])
+        # drop the last vertex while it lies on or under the chord from the one before to (x, y)
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (y1 - y0) * (x - x0) > (y - y0) * (x1 - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    xs, ys = (np.array(column, dtype=float) for column in zip(*hull))
+    xs.flags.writeable = ys.flags.writeable = False  # cached per grid
+    return xs, ys
+
+
+def _ceilings(hull: tuple[np.ndarray, np.ndarray], budget: int) -> np.ndarray:
+    """C[k, m] for k = 0..3 and m = 0..budget: the most entropy k grid states hold.
+
+    C_k(m) bounds the entropy sum of k states whose special masses sum to at
+    most m.  Each state holds at most hull(its mass), and the hull is concave
+    and nondecreasing (flat past its last vertex), so k of them hold at most
+    k hull(m / k).
+    """
+    m = np.arange(budget + 1)
+    k = np.arange(4)[:, None]
+    return k * np.interp(m / np.maximum(k, 1), *hull)
+
+
+def _reaches(entropies: np.ndarray, spare: np.ndarray, ceiling: np.ndarray, floor: float) -> np.ndarray:
+    """Which states, with three more, can reach floor: entropy + C_3(spare) >= floor (less _MARGIN).
+
+    spare is the budget left over after each state's own special mass; a
+    state with spare < 0 lies in no feasible point.
+    """
+    rest = np.where(spare < 0, -np.inf, ceiling[3][np.maximum(spare, 0)])
+    return entropies + rest >= floor - _MARGIN
+
+
+@functools.lru_cache(maxsize=8)
+def _retro_hull(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_entropy_hull of the joint grid; every cell has the same mass distribution, so any is special."""
+    options, entropies = _retro_options(n)
+    return _entropy_hull(options[:, 0], entropies)
+
+
 def _retro_half(
     options: np.ndarray,
     entropies: np.ndarray,
@@ -225,26 +288,34 @@ def _retro_half(
     entry is an exact sum entropies[i] + entropies[j], so neither the order
     nor the grouping of the maxima matters.
 
-    With a finite entropy floor, u's partners are the options v with
-    h_u + h_v >= floor - 4 (less _MARGIN): a prefix of the options sorted by
-    falling entropy, whose running bounding box clips u's slab.  Cells whose
-    best pair reaches that bound keep their exact value; no cell exceeds it.
+    With a finite entropy floor F only options that can reach it in their
+    role (_reaches) take part, and u's partners are the options v with
+    h_u + h_v + C_2(budget - u[sp_first]) >= F (less _MARGIN): a prefix of
+    the options sorted by falling entropy, whose running bounding box clips
+    u's slab.  A cell holding the best pair sum w for its special mass q is
+    exact wherever w + C_2(budget - q) >= F; no cell exceeds w.
     """
     grid = np.full((n + 1, n + 1, n + 1), -np.inf)
-    grid[options[:, 0], options[:, 1], options[:, 2]] = entropies
-    order = np.argsort(-entropies, kind="stable")
+    ceiling = _ceilings(_retro_hull(n), budget)
+    as_second = _reaches(entropies, budget - options[:, sp_second], ceiling, floor)
+    grid[options[as_second, 0], options[as_second, 1], options[as_second, 2]] = entropies[as_second]
+    order = np.flatnonzero(as_second)[np.argsort(-entropies[as_second], kind="stable")]
     falling = entropies[order]
-    partners = np.searchsorted(-falling, falling - (floor - 4.0 - _MARGIN), side="right")
-    first = options[order]
-    box = np.maximum(partners - 1, 0)  # last partner of each first option u
-    lo = np.minimum.accumulate(first[:, :3], axis=0)[box]
-    hi = np.minimum(np.maximum.accumulate(first[:, :3], axis=0)[box] + 1, n + 1 - first[:, :3])
+    corners = options[order, :3]
+    as_first = _reaches(entropies, budget - options[:, sp_first], ceiling, floor)
+    first, h_first = options[as_first], entropies[as_first]
+    # an option past the budget on its own gets an empty slab below, whatever its partners
+    rest = ceiling[2][np.maximum(budget - first[:, sp_first], 0)]
+    partners = np.searchsorted(-falling, h_first + rest - (floor - _MARGIN), side="right")
+    first, h_first, box = first[partners > 0], h_first[partners > 0], partners[partners > 0] - 1
+    lo = np.minimum.accumulate(corners, axis=0)[box]
+    hi = np.minimum(np.maximum.accumulate(corners, axis=0)[box] + 1, n + 1 - first[:, :3])
     hi[:, sp_second] = np.minimum(hi[:, sp_second], budget - first[:, sp_first] + 1)
-    live = (partners > 0) & (lo < hi).all(axis=1)
+    live = (lo < hi).all(axis=1)
     offset = first[:, sp_first] - first[:, sp_second]
     slabs = np.column_stack([offset, first[:, :3] + lo, first[:, :3] + hi, lo, hi])[live]
     by_offset = np.argsort(slabs[:, 0], kind="stable")
-    rows = zip(slabs[by_offset].tolist(), falling[live][by_offset].tolist())
+    rows = zip(slabs[by_offset].tolist(), h_first[live][by_offset].tolist())
     top = min(budget, 2 * n)
     table = np.full((top + 1, n + 1, n + 1, n + 1), -np.inf)
     work = np.empty((n + 1, n + 1, n + 1))
@@ -310,7 +381,10 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     budget = _special_budget(cfg, n)
     floor, _ = _retro_incumbent(n, budget)
     all_options, all_entropies = _retro_options(n)
-    keep = all_entropies >= floor - 6.0 - _MARGIN
+    ceiling = _ceilings(_retro_hull(n), budget)
+    keep = np.zeros(len(all_options), dtype=bool)
+    for sp in _SPECIAL:  # kept in at least one role; each half keeps its own two
+        keep |= _reaches(all_entropies, budget - all_options[:, sp], ceiling, floor)
     options, entropies = all_options[keep], all_entropies[keep]
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
@@ -381,6 +455,14 @@ def _causal_incumbent(n: int, budget: int) -> tuple[float, list[SettingDist]]:
     return float(sums[t]), dists
 
 
+@functools.lru_cache(maxsize=8)
+def _causal_hull(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_entropy_hull of the factorized grid: special mass a*b and entropy h(a/n) + h(b/n)."""
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    h_grid = _grid_entropies(n)
+    return _entropy_hull(a * b, h_grid[a] + h_grid[b])
+
+
 def _search_causal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n * n)
@@ -392,13 +474,15 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     b = np.tile(np.arange(n + 1, dtype=np.int64), n + 1)
     q1 = a * b
     h1 = h_grid[a] + h_grid[b]
-    keep = np.nonzero(h1 >= floor - 6.0 - _MARGIN)[0]
+    ceiling = _ceilings(_causal_hull(n), budget)
+    keep = np.flatnonzero(_reaches(h1, budget - q1, ceiling, floor))
     qk, hk = q1[keep], h1[keep]
-    # ordered state pairs within the budget and the floor, lexicographic in
-    # (a, b, a', b'); both halves enumerate this one set and differ only in
-    # their class maps
+    # ordered state pairs within the budget that can reach the floor with two
+    # more states, lexicographic in (a, b, a', b'); both halves enumerate this
+    # one set and differ only in their class maps
+    spare = budget - (qk[:, None] + qk[None, :])
     first, second = np.nonzero(
-        (qk[:, None] + qk[None, :] <= budget) & (hk[:, None] + hk[None, :] >= floor - 4.0 - _MARGIN)
+        (spare >= 0) & (hk[:, None] + hk[None, :] + ceiling[2][np.maximum(spare, 0)] >= floor - _MARGIN)
     )
     first, second = keep[first], keep[second]
     q = q1[first] + q1[second]

@@ -121,6 +121,21 @@ def test_i_2_inversion_residuals():
         assert abs(4.0 - 8.0 * pair.p * pair.p_star - s) < 1e-9
 
 
+def test_i_2_pair_matches_a_bisection_through_f_of_p():
+    """i_2_pair inlines f_of_p in its residual; the bits must be those of calling it."""
+    from bellcost.curves import _bisect, find_p0
+
+    def reference(s):
+        target = (4.0 - s) / 8.0
+        p_star = _bisect(lambda q: bc.f_of_p(target / q) - bc.f_of_p(q), find_p0(), 0.5, increasing=True)
+        return target / p_star, p_star
+
+    s0 = bc.s0()
+    for s in [s0 + 1e-12, 4.0 - 1e-12, *(s0 + (4.0 - s0) * k / 2000 for k in range(1, 2000))]:
+        pair = bc.i_2_pair(s)
+        assert (pair.p, pair.p_star) == reference(s), s
+
+
 def test_i_2_against_high_precision_reference():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
@@ -315,3 +330,13 @@ def test_numerical_curvature_matches_closed_form():
 
 def test_f_ratio_monotone(report):
     assert report.f_ratio_monotone
+
+
+def test_appendix_report_bits(report):
+    """Each i_2 pair is solved once for the curvature and the ratio checks, with the same bits."""
+    assert report.slope_i1_at_s0.hex() == "0x1.0efa0a9fb6040p+0"
+    assert report.slope_i2_at_s0.hex() == "0x1.0efa0a9eaf908p+0"
+    assert report.reference_slope.hex() == "0x1.0efa0a9ecf3f2p+0"
+    assert report.min_i1_second_derivative.hex() == "0x1.72b7696c56800p-3"
+    assert report.min_i2_second_derivative.hex() == "0x1.65fc7c53eeb00p-1"
+    assert report.f_ratio_monotone is True

@@ -241,10 +241,16 @@ GOLDEN = [
     (RETRO, 24, S_Q, "0x1.a116f426cdb60p-5", "c4f63c623e2d6a92ba050c40b7273dbf37cc4f39764b9058f1421a25e304c5f1"),
     (RETRO, 24, 3.5, "0x1.7ab85b3a38750p-3", "b33f64597e4ce64a13878d58c267b5af3121dbad8e342f34336f3fbf51340889"),
     (RETRO, 40, S_Q, "0x1.9ef2b65d72da0p-5", "18298b0e5eff3861201fb609e6a6aaeb3091b1b7b04d753acbb59be06fbb4dd6"),
+    # high targets, where the entropy ceilings prune hardest
+    (RETRO, 24, 3.6, "0x1.deec68a8a2838p-3", "440318583b67cb2f7830a8e3e1c0f670b7dbe2312988672fa0bfc982fb293af7"),
+    (RETRO, 24, 3.9, "0x1.7c8af961add4cp-2", "521fd3a823da2db0b81f4b79879bcd9b6b11c18bdc83ab9c9f503a1c8cf8e430"),
+    (RETRO, 40, 3.9, "0x1.6763b4da98f00p-2", "0022cc475b3762def3867ae6104c1701cb82ca7dd6e4a014b2bdcdb32c63005f"),
     (CAUSAL, 16, S_Q, "0x1.7546d267e6a90p-4", "369e661eb29922df139808e1fc4be35b47ba3335dc4a38d18281a9f0e23a9e2a"),
     # ties broken by the left-to-right order of the four entropy terms
     (CAUSAL, 16, 3.3, "0x1.0dcf35e30aba4p-2", "b84ad5d75e17de607816c7dbda9c396436de292df11ae17a53d98add69cf07b4"),
     (CAUSAL, 24, S_Q, "0x1.7546d267e6a90p-4", "05bffdef2eeff2025f2b0693ef556994dd7db027641c1352385d8cdeeb9c5dd4"),
+    (CAUSAL, 24, 3.6, "0x1.ea9ca07af50d0p-2", "0e1d7b41b09f5217cc7d27d04102ae0abbbb3608b0917da409f974723d217c24"),
+    (CAUSAL, 24, 3.9, "0x1.c007b6cc6e95cp-1", "afbb0758a012b6eec183de087e59398b506174dd474094be9bc397af3112a1b1"),
     (CAUSAL, 40, S_Q, "0x1.53735f0435940p-4", "f3db3ed0d14143c9e3089e0ab4302d4f383b824c62a7c74a7054286e7f4411c6"),
     (CAUSAL, 40, 3.9, "0x1.a9a5463e37c26p-1", "30df8bd19ac4907e8bc1879be6cbe3bc8db1b9377f9c5f2387c74965244e626c"),
     (ONE_SIDED, 16, S_Q, "0x1.2bb542cb251c0p-3", "eb34e9610e0bc9df50b9d1973eb543ac7a7c5cff4440b8aa9e4bc3ae0d5b68f3"),
@@ -263,6 +269,49 @@ def test_golden_witnesses(cls, n, target, info_hex, model_sha, request):
     assert res.best_info.hex() == info_hex
     doc = json.dumps(bc.model_to_dict(res.best_model), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == model_sha
+
+
+def _class_grid(cls, n):
+    """One state's grid options as (special masses, entropies)."""
+    if cls is RETRO:
+        from bellcost.oracle import _retro_options
+
+        options, entropies = _retro_options(n)
+        return options[:, 0], entropies
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    h = np.array([bc.binary_entropy(k / n) for k in range(n + 1)])
+    return a * b, h[a] + h[b]
+
+
+@pytest.mark.parametrize("cls", [RETRO, CAUSAL])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_entropy_ceiling_bounds_every_k_tuple(cls, n):
+    """C_k(m) is at least the best entropy sum of k grid states with special masses summing to <= m."""
+    from bellcost.oracle import _ceilings, _entropy_hull
+
+    masses, entropies = _class_grid(cls, n)
+    top = 4 * n if cls is RETRO else 4 * n * n
+    ceiling = _ceilings(_entropy_hull(masses, entropies), top)
+    # best entropy at each exact mass; a k-tuple's best sum only depends on its masses
+    exact = np.full(int(masses.max()) + 1, -np.inf)
+    for q, h in zip(masses.tolist(), entropies.tolist()):
+        exact[q] = max(exact[q], h)
+    m = np.arange(len(exact))
+    sums, mass = exact, m
+    for k in (1, 2, 3):
+        if k > 1:
+            sums = (sums[..., None] + exact).reshape(-1)
+            mass = (mass[..., None] + m).reshape(-1)
+        best = np.full(top + 1, -np.inf)
+        np.maximum.at(best, mass, sums)  # three states hold at most 3N (retro) or 3N^2 (causal)
+        best = np.maximum.accumulate(best)
+        assert np.all(best <= ceiling[k] + 1e-12), (cls, n, k)
+    # the hull touches psi, the best single-state entropy with mass <= x, at its vertices
+    xs, _ = _entropy_hull(masses, entropies)
+    psi = np.maximum.accumulate(exact)
+    vertices = xs.astype(int)
+    assert np.array_equal(ceiling[1][vertices], psi[vertices]), (cls, n)
+    assert vertices[0] == 0 and vertices[-1] == np.argmax(psi), (cls, n)
 
 
 def _pairwise_retro_half(n, sp_first, sp_second, budget):
@@ -298,19 +347,28 @@ def test_retro_half_matches_pairwise_loop(n):
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_pruned_retro_half_is_exact_above_the_floor(n):
-    from bellcost.oracle import _compositions4, _retro_half, _row_entropies, _SPECIAL
+    """Cells whose best pair plus the ceiling C_2 of the spare budget reaches the floor are exact."""
+    from bellcost.oracle import (
+        _SPECIAL,
+        _ceilings,
+        _compositions4,
+        _retro_half,
+        _retro_hull,
+        _row_entropies,
+    )
 
     K = _compositions4(n)
     H = _row_entropies(K, n)
     for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
         for budget in (1, n, 4 * n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)[: 2 * n + 1]
+            rest = _ceilings(_retro_hull(n), budget)[2][budget - np.arange(len(want))]
             for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
                 kept = H >= floor - 6.0
                 for options, entropies in ((K, H), (K[kept], H[kept])):
                     got = _retro_half(options, entropies, sp_first, sp_second, n, budget, floor)
                     assert got.shape == want.shape, (n, budget, floor)
-                    above = want >= floor - 4.0
+                    above = want + rest[:, None, None, None] >= floor
                     assert np.array_equal(got[above], want[above]), (n, budget, floor)
                     assert np.all(got <= want), (n, budget, floor)
 
