@@ -14,18 +14,17 @@ its information cost; the searches here verify that the curves are attained
 up to grid resolution.
 
 The enumeration is exhaustive but organized as a meet-in-the-middle scan.
-For the retrocausal class, state pairs are tabulated by their summed cell
-masses and special-cell mass q, as a table F[q, c0, c1, c2] whose q axis
-stops at the budget or at 2N, the most one pair can hold.  For a fixed
-first state the pair's q is its second state's special cell mass c shifted
-by a constant offset d, so each first state fills one shifted slab of the
-second state's grid.  The first states are taken one offset at a time:
-their slabs fill the work array W[d + N, ...], one reused (N+1)^3 buffer,
-which is then copied into F along the diagonal q = d + c.  The two halves
-are joined on exactly complementary contributions.  The two causal halves
-are one set of ordered state pairs within the special-product budget,
-enumerated once and read under two class maps; each half is keyed by its
-summed raw marginals.  The one-sided marginal constraint fixes the fourth
+The retrocausal and causal searches tabulate two halves, ordered state pairs,
+as rows (key, special mass q, best entropy sum) and join them in one pass,
+_pair_join, on exactly complementary keys with the q sum within the budget.
+A retrocausal half is keyed by its summed cell masses.  For a fixed first
+state the pair's q is its second state's special cell mass shifted by a
+constant offset d, so each first state fills one shifted slab of the second
+state's grid; the first states are taken one offset at a time through one
+reused (N+1)^3 buffer, whose finite cells are read out as rows.  The two
+causal halves are one set of ordered state pairs within the special-product
+budget, enumerated once and read under two class maps; each half is keyed by
+its summed raw marginals.  The one-sided marginal constraint fixes the fourth
 state from the other three, so that search scans (N+1)^3 points.
 Equal-value ties resolve to the first hit in lexicographic grid order, so
 results are reproducible.
@@ -86,8 +85,8 @@ __all__ = [
 _SPECIAL = tuple(_special_cell(mu, nu) for mu, nu in LAMBDA_CLASSES)
 
 #: Slack (bits) under every pruning threshold.  It dwarfs the rounding of a
-#: four-term entropy sum and the 1e-9 and 1e-12 tie tolerances of the witness
-#: lookups, so equal-value ties resolve to the same first hit as unpruned.
+#: four-term entropy sum and the 1e-9 tie tolerance of the retrocausal witness
+#: lookup, so equal-value ties resolve to the same first hit as unpruned.
 _MARGIN = 1e-6
 
 
@@ -161,17 +160,21 @@ def _grid_result(
 
 def _compositions4(total: int) -> np.ndarray:
     """All nonnegative integer 4-vectors summing to total, in lexicographic order."""
-    rows = []
-    for a in range(total + 1):
-        for b in range(total - a + 1):
-            for c in range(total - a - b + 1):
-                rows.append((a, b, c, total - a - b - c))
-    return np.array(rows, dtype=np.int64)
+    rows, free = np.zeros((1, 0), dtype=np.int64), np.array([total], dtype=np.int64)
+    for _ in range(3):  # each row r with f units left becomes f + 1 rows (r, 0) .. (r, f)
+        counts = free + 1
+        step = np.arange(counts.sum(), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), step])
+        free = np.repeat(free, counts) - step
+    return np.column_stack([rows, free])
 
 
+@functools.lru_cache(maxsize=8)
 def _grid_entropies(n: int) -> np.ndarray:
-    """h(k/n) for k = 0..n."""
-    return np.array([binary_entropy(k / n) for k in range(n + 1)])
+    """h(k/n) for k = 0..n, read-only."""
+    h = np.array([binary_entropy(k / n) for k in range(n + 1)])
+    h.flags.writeable = False
+    return h
 
 
 def _row_entropies(counts: np.ndarray, n: int) -> np.ndarray:
@@ -270,30 +273,30 @@ def _retro_half(
     n: int,
     budget: int,
     floor: float = -math.inf,
-) -> np.ndarray:
-    """Dense table F[q, c0, c1, c2] = max entropy sum over ordered state pairs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best entropy sums over ordered state pairs, as rows (cells, q, value).
 
-    (c0, c1, c2) are the pair's cell mass sums for the first three settings
-    (the fourth is implied), q <= min(budget, 2n) the summed special-cell
-    mass.  Cell sums above n cannot be completed to an exactly uniform model
-    and are dropped.
+    cells is the flat (n+1)^3 grid index of the pair's cell mass sums
+    (c0, c1, c2) for the first three settings (the fourth is implied), q <=
+    budget its summed special-cell mass, and value the best entropy sum of
+    the pairs with those sums; no (q, cells) repeats.  Sums whose fourth
+    exceeds n cannot be completed to an exactly uniform model and are dropped.
 
     For a fixed first option u the offset d = q - c[sp_second] =
     u[sp_first] - u[sp_second] is constant, so its pairs fill a shifted box of
     the second option's grid; the budget bounds that box along sp_second
     (which must be one of the first three cells).  The first options are
-    taken one offset at a time: the work array W[d + n, c0, c1, c2] is one
-    reused (n+1)^3 buffer, filled with the boxes of the options at offset d
-    and then copied into F along the diagonal q = d + c[sp_second].  Every
-    entry is an exact sum entropies[i] + entropies[j], so neither the order
-    nor the grouping of the maxima matters.
+    taken one offset at a time: their boxes fill one reused (n+1)^3 work
+    buffer, whose finite cells are read out as rows with q = d + c[sp_second].
+    Every value is an exact sum entropies[i] + entropies[j], so neither the
+    order nor the grouping of the maxima matters.
 
     With a finite entropy floor F only options that can reach it in their
     role (_reaches) take part, and u's partners are the options v with
     h_u + h_v + C_2(budget - u[sp_first]) >= F (less _MARGIN): a prefix of
     the options sorted by falling entropy, whose running bounding box clips
-    u's slab.  A cell holding the best pair sum w for its special mass q is
-    exact wherever w + C_2(budget - q) >= F; no cell exceeds w.
+    u's slab.  Sums (q, cells) whose best pair sum w has
+    w + C_2(budget - q) >= F keep their row, with value w; no row exceeds w.
     """
     grid = np.full((n + 1, n + 1, n + 1), -np.inf)
     ceiling = _ceilings(_retro_hull(n), budget)
@@ -316,37 +319,29 @@ def _retro_half(
     slabs = np.column_stack([offset, first[:, :3] + lo, first[:, :3] + hi, lo, hi])[live]
     by_offset = np.argsort(slabs[:, 0], kind="stable")
     rows = zip(slabs[by_offset].tolist(), h_first[live][by_offset].tolist())
-    top = min(budget, 2 * n)
-    table = np.full((top + 1, n + 1, n + 1, n + 1), -np.inf)
     work = np.empty((n + 1, n + 1, n + 1))
+    flat = work.reshape(-1)
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for d, group in itertools.groupby(rows, key=lambda row: row[0][0]):
         work.fill(-np.inf)
         for (_, s0, s1, s2, t0, t1, t2, l0, l1, l2, h0, h1, h2), h_u in group:
             out = work[s0:t0, s1:t1, s2:t2]
             np.maximum(out, h_u + grid[l0:h0, l1:h1, l2:h2], out=out)
-        # F[d + s, ...] = W[d + n, ...] on the cells with c[sp_second] = s
-        for s in range(max(0, -d), min(n, top - d) + 1):
-            cells = (slice(None),) * sp_second + (s,)
-            table[(d + s,) + cells] = work[cells]
-    c = np.arange(n + 1)
-    short = c[:, None, None] + c[None, :, None] + c[None, None, :] < n  # fourth cell sum > n
-    table[:, short] = -np.inf
-    return table
+        cells = np.flatnonzero(flat > -np.inf)
+        c = np.unravel_index(cells, work.shape)
+        complete = c[0] + c[1] + c[2] >= n  # the fourth cell sum, 2n - c0 - c1 - c2, is at most n
+        cells = cells[complete]
+        parts.append((cells, d + c[sp_second][complete], flat[cells]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _retro_pair_from(
-    options: np.ndarray,
-    entropies: np.ndarray,
-    sp_first: int,
-    sp_second: int,
-    cells: tuple[int, int, int],
-    q: int,
-    value: float,
-    n: int,
+    options: np.ndarray, entropies: np.ndarray, sp_first: int, sp_second: int,
+    cells: int, q: int, value: float, n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First (lex) ordered option pair matching a half table entry."""
-    c3 = 2 * n - sum(cells)
-    target = np.array([cells[0], cells[1], cells[2], c3], dtype=np.int64)
+    """First (lex) ordered option pair matching a _retro_half row."""
+    target = np.array([*np.unravel_index(cells, (n + 1,) * 3), 0], dtype=np.int64)
+    target[3] = 2 * n - target.sum()
     second = target - options
     rows = np.nonzero((second.min(axis=1) >= 0) & (options[:, sp_first] + second[:, sp_second] == q))[0]
     hits = rows[entropies[rows] + _row_entropies(second[rows], n) >= value - 1e-9]
@@ -355,8 +350,8 @@ def _retro_pair_from(
     return options[hits[0]], second[hits[0]]
 
 
-def _retro_incumbent(n: int, budget: int) -> tuple[float, list[SettingDist]]:
-    """A feasible point of the retrocausal search and its entropy sum, a floor under the best.
+def _retro_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
+    """A feasible retrocausal grid point: its entropy sum, a floor under the best, and its 4x4 cell counts.
 
     For an even special total T <= budget every state puts k = T // 4 units
     on its special cell, states 0 and 2 one more when T % 4 == 2, and spreads
@@ -371,9 +366,8 @@ def _retro_incumbent(n: int, budget: int) -> tuple[float, list[SettingDist]]:
     sums = 2.0 * (_row_entropies(plain, n) + _row_entropies(bumped, n))
     t = int(sums.argmax())
     cells = np.arange(4)
-    rows = (bumped[t], plain[t], bumped[t], plain[t])
-    dists = [SettingDist.joint((row[(3 - i - cells) % 4] / n).tolist()) for i, row in enumerate(rows)]
-    return float(sums[t]), dists
+    shares = (bumped[t], plain[t], bumped[t], plain[t])
+    return float(sums[t]), np.array([row[(3 - i - cells) % 4] for i, row in enumerate(shares)])
 
 
 def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
@@ -388,34 +382,18 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     options, entropies = all_options[keep], all_entropies[keep]
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
-    table_a = _retro_half(options, entropies, _SPECIAL[0], _SPECIAL[1], n, budget, floor)
-    table_b = _retro_half(options, entropies, _SPECIAL[2], _SPECIAL[3], n, budget, floor)
-
-    # the B side's best entry with special mass at most q, for every q
-    np.maximum.accumulate(table_b, axis=0, out=table_b)
-    top = len(table_b) - 1
-    flipped = table_b[:, ::-1, ::-1, ::-1]  # complement cell sums: c -> n - c
-    best_val = -np.inf
-    for qa in range(len(table_a)):
-        cand = table_a[qa] + flipped[min(budget - qa, top)]
-        val = cand.max()
-        if val > best_val:
-            best_val = val
-            best_at = (qa, np.unravel_index(int(cand.argmax()), cand.shape))
-
-    qa, cells_a = best_at
-    cells_a = tuple(int(c) for c in cells_a)
-    cells_b = tuple(n - c for c in cells_a)
-    # smallest special mass q_b achieving the joined maximum on the B side: the
-    # first index at which the running maximum reaches its last entry
-    col_b = table_b[(slice(min(budget - qa, top) + 1),) + cells_b]
-    qb = int(np.argmax(col_b == col_b[-1]))
+    cells_a, q_a, value_a = _retro_half(options, entropies, _SPECIAL[0], _SPECIAL[1], n, budget, floor)
+    half_b = _retro_half(options, entropies, _SPECIAL[2], _SPECIAL[3], n, budget, floor)
+    # A rows by (q, cells), so ties go to the least special mass, then the first
+    # cell sums; their partners hold the complement sums n - c, at flat index
+    # (n+1)^3 - 1 - cells
+    by_q = np.lexsort((cells_a, q_a))
+    cells_a, q_a, value_a = cells_a[by_q], q_a[by_q], value_a[by_q]
+    row_a, row_b = _pair_join((n + 1) ** 3 - 1 - cells_a, q_a, value_a, *half_b, budget)
     k1, k2 = _retro_pair_from(
-        options, entropies, _SPECIAL[0], _SPECIAL[1], cells_a, qa, float(table_a[(qa,) + cells_a]), n
+        options, entropies, *_SPECIAL[:2], cells_a[row_a], q_a[row_a], value_a[row_a], n
     )
-    k3, k4 = _retro_pair_from(
-        options, entropies, _SPECIAL[2], _SPECIAL[3], cells_b, qb, float(col_b[qb]), n
-    )
+    k3, k4 = _retro_pair_from(options, entropies, *_SPECIAL[2:], *(col[row_b] for col in half_b), n)
     dists = [SettingDist.joint((row / n).tolist()) for row in (k1, k2, k3, k4)]
     return _grid_result(cfg, "oracle-retro", dists, len(options), math.comb(n + 3, 3))
 
@@ -437,22 +415,51 @@ def _segmented_prefix_max(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _causal_incumbent(n: int, budget: int) -> tuple[float, list[SettingDist]]:
-    """A feasible point of the causal search and its entropy sum, a floor under the best.
+def _pair_join(
+    key_a: np.ndarray, q_a: np.ndarray, value_a: np.ndarray,
+    key_b: np.ndarray, q_b: np.ndarray, value_b: np.ndarray, budget: int,
+) -> tuple[int, int]:
+    """Best join of A rows with B rows of the same key and q_a + q_b <= budget.
+
+    Returns (row_a, row_b): the first A row with the greatest
+    value_a + value_b over its partners, and the first of its partners, in
+    stable (key, q) order, whose value equals the greatest partner value, so
+    ties go to the least q.  The B rows are sorted by (key, q) once and their
+    values turned into running maxima within each key; each A row then finds
+    its best partner with one searchsorted.  All q lie in 0..budget.
+    """
+    order = np.argsort(key_b * (budget + 1) + q_b, kind="stable")
+    run_keys = key_b[order]
+    sorted_keys = run_keys * (budget + 1) + q_b[order]
+    prefix = _segmented_prefix_max(run_keys, value_b[order])
+    # the last B row at or before (key_a, budget - q_a), if it has A's key
+    found = np.searchsorted(sorted_keys, key_a * (budget + 1) + (budget - q_a), side="right") - 1
+    matched = found >= 0
+    matched[matched] = run_keys[found[matched]] == key_a[matched]
+    if not matched.any():
+        raise NoFeasibleModel("internal: no joined pair")  # pragma: no cover
+    row_a = int(np.where(matched, value_a + prefix[found], -np.inf).argmax())
+    p = int(found[row_a])
+    run = int(np.searchsorted(run_keys, run_keys[p], side="left"))
+    hit = run + int(np.argmax(value_b[order[run : p + 1]] == prefix[p]))
+    return row_a, int(order[hit])
+
+
+def _causal_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
+    """A feasible causal grid point: its entropy sum, a floor under the best, and its four (i, j) rows.
 
     All four states share the special-side masses (a, b), the
     causal_pair_model family on the grid, which is exactly uniform for every
-    (a, b); the best (a, b) with 4ab <= budget is taken.
+    (a, b); the best (a, b) with 4ab <= budget is taken.  Row k holds state
+    k's masses on x = 0 and y = 0.
     """
     h_grid = _grid_entropies(n)
     a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
     sums = np.where(4 * a * b <= budget, 4.0 * (h_grid[a] + h_grid[b]), -np.inf)
     t = int(sums.argmax())
-    dists = [
-        SettingDist.factorized(*(m / n for m in _flip_marginals(mu, nu, int(a[t]), int(b[t]), n)))
-        for mu, nu in LAMBDA_CLASSES
-    ]
-    return float(sums[t]), dists
+    return float(sums[t]), np.array(
+        [_flip_marginals(mu, nu, int(a[t]), int(b[t]), n) for mu, nu in LAMBDA_CLASSES]
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -488,50 +495,24 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     q = q1[first] + q1[second]
     value = h_grid[a[first]] + h_grid[b[first]] + h_grid[a[second]] + h_grid[b[second]]
 
-    def raw_sums(cls_first, cls_second):
-        """Summed raw marginals (sum i, sum j, sum i*j) of each pair under two class maps."""
+    nn = n * n
+
+    def half(cls_first, cls_second, flip):
+        """Pairs whose raw marginal sums (sum i, sum j, sum i*j) fit, keyed by them or by their complements."""
         i1, j1 = _flip_marginals(*cls_first, a, b, n)
         i2, j2 = _flip_marginals(*cls_second, a, b, n)
-        return i1[first] + i2[second], j1[first] + j2[second], (i1 * j1)[first] + (i2 * j2)[second]
+        si, sj = i1[first] + i2[second], j1[first] + j2[second]
+        sij = (i1 * j1)[first] + (i2 * j2)[second]
+        rows = np.flatnonzero(sij <= nn)
+        si, sj, sij = si[rows], sj[rows], sij[rows]
+        if flip:
+            si, sj, sij = 2 * n - si, 2 * n - sj, nn - sij
+        return rows, (si * (2 * n + 1) + sj) * (nn + 1) + sij
 
-    nn = n * n
-    si_b, sj_b, sij_b = raw_sums(LAMBDA_CLASSES[2], LAMBDA_CLASSES[3])
-    idx_b = np.nonzero(sij_b <= nn)[0]
-    key_b = (si_b[idx_b] * (2 * n + 1) + sj_b[idx_b]) * (nn + 1) + sij_b[idx_b]
-    del si_b, sj_b, sij_b
-    qb = q[idx_b]
-    vb = value[idx_b]
-
-    qcap = 1
-    while qcap <= budget + 1:
-        qcap <<= 1
-    sort_key = key_b * qcap + qb
-    order = np.argsort(sort_key, kind="stable")
-    sorted_keys = sort_key[order]
-    sorted_group = key_b[order]
-    prefix = _segmented_prefix_max(sorted_group, vb[order])
-
-    si_a, sj_a, sij_a = raw_sums(LAMBDA_CLASSES[0], LAMBDA_CLASSES[1])
-    idx_a = np.nonzero(sij_a <= nn)[0]
-    key_a = ((2 * n - si_a[idx_a]) * (2 * n + 1) + (2 * n - sj_a[idx_a])) * (nn + 1) + (
-        nn - sij_a[idx_a]
-    )
-    del si_a, sj_a, sij_a
-    want = key_a * qcap + (budget - q[idx_a])
-    pos = np.searchsorted(sorted_keys, want, side="right") - 1
-    valid = pos >= 0
-    pos_c = np.clip(pos, 0, len(sorted_keys) - 1)
-    valid &= sorted_group[pos_c] == key_a
-    totals = np.where(valid, value[idx_a] + prefix[pos_c], -np.inf)
-
-    row = int(totals.argmax())
-    pair_a = idx_a[row]
-    # B-side witness: first sorted entry in the matching key run, value equal to the
-    # prefix max at or before pos (ties resolve to the smallest special mass)
-    p = int(pos_c[row])
-    run = int(np.searchsorted(sorted_group, sorted_group[p], side="left"))
-    hit = run + int(np.argmax(vb[order[run : p + 1]] >= prefix[p] - 1e-12))
-    pair_b = idx_b[order[hit]]
+    idx_a, key_a = half(LAMBDA_CLASSES[0], LAMBDA_CLASSES[1], True)
+    idx_b, key_b = half(LAMBDA_CLASSES[2], LAMBDA_CLASSES[3], False)
+    row_a, row_b = _pair_join(key_a, q[idx_a], value[idx_a], key_b, q[idx_b], value[idx_b], budget)
+    pair_a, pair_b = idx_a[row_a], idx_b[row_b]
 
     states = (first[pair_a], second[pair_a], first[pair_b], second[pair_b])
     dists = []

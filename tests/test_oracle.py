@@ -1,6 +1,7 @@
 """Brute-force grid searches and the CHSH bound-chain audit."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -330,6 +331,15 @@ def _pairwise_retro_half(n, sp_first, sp_second, budget):
     return table
 
 
+def _scatter_half(rows, n, budget):
+    """A _retro_half's rows as a dense F[q, c0, c1, c2], -inf where no row is, q = 0..min(budget, 2n)."""
+    cells, q, value = rows
+    assert len(np.unique(q * (n + 1) ** 3 + cells)) == len(q)  # no (q, cells) repeats
+    table = np.full((min(budget, 2 * n) + 1, (n + 1) ** 3), -np.inf)
+    table[q, cells] = value
+    return table.reshape(-1, n + 1, n + 1, n + 1)
+
+
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_retro_half_matches_pairwise_loop(n):
     from bellcost.oracle import _compositions4, _retro_half, _row_entropies, _SPECIAL
@@ -341,7 +351,7 @@ def test_retro_half_matches_pairwise_loop(n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)
             if budget > 2 * n:  # one half's special mass never exceeds 2n, so the cap loses nothing
                 assert not np.isfinite(want[2 * n + 1 :]).any(), (n, sp_first)
-            got = _retro_half(K, H, sp_first, sp_second, n, budget)
+            got = _scatter_half(_retro_half(K, H, sp_first, sp_second, n, budget), n, budget)
             assert np.array_equal(got, want[: 2 * n + 1]), (n, sp_first, budget)  # -inf cells included
 
 
@@ -366,7 +376,8 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
             for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
                 kept = H >= floor - 6.0
                 for options, entropies in ((K, H), (K[kept], H[kept])):
-                    got = _retro_half(options, entropies, sp_first, sp_second, n, budget, floor)
+                    rows = _retro_half(options, entropies, sp_first, sp_second, n, budget, floor)
+                    got = _scatter_half(rows, n, budget)
                     assert got.shape == want.shape, (n, budget, floor)
                     above = want + rest[:, None, None, None] >= floor
                     assert np.array_equal(got[above], want[above]), (n, budget, floor)
@@ -374,15 +385,15 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
 
 
 @pytest.mark.parametrize("target", [S_Q, 2.0, -10.0])
-def test_retro_search_holds_at_most_three_half_tables(target):
-    """One search's traced peak stays within three half tables, each cut at special mass 2n."""
+def test_retro_search_holds_at_most_four_cell_grids(target):
+    """One search's traced peak stays within four (n+1)^3 float64 grids, whatever the budget."""
     import tracemalloc
 
-    from bellcost.oracle import _retro_options, _special_budget
+    from bellcost.oracle import _retro_options
 
     n = 24
     cfg = bc.SearchConfig(resolution=n, target_s=target, causal_class=RETRO)
-    table_bytes = (min(_special_budget(cfg, n), 2 * n) + 1) * (n + 1) ** 3 * 8
+    grid_bytes = (n + 1) ** 3 * 8
     _retro_options(n)  # cached across searches, so not part of one search's peak
     tracemalloc.start()
     try:
@@ -390,7 +401,53 @@ def test_retro_search_holds_at_most_three_half_tables(target):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table_bytes, (target, peak / table_bytes)
+    assert peak <= 4 * grid_bytes, (target, peak / grid_bytes)
+
+
+def _double_loop_join(key_a, q_a, value_a, key_b, q_b, value_b, budget):
+    """_pair_join's tie rule by brute force over every (A row, B row) pair."""
+    best, best_a = -math.inf, None
+    for i in range(len(key_a)):
+        partners = [j for j in range(len(key_b)) if key_b[j] == key_a[i] and q_a[i] + q_b[j] <= budget]
+        for j in partners:
+            if value_a[i] + value_b[j] > best:
+                best, best_a = value_a[i] + value_b[j], i
+    partners = [j for j in range(len(key_b)) if key_b[j] == key_a[best_a] and q_a[best_a] + q_b[j] <= budget]
+    top = max(value_b[j] for j in partners)
+    # among the best partners, the least q, then the first row
+    best_b = min((q_b[j], j) for j in partners if value_b[j] == top)[1]
+    return best_a, best_b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pair_join_matches_double_loop(seed):
+    from bellcost.oracle import _pair_join
+
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.5, 1.25, 2.0, 3.0])  # few values, so ties are forced
+    m_a, m_b = rng.integers(1, 25, size=2)
+    key_a, key_b = rng.integers(0, 4, size=m_a), rng.integers(0, 4, size=m_b)
+    q_a, q_b = rng.integers(0, 5, size=m_a), rng.integers(0, 5, size=m_b)
+    value_a, value_b = levels[rng.integers(0, 4, size=m_a)], levels[rng.integers(0, 4, size=m_b)]
+    # at budget 4 an A row with q = 4 can only take a B row with q = 0, so some rows have no partner
+    for budget in (4, 6, 8):
+        fits = [(key_b == key_a[i]) & (q_a[i] + q_b <= budget) for i in range(m_a)]
+        if not np.any(fits):
+            continue
+        got = _pair_join(key_a, q_a, value_a, key_b, q_b, value_b, budget)
+        want = _double_loop_join(key_a, q_a, value_a, key_b, q_b, value_b, budget)
+        assert got == want, (seed, budget)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7])
+def test_compositions4_matches_product_enumeration(n):
+    from bellcost.oracle import _compositions4
+
+    want = [row for row in itertools.product(range(n + 1), repeat=4) if sum(row) == n]
+    want = np.array(want, dtype=np.int64)
+    got = _compositions4(n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def _set_floor(monkeypatch, floor):
@@ -453,7 +510,11 @@ def test_incumbent_is_a_feasible_point_under_the_optimum(cls):
             cfg = bc.SearchConfig(resolution=n, target_s=float(target), causal_class=cls)
             budget = _special_budget(cfg, n if cls is RETRO else n * n)
             remainders.add(budget % 4)
-            floor, dists = (_retro_incumbent if cls is RETRO else _causal_incumbent)(n, budget)
+            floor, rows = (_retro_incumbent if cls is RETRO else _causal_incumbent)(n, budget)
+            if cls is RETRO:
+                dists = [bc.SettingDist.joint((row / n).tolist()) for row in rows]
+            else:
+                dists = [bc.SettingDist.factorized(i / n, j / n) for i, j in rows.tolist()]
             m = _class_model(dists, "incumbent")
             assert all(abs(p - 0.25) <= 1e-12 for p in bc.derived_marginal(m).probs), (n, target)
             assert bc.chsh_value(m) >= cfg.target_s - cfg.tolerance, (n, target)
