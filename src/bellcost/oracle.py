@@ -24,8 +24,10 @@ state's grid; the first states are taken one offset at a time through one
 reused (N+1)^3 buffer, whose finite cells are read out as rows.  The two
 causal halves are one set of ordered state pairs within the special-product
 budget, enumerated once and read under two class maps; each half is keyed by
-its summed raw marginals.  The one-sided marginal constraint fixes the fourth
-state from the other three, so that search scans (N+1)^3 points.
+its summed raw marginals.  The one-sided search needs no join: its marginal
+constraint gives both state pairs the same total t, so one split table of
+pair entropies over (t, first state), (2N+1)(N+1) cells, bounds every point,
+and only the points within 1e-12 of that bound are summed exactly.
 Equal-value ties resolve to the first hit in lexicographic grid order, so
 results are reproducible.
 
@@ -133,16 +135,28 @@ class SearchResult:
 
 
 def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
-    """Minimal mutual information over the feasible grid family, with a witness model."""
+    """Minimal mutual information over the feasible grid family, with a witness model.
+
+    A grid whose arrays cannot be allocated raises DomainError.
+    """
     if cfg.causal_class is CausalClass.RETROCAUSAL:
-        return _search_retrocausal(cfg)
-    if cfg.causal_class is CausalClass.CAUSAL:
-        return _search_causal(cfg)
-    if cfg.causal_class is CausalClass.ONE_SIDED:
-        return _search_one_sided(cfg)
-    raise DomainError(
-        "brute_force_min_info supports the retrocausal, causal and one-sided classes"
-    )
+        search = _search_retrocausal
+    elif cfg.causal_class is CausalClass.CAUSAL:
+        search = _search_causal
+    elif cfg.causal_class is CausalClass.ONE_SIDED:
+        search = _search_one_sided
+    else:
+        raise DomainError(
+            "brute_force_min_info supports the retrocausal, causal and one-sided classes"
+        )
+    try:
+        return search(cfg)
+    except MemoryError:
+        pass
+    except ValueError as exc:  # numpy's size errors: more bytes than an array can index
+        if not str(exc).startswith(("array is too big", "Maximum allowed")):
+            raise
+    raise DomainError(f"brute_force_min_info: the N = {cfg.resolution} grid does not fit in memory")
 
 
 def _grid_result(
@@ -528,19 +542,38 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
 
 
 def _search_one_sided(cfg: SearchConfig) -> SearchResult:
+    """Best h(a1) + h(a2) + h(a3) + h(a4) with a1 + a2 = a3 + a4 = t and 2t <= budget.
+
+    The split table P[t, a] = h(a) + h(t - a) (-inf off the grid) is the
+    entropy of either state pair, (a1, a2) or (a3, a4), holding t units, so a
+    point's entropy is P[t, a1] + P[t, a3], and its greatest value is
+    best = max_t 2 max_a P[t, a].  The value the search reports is the
+    left-to-right float sum ((h1 + h2) + h3) + h4, whose first two terms are
+    exactly P[t, a1]; it differs from P[t, a1] + P[t, a3] by a few ulp of 8,
+    under 1e-14.  So every point that ties the float maximum has
+    P[t, a1] + P[t, a3] >= best - 1e-12, and only those candidates are summed
+    exactly.  The first lexicographic (a1, a2, a3) among their maxima is the
+    first hit of a scan over the whole grid.
+    """
     n = cfg.resolution
     budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
     h_grid = _grid_entropies(n)
-    rng = np.arange(n + 1, dtype=np.int64)
-    # the marginal constraint a1 + a2 == a3 + a4 fixes a4, so scan (a1, a2, a3);
-    # lexicographic order over them is the order over the feasible 4-tuples
-    a1, a2, a3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    a4 = a1 + a2 - a3
-    feasible = (a4 >= 0) & (a4 <= n) & (2 * (a1 + a2) <= budget)
-    value = h_grid[a1] + h_grid[a2] + h_grid[a3] + h_grid[np.clip(a4, 0, n)]
-    value = np.where(feasible, value, -np.inf)
-    best = np.unravel_index(int(value.argmax()), value.shape)
-    best = (*best, a4[best])
+    # h padded with n cells of -inf on each side, so padded[n + b] = h(b) for every b in -n..2n
+    padded = np.concatenate([np.full(n, -np.inf), h_grid, np.full(n, -np.inf)])
+    t = np.arange(budget // 2 + 1)[:, None]  # budget <= 4n, so t <= 2n
+    split = h_grid + padded[t + (n - np.arange(n + 1))]
+    pair_best = split.max(axis=1)
+    cutoff = 2.0 * pair_best.max() - 1e-12
+    # a candidate's P[t, a3] is at most pair_best[t], so its P[t, a1] reaches cutoff - pair_best[t]
+    rows, cols = np.nonzero(split >= (cutoff - pair_best)[:, None])
+    p = split[rows, cols]
+    i, j = np.nonzero((rows[:, None] == rows[None, :]) & (p[:, None] + p >= cutoff))
+    a1, a3 = cols[i], cols[j]
+    a2, a4 = rows[i] - a1, rows[i] - a3
+    by_grid = np.lexsort((a3, a2, a1))
+    value = (h_grid[a1] + h_grid[a2] + h_grid[a3] + h_grid[a4])[by_grid]
+    hit = by_grid[int(value.argmax())]
+    best = (a1[hit], a2[hit], a3[hit], a4[hit])
     dists = [
         SettingDist.factorized(_flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
         for (mu, nu), a in zip(LAMBDA_CLASSES, best)

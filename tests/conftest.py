@@ -73,6 +73,23 @@ def oracle_n40():
     return out
 
 
+# grids whose first large array exceeds the address space, so each search
+# fails at allocation without touching memory: (class, N, target S)
+OVERSIZED_GRIDS = [
+    (bc.CausalClass.RETROCAUSAL, 10**15, 4.0),
+    (bc.CausalClass.CAUSAL, 10**7, S_Q),
+    (bc.CausalClass.ONE_SIDED, 10**15, S_Q),
+]
+
+
+@pytest.fixture
+def skip_grid_entropies(monkeypatch):
+    """Stand in for the N + 1 binary_entropy calls that precede the causal and one-sided tables."""
+    import bellcost.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_grid_entropies", lambda n: np.broadcast_to(1.0, n + 1))
+
+
 @pytest.fixture(scope="session")
 def million_round_stats():
     """Ten seeded million-round runs of the quantum-point causal model, run once."""

@@ -11,7 +11,7 @@ import bellcost as bc
 from bellcost import simulate
 from bellcost.cli import main, number
 
-from conftest import S_Q
+from conftest import OVERSIZED_GRIDS, S_Q
 
 
 def test_number_tokens():
@@ -248,3 +248,9 @@ def test_verify_out_of_range_s_fails_before_search(s, monkeypatch, capsys):
     monkeypatch.setattr(cli, "brute_force_min_info", no_search)
     assert main(["verify", "--class", "causal", "--s", s, "--grid", "8"]) == 2
     assert "outside [2.0, 4]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls, grid, target", OVERSIZED_GRIDS)
+def test_verify_oversized_grid_is_usage_error(cls, grid, target, skip_grid_entropies, capsys):
+    assert main(["verify", "--class", cls.value, "--s", repr(target), "--grid", str(grid)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: brute_force_min_info: the N = {grid} grid")

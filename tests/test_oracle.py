@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
 
-from conftest import S_Q, random_uniform_marginal_model
+from conftest import OVERSIZED_GRIDS, S_Q, random_uniform_marginal_model
 
 RETRO = bc.CausalClass.RETROCAUSAL
 CAUSAL = bc.CausalClass.CAUSAL
@@ -546,6 +547,72 @@ def test_one_sided_witness_matches_full_grid(n, target):
         a = round(st.dist.px0() * n)
         got.append(n - a if nu == 0 else a)
     assert tuple(got) == _full_one_sided_witness(n, target)
+
+
+def _dense_one_sided(cfg):
+    """Reference one-sided search: argmax over a dense (N+1)^3 scan of (a1, a2, a3)."""
+    from bellcost.models import LAMBDA_CLASSES, _flip_marginals
+    from bellcost.oracle import _floor_budget, _grid_entropies, _grid_result
+
+    n = cfg.resolution
+    budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
+    h_grid = _grid_entropies(n)
+    rng = np.arange(n + 1, dtype=np.int64)
+    a1, a2, a3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    a4 = a1 + a2 - a3
+    feasible = (a4 >= 0) & (a4 <= n) & (2 * (a1 + a2) <= budget)
+    value = h_grid[a1] + h_grid[a2] + h_grid[a3] + h_grid[np.clip(a4, 0, n)]
+    value = np.where(feasible, value, -np.inf)
+    best = np.unravel_index(int(value.argmax()), value.shape)
+    best = (*best, a4[best])
+    dists = [
+        bc.SettingDist.factorized(_flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
+        for (mu, nu), a in zip(LAMBDA_CLASSES, best)
+    ]
+    return _grid_result(cfg, "oracle-onesided", dists, n + 1, n + 1)
+
+
+def _one_sided_outcome(cfg, search):
+    """(a1..a4, best_info.hex(), states) of a one-sided search, or its NoFeasibleModel type and text."""
+    from bellcost.models import LAMBDA_CLASSES
+
+    try:
+        res = search(cfg)
+    except bc.NoFeasibleModel as exc:
+        return type(exc), str(exc)
+    n = cfg.resolution
+    witness = []
+    for state, (mu, nu) in zip(res.best_model.states, LAMBDA_CLASSES):
+        a = round(state.dist.px0() * n)
+        witness.append(n - a if nu == 0 else a)
+    return tuple(witness), res.best_info.hex(), res.states_searched, res.states_total
+
+
+@pytest.mark.parametrize("n", [*range(4, 41), 64])
+def test_one_sided_search_matches_dense_scan(n):
+    for target in (-10.0, 1.5, 2.0, 2.5, S_Q, 3.3, 3.6, 3.9, 4.0, 4.1):
+        for tol in (1e-9, 0.3):
+            cfg = bc.SearchConfig(resolution=n, target_s=target, causal_class=ONE_SIDED, tolerance=tol)
+            want = _one_sided_outcome(cfg, _dense_one_sided)
+            assert _one_sided_outcome(cfg, bc.brute_force_min_info) == want, (target, tol)
+
+
+def test_one_sided_search_memory_is_quadratic():
+    """At N = 256 the search holds a few split tables of (2N+1)(N+1) cells, not an (N+1)^3 scan."""
+    n = 256
+    tracemalloc.start()
+    try:
+        run(n, S_Q, ONE_SIDED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n + 1) * (n + 1) * 8
+
+
+@pytest.mark.parametrize("cls, n, target", OVERSIZED_GRIDS)
+def test_oversized_grid_is_a_domain_error(cls, n, target, skip_grid_entropies):
+    with pytest.raises(bc.DomainError, match=f"N = {n} grid does not fit in memory"):
+        run(n, target, cls)
 
 
 @settings(max_examples=300, deadline=None)
