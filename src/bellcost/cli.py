@@ -200,6 +200,7 @@ def _cmd_verify(args) -> int:
         "gap": result.best_info - analytic,
         "states_searched": result.states_searched,
         "states_total": result.states_total,
+        "incumbent_info": result.incumbent_info,
         "witness_model": model_to_dict(result.best_model),
     }
     text = json.dumps(report, indent=2)

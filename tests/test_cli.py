@@ -221,6 +221,9 @@ def test_verify_reports_search_counts(cls, total, capsys):
     assert 0 < doc["states_searched"] <= total
     if cls != "onesided":  # the pruned searches keep only states near the entropy floor
         assert doc["states_searched"] < total
+        assert doc["incumbent_info"] >= doc["brute_force"] - 1e-12
+    else:
+        assert doc["incumbent_info"] is None
 
 
 @pytest.mark.parametrize(

@@ -332,6 +332,15 @@ def _pairwise_retro_half(n, sp_first, sp_second, budget):
     return table
 
 
+def _half(options, entropies, sp_first, sp_second, n, budget, floor=-math.inf):
+    """_retro_half with the ceiling and per-cell reach masks the search computes for it."""
+    from bellcost.oracle import _ceilings, _reaches, _retro_half, _retro_hull
+
+    ceiling = _ceilings(_retro_hull(n), budget)
+    reach = _reaches(entropies, budget - options.T, ceiling, floor)
+    return _retro_half(options, entropies, reach, sp_first, sp_second, n, budget, ceiling, floor)
+
+
 def _scatter_half(rows, n, budget):
     """A _retro_half's rows as a dense F[q, c0, c1, c2], -inf where no row is, q = 0..min(budget, 2n)."""
     cells, q, value = rows
@@ -343,7 +352,7 @@ def _scatter_half(rows, n, budget):
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_retro_half_matches_pairwise_loop(n):
-    from bellcost.oracle import _compositions4, _retro_half, _row_entropies, _SPECIAL
+    from bellcost.oracle import _compositions4, _row_entropies, _SPECIAL
 
     K = _compositions4(n)
     H = _row_entropies(K, n)
@@ -352,7 +361,7 @@ def test_retro_half_matches_pairwise_loop(n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)
             if budget > 2 * n:  # one half's special mass never exceeds 2n, so the cap loses nothing
                 assert not np.isfinite(want[2 * n + 1 :]).any(), (n, sp_first)
-            got = _scatter_half(_retro_half(K, H, sp_first, sp_second, n, budget), n, budget)
+            got = _scatter_half(_half(K, H, sp_first, sp_second, n, budget), n, budget)
             assert np.array_equal(got, want[: 2 * n + 1]), (n, sp_first, budget)  # -inf cells included
 
 
@@ -363,7 +372,6 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
         _SPECIAL,
         _ceilings,
         _compositions4,
-        _retro_half,
         _retro_hull,
         _row_entropies,
     )
@@ -377,7 +385,7 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
             for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
                 kept = H >= floor - 6.0
                 for options, entropies in ((K, H), (K[kept], H[kept])):
-                    rows = _retro_half(options, entropies, sp_first, sp_second, n, budget, floor)
+                    rows = _half(options, entropies, sp_first, sp_second, n, budget, floor)
                     got = _scatter_half(rows, n, budget)
                     assert got.shape == want.shape, (n, budget, floor)
                     above = want + rest[:, None, None, None] >= floor
@@ -523,6 +531,28 @@ def test_incumbent_is_a_feasible_point_under_the_optimum(cls):
             assert sum(entropies) == pytest.approx(floor, abs=1e-9), (n, target)
             assert floor <= 4.0 * (2.0 - bc.brute_force_min_info(cfg).best_info) + 1e-9, (n, target)
     assert remainders == {0, 1, 2, 3}
+    if cls is RETRO:  # construction only: every budget, odd ones through the exchange
+        from bellcost.oracle import _SPECIAL
+
+        for n in range(4, 25):
+            for budget in range(4 * n + 1):
+                floor, rows = _retro_incumbent(n, budget)
+                assert rows.min() >= 0, (n, budget)
+                assert (rows.sum(axis=1) == n).all() and (rows.sum(axis=0) == n).all(), (n, budget)
+                assert sum(int(rows[i, c]) for i, c in enumerate(_SPECIAL)) <= budget, (n, budget)
+                entropies = [-sum(k / n * math.log2(k / n) for k in row if k > 0) for row in rows.tolist()]
+                assert sum(entropies) == pytest.approx(floor, abs=1e-12), (n, budget)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_retro_floor_prunes_at_every_budget(n):
+    """The incumbent keeps the retro search small at every special budget below 2N, odd ones included."""
+    from bellcost.oracle import _special_budget
+
+    for budget in range(2 * n):
+        cfg = bc.SearchConfig(resolution=n, target_s=4.0 - (2 * budget + 1) / n, causal_class=RETRO)
+        assert _special_budget(cfg, n) == budget
+        assert bc.brute_force_min_info(cfg).states_searched <= 64, (n, budget)
 
 
 def _full_one_sided_witness(n, target, tol=1e-9):
@@ -633,6 +663,10 @@ def test_search_returns_certified_witness_or_raises(cls, n, target):
     assert all(abs(v - 0.25) <= 1e-12 for v in bc.derived_marginal(m).probs)
     if achieved >= 2.0:
         assert res.best_info >= CURVES[cls](achieved) - 1e-9
+    if cls is ONE_SIDED:  # no pruning floor, so no incumbent
+        assert res.incumbent_info is None
+    else:
+        assert res.incumbent_info >= res.best_info - 1e-12
 
 
 # ---------------------------------------------------------------------------
