@@ -24,9 +24,8 @@ def main():
     for n in (10**3, 10**5, 10**6):
         rounds = bc.sample_rounds(model, n, seed=2024, order=bc.SampleOrder.SOURCE_FIRST)
         stats = bc.empirical_stats(rounds)
-        se = bc.chsh_standard_error(rounds)
         print(
-            f"n = {n:>9,}: S_hat = {stats.s_hat:.4f} +/- {se:.4f}, "
+            f"n = {n:>9,}: S_hat = {stats.s_hat:.4f} +/- {stats.s_standard_error:.4f}, "
             f"info_hat = {stats.info_hat:.4f}, "
             f"adversary accuracy = {stats.prediction_accuracy:.3f}"
         )

@@ -214,7 +214,7 @@ def _cmd_sample(args) -> int:
     m = load_model(args.model)
     rounds_out = contextlib.nullcontext() if args.rounds_out is None else atomic_writer(args.rounds_out)
     with rounds_out as fh:
-        stats, se = _sample_summary(m, args.n, args.seed, SampleOrder(args.order), fh)
+        stats = _sample_summary(m, args.n, args.seed, SampleOrder(args.order), fh)
     doc = {
         "model_file": args.model,
         "label": m.label,
@@ -225,7 +225,7 @@ def _cmd_sample(args) -> int:
         "s_exact": chsh_value(m),
         "info_exact": mutual_information(m),
         "s_hat": stats.s_hat,
-        "s_standard_error": se,
+        "s_standard_error": stats.s_standard_error,
         "info_hat": stats.info_hat,
         "prediction_accuracy": stats.prediction_accuracy,
     }

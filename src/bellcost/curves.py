@@ -52,6 +52,9 @@ __all__ = [
 
 _EDGE_TOL = 1e-12
 
+#: Interior points of each second-derivative grid in appendix_checks.
+_APPENDIX_GRID_POINTS = 400
+
 
 @unique
 class Branch(Enum):
@@ -311,12 +314,13 @@ def i_1_curvature(s: float) -> float:
     return (_h_slope(p) + 1.0 / ((1.0 - p) * _LOG2)) / (128.0 * p**3)
 
 
-def appendix_checks(grid_points: int = 400) -> AppendixReport:
+def appendix_checks() -> AppendixReport:
     """Finite-difference verification that i_1 and i_2 share a tangent at S0 and are convex.
 
     Slopes use step 1e-5 (central for i_1; i_2 lives on [S0, 4], so its slope
     at S0 uses the second-order one-sided stencil).  Second derivatives use
-    central differences with step 1e-4 on interior grids.
+    central differences with step 1e-4 on interior grids of
+    _APPENDIX_GRID_POINTS points.
     """
     branch_point = s0()
     p0 = find_p0()
@@ -328,7 +332,7 @@ def appendix_checks(grid_points: int = 400) -> AppendixReport:
     reference = _h_slope(p0) / (8.0 * p0)
 
     h2 = 1e-4
-    n = grid_points + 2
+    n = _APPENDIX_GRID_POINTS + 2
     grid1 = [2.0 + (4.0 - 2.0) * k / (n - 1) for k in range(1, n - 1)]
     min_dd1 = min(
         (i_1(s + h2) - 2.0 * i_1(s) + i_1(s - h2)) / (h2 * h2) for s in grid1

@@ -37,21 +37,22 @@ state pairs that can still reach F with the rest of the point matter.  The
 rest is bounded by an entropy ceiling C_k(m), the most entropy k grid states
 can hold with special masses summing to at most m: k times the upper concave
 hull, at m/k, of the best single-state entropy with special mass at most a
-given value, read off the grid.  A state with special mass c is kept only if
-its entropy plus C_3(budget - c) reaches F, a retrocausal pair's first state
-only takes partners whose entropy reaches F less its own and C_2 of its
-spare budget, and a causal pair is kept only if its entropy plus C_2 of its
-spare budget reaches F.  The retrocausal and causal searches take F from a
-feasible grid point of their own family, the incumbent, and run one pass
-pruned that way.  The retrocausal incumbent is the best circulant with an
-even special total, improved at an odd budget by the best one-unit exchange
-between two of its states that spends the odd unit; the causal one is four
-equal factorized states.  The tighter F is, the fewer states survive: at
-N = 24 and an odd budget of 3 the exchange keeps 16 of 2 925 states where
-the circulant alone kept 844.  Incumbent and ceiling are built from the grid
-alone, so the oracle never reads the analytic curves it verifies, and every
-point within the tie tolerances of the optimum survives the pruning, so the
-value and witness are those of the unpruned search.
+given value, read off the grid.  A state is kept in a role, one of the
+four special cells, only if its entropy plus C_3 of the budget its special
+mass there leaves reaches F, and a retrocausal half pairs every first state
+kept in its role with every second state kept in its own; a causal pair is
+kept only if its entropy plus C_2 of its spare budget reaches F.  The
+retrocausal and causal searches take F from a feasible grid point of their
+own family, the incumbent, and run one pass pruned that way.  The
+retrocausal incumbent is the best circulant with an even special total,
+improved at an odd budget by the best one-unit exchange between two of its
+states that spends the odd unit; the causal one is four equal factorized
+states.  The tighter F is, the fewer states survive: at N = 24 and an odd
+budget of 3 the exchange keeps 16 of 2 925 states where the circulant alone
+kept 844.  Incumbent and ceiling are built from the grid alone, so the
+oracle never reads the analytic curves it verifies, and every point within
+the tie tolerances of the optimum survives the pruning, so the value and
+witness are those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -301,8 +302,6 @@ def _retro_half(
     sp_second: int,
     n: int,
     budget: int,
-    ceiling: np.ndarray,
-    floor: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best entropy sums over ordered state pairs, as rows (cells, q, value).
 
@@ -312,41 +311,33 @@ def _retro_half(
     the pairs with those sums; no (q, cells) repeats.  Sums whose fourth
     exceeds n cannot be completed to an exactly uniform model and are dropped.
 
+    reach[c] marks the options that can reach the entropy floor with special
+    cell c (_reaches); the first options are those reach[sp_first] keeps and
+    the second those reach[sp_second] keeps, and every value is the exact
+    maximum over all pairs of them.  At a floor of -inf every option is kept.
+
     For a fixed first option u the offset d = q - c[sp_second] =
-    u[sp_first] - u[sp_second] is constant, so its pairs fill a shifted box of
-    the second option's grid; the budget bounds that box along sp_second
-    (which must be one of the first three cells).  The first options are
-    taken one offset at a time: their boxes fill one reused (n+1)^3 work
+    u[sp_first] - u[sp_second] is constant, and its pairs fill one slab: the
+    bounding box of the second options' grid, shifted by u and cut where the
+    cell sums leave the grid or, along sp_second (which must be one of the
+    first three cells), where q passes the budget.  The first options are
+    taken one offset at a time: their slabs fill one reused (n+1)^3 work
     buffer, whose finite cells are read out as rows with q = d + c[sp_second].
     Every value is an exact sum entropies[i] + entropies[j], so neither the
     order nor the grouping of the maxima matters.
-
-    ceiling is _ceilings(_retro_hull(n), budget) and reach[c] marks the
-    options that can reach the entropy floor F with special cell c
-    (_reaches), so only options that can reach F in their role take part;
-    at F = -inf every option does.  u's partners are the options v with
-    h_u + h_v + C_2(budget - u[sp_first]) >= F (less _MARGIN): a prefix of
-    the options sorted by falling entropy, whose running bounding box clips
-    u's slab.  Sums (q, cells) whose best pair sum w has
-    w + C_2(budget - q) >= F keep their row, with value w; no row exceeds w.
     """
-    grid = np.full((n + 1, n + 1, n + 1), -np.inf)
-    as_second = reach[sp_second]
-    grid[options[as_second, 0], options[as_second, 1], options[as_second, 2]] = entropies[as_second]
-    order = np.flatnonzero(as_second)[np.argsort(-entropies[as_second], kind="stable")]
-    falling = entropies[order]
-    corners = options[order, :3]
+    second = options[reach[sp_second], :3]
+    lo = second.min(axis=0, initial=n + 1)  # no second option: an empty box, so no slab is live
+    top = second.max(axis=0, initial=-1) + 1
+    grid = np.full(np.maximum(top - lo, 0), -np.inf)
+    grid[tuple((second - lo).T)] = entropies[reach[sp_second]]
     first, h_first = options[reach[sp_first]], entropies[reach[sp_first]]
-    # an option past the budget on its own gets an empty slab below, whatever its partners
-    rest = ceiling[2][np.maximum(budget - first[:, sp_first], 0)]
-    partners = np.searchsorted(-falling, h_first + rest - (floor - _MARGIN), side="right")
-    first, h_first, box = first[partners > 0], h_first[partners > 0], partners[partners > 0] - 1
-    lo = np.minimum.accumulate(corners, axis=0)[box]
-    hi = np.minimum(np.maximum.accumulate(corners, axis=0)[box] + 1, n + 1 - first[:, :3])
-    hi[:, sp_second] = np.minimum(hi[:, sp_second], budget - first[:, sp_first] + 1)
-    live = (lo < hi).all(axis=1)
+    stop = np.minimum(top, n + 1 - first[:, :3])
+    # an option past the budget on its own gets stop <= 0 here, so an empty slab
+    stop[:, sp_second] = np.minimum(stop[:, sp_second], budget - first[:, sp_first] + 1)
+    live = (stop > lo).all(axis=1)
     offset = first[:, sp_first] - first[:, sp_second]
-    slabs = np.column_stack([offset, first[:, :3] + lo, first[:, :3] + hi, lo, hi])[live]
+    slabs = np.column_stack([offset, first[:, :3] + lo, stop - lo])[live]
     by_offset = np.argsort(slabs[:, 0], kind="stable")
     rows = zip(slabs[by_offset].tolist(), h_first[live][by_offset].tolist())
     work = np.empty((n + 1, n + 1, n + 1))
@@ -354,9 +345,9 @@ def _retro_half(
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for d, group in itertools.groupby(rows, key=lambda row: row[0][0]):
         work.fill(-np.inf)
-        for (_, s0, s1, s2, t0, t1, t2, l0, l1, l2, h0, h1, h2), h_u in group:
-            out = work[s0:t0, s1:t1, s2:t2]
-            np.maximum(out, h_u + grid[l0:h0, l1:h1, l2:h2], out=out)
+        for (_, s0, s1, s2, w0, w1, w2), h_u in group:
+            out = work[s0 : s0 + w0, s1 : s1 + w1, s2 : s2 + w2]
+            np.maximum(out, h_u + grid[:w0, :w1, :w2], out=out)
         cells = np.flatnonzero(flat > -np.inf)
         c = np.unravel_index(cells, work.shape)
         complete = c[0] + c[1] + c[2] >= n  # the fourth cell sum, 2n - c0 - c1 - c2, is at most n
@@ -451,8 +442,8 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     options, entropies, reach = all_options[keep], all_entropies[keep], reach[:, keep]
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
-    cells_a, q_a, value_a = _retro_half(options, entropies, reach, *_SPECIAL[:2], n, budget, ceiling, floor)
-    half_b = _retro_half(options, entropies, reach, *_SPECIAL[2:], n, budget, ceiling, floor)
+    cells_a, q_a, value_a = _retro_half(options, entropies, reach, *_SPECIAL[:2], n, budget)
+    half_b = _retro_half(options, entropies, reach, *_SPECIAL[2:], n, budget)
     # A rows by (q, cells), so ties go to the least special mass, then the first
     # cell sums; their partners hold the complement sums n - c, at flat index
     # (n+1)^3 - 1 - cells

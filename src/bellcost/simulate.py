@@ -147,9 +147,16 @@ def _check_column(name: str, ok: np.ndarray, expected: str) -> None:
 
 @dataclass(frozen=True)
 class EmpiricalStats:
+    """Plug-in estimates of S, the setting/source information and the prediction rate.
+
+    s_standard_error is the standard error of s_hat from the binomial
+    variance of each setting's correlator.
+    """
+
     s_hat: float
     info_hat: float
     prediction_accuracy: float
+    s_standard_error: float
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -297,25 +304,20 @@ class _Tally:
         self.agree += np.bincount(sidx[a == b], minlength=4)
         self.hits += int(np.count_nonzero((pred_a == a) & (pred_b == b)))
 
-    def correlators(self) -> list[tuple[float, int]]:
-        """(empirical <ab>, round count) per setting, in SETTINGS order."""
-        out = []
-        for x, y in SETTINGS:
-            k = setting_index(x, y)
-            cnt = int(self.joint[:, k].sum())
-            if cnt == 0:
-                raise MissingSetting(f"setting ({x},{y}) never occurs in the round log")
-            out.append(((2 * int(self.agree[k]) - cnt) / cnt, cnt))
-        return out
-
     def stats(self) -> EmpiricalStats:
         n = int(self.joint.sum())
         if n == 0:
             raise DomainError("empirical_stats needs at least one round")
 
-        s_hat = 0.0
-        for (x, y), (corr, _) in zip(SETTINGS, self.correlators()):
+        s_hat = var = 0.0
+        for x, y in SETTINGS:
+            k = setting_index(x, y)
+            cnt = int(self.joint[:, k].sum())
+            if cnt == 0:
+                raise MissingSetting(f"setting ({x},{y}) never occurs in the round log")
+            corr = (2 * int(self.agree[k]) - cnt) / cnt
             s_hat += corr if (x, y) != (1, 1) else -corr
+            var += max(0.0, 1.0 - corr * corr) / cnt
 
         joint = self.joint / n
         p_lam = joint.sum(axis=1)
@@ -326,14 +328,12 @@ class _Tally:
                 pij = joint[i, k]
                 if pij > 0.0:
                     info += pij * math.log(pij / (p_lam[i] * p_set[k]))
-        info_hat = info / _LOG2
-        return EmpiricalStats(s_hat=s_hat, info_hat=info_hat, prediction_accuracy=self.hits / n)
-
-    def standard_error(self) -> float:
-        var = 0.0
-        for corr, cnt in self.correlators():
-            var += max(0.0, 1.0 - corr * corr) / cnt
-        return math.sqrt(var)
+        return EmpiricalStats(
+            s_hat=s_hat,
+            info_hat=info / _LOG2,
+            prediction_accuracy=self.hits / n,
+            s_standard_error=math.sqrt(var),
+        )
 
 
 def _tally(rounds: RoundLog) -> _Tally:
@@ -345,19 +345,22 @@ def _tally(rounds: RoundLog) -> _Tally:
 
 
 def empirical_stats(rounds: RoundLog) -> EmpiricalStats:
-    """Plug-in estimates of S, the setting/source information, and the prediction rate."""
+    """Plug-in estimates of S, its standard error, the setting/source information, and the prediction rate.
+
+    A log with no rounds raises DomainError; one missing a setting raises MissingSetting.
+    """
     return _tally(rounds).stats()
 
 
 def chsh_standard_error(rounds: RoundLog) -> float:
-    """Standard error of the empirical S from the binomial variance of each correlator."""
-    return _tally(rounds).standard_error()
+    """Standard error of the empirical S: empirical_stats(rounds).s_standard_error."""
+    return empirical_stats(rounds).s_standard_error
 
 
 def _sample_summary(
     m: Model, n: int, seed: int, order: SampleOrder, out: TextIO | None = None
-) -> tuple[EmpiricalStats, float]:
-    """empirical_stats and chsh_standard_error of sample_rounds(m, n, seed, order).
+) -> EmpiricalStats:
+    """empirical_stats of sample_rounds(m, n, seed, order).
 
     The rounds are drawn, counted and, when out is given, written to it as the
     text of rounds_to_csv one block at a time, so no more than one block of
@@ -372,7 +375,7 @@ def _sample_summary(
         tally.add(*block)
         if out is not None:
             out.write(_csv_rows(rows, block))
-    return tally.stats(), tally.standard_error()
+    return tally.stats()
 
 
 def _csv_rows(rows: slice, columns: Sequence[np.ndarray]) -> str:

@@ -39,7 +39,7 @@ def test_criterion_02_root_solver_constants():
 
 
 def test_criterion_03_branch_geometry():
-    rep = bc.appendix_checks(grid_points=400)
+    rep = bc.appendix_checks()
     checks = [
         rep.tangent_gap < 1e-4,
         abs(rep.slope_i1_at_s0 - rep.reference_slope) <= 5e-3,
@@ -203,9 +203,9 @@ def test_criterion_09_brute_force_oracle(oracle_n40):
 
 def test_criterion_10_simulation(million_round_stats):
     model, runs = million_round_stats
-    within = sum(1 for stats, se in runs if abs(stats.s_hat - S_Q) <= 5.0 * se)
-    all_predicted = all(stats.prediction_accuracy == 1.0 for stats, _ in runs)
-    median_info = float(np.median([stats.info_hat for stats, _ in runs]))
+    within = sum(1 for stats in runs if abs(stats.s_hat - S_Q) <= 5.0 * stats.s_standard_error)
+    all_predicted = all(stats.prediction_accuracy == 1.0 for stats in runs)
+    median_info = float(np.median([stats.info_hat for stats in runs]))
     ok = within >= 9 and all_predicted and abs(median_info - 0.080) <= 0.01
     report("10 million-round simulation statistics", ok)
 

@@ -332,13 +332,35 @@ def _pairwise_retro_half(n, sp_first, sp_second, budget):
     return table
 
 
-def _half(options, entropies, sp_first, sp_second, n, budget, floor=-math.inf):
-    """_retro_half with the ceiling and per-cell reach masks the search computes for it."""
-    from bellcost.oracle import _ceilings, _reaches, _retro_half, _retro_hull
+def _reach(options, entropies, n, budget, floor):
+    """The per-cell reach masks the search computes at this floor."""
+    from bellcost.oracle import _ceilings, _reaches, _retro_hull
 
-    ceiling = _ceilings(_retro_hull(n), budget)
-    reach = _reaches(entropies, budget - options.T, ceiling, floor)
-    return _retro_half(options, entropies, reach, sp_first, sp_second, n, budget, ceiling, floor)
+    return _reaches(entropies, budget - options.T, _ceilings(_retro_hull(n), budget), floor)
+
+
+def _half(options, entropies, sp_first, sp_second, n, budget, floor=-math.inf):
+    """_retro_half with the per-cell reach masks the search computes for it."""
+    from bellcost.oracle import _retro_half
+
+    reach = _reach(options, entropies, n, budget, floor)
+    return _retro_half(options, entropies, reach, sp_first, sp_second, n, budget)
+
+
+def _pairwise_kept_half(options, entropies, reach, sp_first, sp_second, n, budget):
+    """F[q, c0, c1, c2], q = 0..min(budget, 2n), by a loop over the pairs of reach-kept options.
+
+    The first option is one reach[sp_first] keeps and the second one
+    reach[sp_second] keeps; cells whose fourth sum exceeds n stay -inf.
+    """
+    table = np.full((min(budget, 2 * n) + 1, n + 1, n + 1, n + 1), -np.inf)
+    second, h_second = options[reach[sp_second]], entropies[reach[sp_second]]
+    for u, h_u in zip(options[reach[sp_first]], entropies[reach[sp_first]]):
+        c = u + second
+        q = u[sp_first] + second[:, sp_second]
+        fits = (c.max(axis=1) <= n) & (q <= budget)
+        np.maximum.at(table, (q[fits], *c[fits, :3].T), h_u + h_second[fits])
+    return table
 
 
 def _scatter_half(rows, n, budget):
@@ -391,6 +413,10 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
                     above = want + rest[:, None, None, None] >= floor
                     assert np.array_equal(got[above], want[above]), (n, budget, floor)
                     assert np.all(got <= want), (n, budget, floor)
+                    # and every cell is exact over the pairs of options kept in their roles
+                    reach = _reach(options, entropies, n, budget, floor)
+                    kept_pairs = _pairwise_kept_half(options, entropies, reach, sp_first, sp_second, n, budget)
+                    assert np.array_equal(got, kept_pairs), (n, sp_first, budget, floor)
 
 
 @pytest.mark.parametrize("target", [S_Q, 2.0, -10.0])

@@ -136,6 +136,8 @@ def test_missing_setting_detected():
         bc.chsh_standard_error(rounds)
     with pytest.raises(bc.DomainError):
         bc.empirical_stats(bc.RoundLog(*np.zeros((7, 0), dtype=np.int64)))
+    with pytest.raises(bc.DomainError):
+        bc.chsh_standard_error(bc.RoundLog(*np.zeros((7, 0), dtype=np.int64)))
 
 
 def test_round_csv_roundtrip(tmp_path):
@@ -183,6 +185,7 @@ def test_golden_round_log(order):
     digest = hashlib.sha256(bc.rounds_to_csv(rounds).encode()).hexdigest()
     se = bc.chsh_standard_error(rounds)
     assert (digest, stats.s_hat.hex(), stats.info_hat.hex(), se.hex()) == GOLDEN[order]
+    assert stats.s_standard_error.hex() == GOLDEN[order][3]
 
 
 def test_round_csv_matches_row_formatting(tmp_path):
@@ -250,6 +253,7 @@ def test_golden_round_log_is_independent_of_block_size(tmp_path, monkeypatch, or
     digest = hashlib.sha256(bc.rounds_to_csv(rounds, str(path)).encode()).hexdigest()
     se = bc.chsh_standard_error(rounds)
     assert (digest, stats.s_hat.hex(), stats.info_hat.hex(), se.hex()) == GOLDEN[order]
+    assert stats.s_standard_error.hex() == GOLDEN[order][3]
     assert bc.rounds_from_csv(str(path)) == rounds
 
 
