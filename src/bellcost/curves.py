@@ -113,14 +113,14 @@ def f_slope(p: float) -> float:
     return _h_slope(p) - 1.0 / ((1.0 - p) * _LOG2)
 
 
-def _bisect(func, lo: float, hi: float, increasing: bool, tol: float = 1e-15) -> float:
-    """Root of func on [lo, hi] by plain bisection.
+def _bisect(func, lo: float, hi: float, increasing: bool) -> float:
+    """Root of func on [lo, hi] by plain bisection, to a bracket of 1e-15.
 
     func must change sign once on the bracket: from negative to positive if
     increasing, from positive to negative otherwise.
     """
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-15:
             break
         mid = 0.5 * (lo + hi)
         v = func(mid)

@@ -201,26 +201,17 @@ def _compositions4(total: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _grid_entropies(n: int) -> np.ndarray:
     """h(k/n) for k = 0..n, read-only."""
-    h = np.array([binary_entropy(k / n) for k in range(n + 1)])
+    h = np.fromiter((binary_entropy(k / n) for k in range(n + 1)), dtype=float, count=n + 1)
     h.flags.writeable = False
     return h
 
 
 def _row_entropies(counts: np.ndarray, n: int) -> np.ndarray:
-    probs = counts / n
+    """Entropy (bits) of each row of grid counts; every count must lie in 0..n (-1 reads the n term)."""
+    probs = np.arange(n + 1) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(probs > 0, -probs * np.log(probs), 0.0)
-    return terms.sum(axis=1) / _LOG2
-
-
-@functools.lru_cache(maxsize=8)
-def _retro_options(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state joint grid options (lexicographic) and their entropies, read-only."""
-    options = _compositions4(n)
-    entropies = _row_entropies(options, n)
-    options.flags.writeable = False
-    entropies.flags.writeable = False
-    return options, entropies
+    return terms[counts].sum(axis=1) / _LOG2
 
 
 def _floor_budget(cfg: SearchConfig, slack: float, cap: int) -> int:
@@ -288,10 +279,15 @@ def _reaches(entropies: np.ndarray, spare: np.ndarray, ceiling: np.ndarray, floo
 
 
 @functools.lru_cache(maxsize=8)
-def _retro_hull(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_entropy_hull of the joint grid; every cell has the same mass distribution, so any is special."""
-    options, entropies = _retro_options(n)
-    return _entropy_hull(options[:, 0], entropies)
+def _retro_options(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Per-state joint grid options (lexicographic), their entropies and _entropy_hull, read-only.
+
+    Every cell has the same mass distribution, so the hull takes cell 0 as special.
+    """
+    options = _compositions4(n)
+    entropies = _row_entropies(options, n)
+    options.flags.writeable = entropies.flags.writeable = False
+    return options, entropies, _entropy_hull(options[:, 0], entropies)
 
 
 def _retro_half(
@@ -423,7 +419,7 @@ def _retro_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
     if budget % 2:
         exchanged = point + _EXCHANGES
         scores = _row_entropies(exchanged.reshape(-1, 4), n).reshape(-1, 4).sum(axis=1)
-        scores[exchanged.min(axis=(1, 2)) < 0] = -np.inf
+        scores[exchanged.min(axis=(1, 2)) < 0] = -np.inf  # a -1 cell read the count-n term; never wins
         best = int(scores.argmax())
         if scores[best] > sums[t]:
             return float(scores[best]), exchanged[best]
@@ -434,8 +430,8 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n)
     floor, _ = _retro_incumbent(n, budget)
-    all_options, all_entropies = _retro_options(n)
-    ceiling = _ceilings(_retro_hull(n), budget)
+    all_options, all_entropies, hull = _retro_options(n)
+    ceiling = _ceilings(hull, budget)
     # reach[c]: the options that can reach the floor with special cell c
     reach = np.array([_reaches(all_entropies, budget - all_options[:, c], ceiling, floor) for c in range(4)])
     keep = np.logical_or.reduce(reach)  # kept in at least one role; each half keeps its own two
@@ -505,6 +501,21 @@ def _pair_join(
     return row_a, int(order[hit])
 
 
+@functools.lru_cache(maxsize=8)
+def _causal_options(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Per-state factorized grid options, lexicographic and read-only: (a, b, a*b, entropy, hull).
+
+    a and b are the masses on the special x and y values in grid units, the
+    entropy is h(a/n) + h(b/n), and hull is _entropy_hull of (a*b, entropy).
+    The options come before the grid entropies, so an oversized grid fails at once.
+    """
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    h_grid = _grid_entropies(n)
+    q, h = a * b, h_grid[a] + h_grid[b]
+    a.flags.writeable = b.flags.writeable = q.flags.writeable = h.flags.writeable = False
+    return a, b, q, h, _entropy_hull(q, h)
+
+
 def _causal_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
     """A feasible causal grid point: its entropy sum, a floor under the best, and its four (i, j) rows.
 
@@ -513,35 +524,21 @@ def _causal_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
     (a, b); the best (a, b) with 4ab <= budget is taken.  Row k holds state
     k's masses on x = 0 and y = 0.
     """
-    h_grid = _grid_entropies(n)
-    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    sums = np.where(4 * a * b <= budget, 4.0 * (h_grid[a] + h_grid[b]), -np.inf)
+    a, b, q, h, _ = _causal_options(n)
+    sums = np.where(4 * q <= budget, 4.0 * h, -np.inf)
     t = int(sums.argmax())
     return float(sums[t]), np.array(
         [_flip_marginals(mu, nu, int(a[t]), int(b[t]), n) for mu, nu in LAMBDA_CLASSES]
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _causal_hull(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_entropy_hull of the factorized grid: special mass a*b and entropy h(a/n) + h(b/n)."""
-    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    h_grid = _grid_entropies(n)
-    return _entropy_hull(a * b, h_grid[a] + h_grid[b])
-
-
 def _search_causal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n * n)
     floor, _ = _causal_incumbent(n, budget)
+    a, b, q1, h1, hull = _causal_options(n)
     h_grid = _grid_entropies(n)
-
-    # per-state options (a, b): masses on the special x and y values, in grid units
-    a = np.repeat(np.arange(n + 1, dtype=np.int64), n + 1)
-    b = np.tile(np.arange(n + 1, dtype=np.int64), n + 1)
-    q1 = a * b
-    h1 = h_grid[a] + h_grid[b]
-    ceiling = _ceilings(_causal_hull(n), budget)
+    ceiling = _ceilings(hull, budget)
     keep = np.flatnonzero(_reaches(h1, budget - q1, ceiling, floor))
     qk, hk = q1[keep], h1[keep]
     # ordered state pairs within the budget that can reach the floor with two
@@ -553,7 +550,7 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     )
     first, second = keep[first], keep[second]
     q = q1[first] + q1[second]
-    value = h_grid[a[first]] + h_grid[b[first]] + h_grid[a[second]] + h_grid[b[second]]
+    value = h1[first] + h_grid[a[second]] + h_grid[b[second]]
 
     nn = n * n
 
@@ -603,11 +600,12 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     """
     n = cfg.resolution
     budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
+    split = np.empty((budget // 2 + 1, n + 1))  # t <= budget // 2 <= 2n; first, so an oversized grid fails here
     h_grid = _grid_entropies(n)
-    # h padded with n cells of -inf on each side, so padded[n + b] = h(b) for every b in -n..2n
+    # h padded with n cells of -inf on each side; view[t, a] = padded[n + t - a] = h(t - a) for a <= n
     padded = np.concatenate([np.full(n, -np.inf), h_grid, np.full(n, -np.inf)])
-    t = np.arange(budget // 2 + 1)[:, None]  # budget <= 4n, so t <= 2n
-    split = h_grid + padded[t + (n - np.arange(n + 1))]
+    view = np.lib.stride_tricks.as_strided(padded[n:], split.shape, (8, -8), writeable=False)
+    np.add(h_grid, view, out=split)
     pair_best = split.max(axis=1)
     cutoff = 2.0 * pair_best.max() - 1e-12
     # a candidate's P[t, a3] is at most pair_best[t], so its P[t, a1] reaches cutoff - pair_best[t]

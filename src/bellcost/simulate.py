@@ -292,12 +292,11 @@ class _Tally:
     def add(self, lam, x, y, a, b, pred_a, pred_b) -> None:
         sidx = 2 * x + y
         states, rank = _ranks(lam)
-        if not len(self.states):  # the first block's states, which later blocks mostly repeat
-            self.states, self.joint = states, np.zeros((len(states), 4), np.int64)
-        elif not np.array_equal(states, self.states):
-            merged = np.union1d(self.states, states)
+        if not np.array_equal(states, self.states):
+            # return_inverse also keeps np.unique from importing numpy.ma (~1.7 MB resident)
+            merged, where = np.unique(np.concatenate([self.states, states]), return_inverse=True)
             joint = np.zeros((len(merged), 4), np.int64)
-            joint[np.searchsorted(merged, self.states)] = self.joint
+            joint[where[: len(self.states)]] = self.joint
             self.states, self.joint = merged, joint
         rows = np.searchsorted(self.states, states)
         self.joint[rows] += np.bincount(4 * rank + sidx, minlength=4 * len(states)).reshape(-1, 4)

@@ -79,15 +79,9 @@ OVERSIZED_GRIDS = [
     (bc.CausalClass.RETROCAUSAL, 10**15, 4.0),
     (bc.CausalClass.CAUSAL, 10**7, S_Q),
     (bc.CausalClass.ONE_SIDED, 10**15, S_Q),
+    (bc.CausalClass.CAUSAL, 10**9, S_Q),
+    (bc.CausalClass.ONE_SIDED, 10**9, S_Q),
 ]
-
-
-@pytest.fixture
-def skip_grid_entropies(monkeypatch):
-    """Stand in for the N + 1 binary_entropy calls that precede the causal and one-sided tables."""
-    import bellcost.oracle as oracle_mod
-
-    monkeypatch.setattr(oracle_mod, "_grid_entropies", lambda n: np.broadcast_to(1.0, n + 1))
 
 
 @pytest.fixture(scope="session")

@@ -254,6 +254,6 @@ def test_verify_out_of_range_s_fails_before_search(s, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cls, grid, target", OVERSIZED_GRIDS)
-def test_verify_oversized_grid_is_usage_error(cls, grid, target, skip_grid_entropies, capsys):
+def test_verify_oversized_grid_is_usage_error(cls, grid, target, capsys):
     assert main(["verify", "--class", cls.value, "--s", repr(target), "--grid", str(grid)]) == 2
     assert capsys.readouterr().err.startswith(f"error: brute_force_min_info: the N = {grid} grid")

@@ -278,7 +278,7 @@ def _class_grid(cls, n):
     if cls is RETRO:
         from bellcost.oracle import _retro_options
 
-        options, entropies = _retro_options(n)
+        options, entropies, _ = _retro_options(n)
         return options[:, 0], entropies
     a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
     h = np.array([bc.binary_entropy(k / n) for k in range(n + 1)])
@@ -334,9 +334,9 @@ def _pairwise_retro_half(n, sp_first, sp_second, budget):
 
 def _reach(options, entropies, n, budget, floor):
     """The per-cell reach masks the search computes at this floor."""
-    from bellcost.oracle import _ceilings, _reaches, _retro_hull
+    from bellcost.oracle import _ceilings, _reaches, _retro_options
 
-    return _reaches(entropies, budget - options.T, _ceilings(_retro_hull(n), budget), floor)
+    return _reaches(entropies, budget - options.T, _ceilings(_retro_options(n)[2], budget), floor)
 
 
 def _half(options, entropies, sp_first, sp_second, n, budget, floor=-math.inf):
@@ -394,7 +394,7 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
         _SPECIAL,
         _ceilings,
         _compositions4,
-        _retro_hull,
+        _retro_options,
         _row_entropies,
     )
 
@@ -403,7 +403,7 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
     for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
         for budget in (1, n, 4 * n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)[: 2 * n + 1]
-            rest = _ceilings(_retro_hull(n), budget)[2][budget - np.arange(len(want))]
+            rest = _ceilings(_retro_options(n)[2], budget)[2][budget - np.arange(len(want))]
             for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
                 kept = H >= floor - 6.0
                 for options, entropies in ((K, H), (K[kept], H[kept])):
@@ -666,7 +666,7 @@ def test_one_sided_search_memory_is_quadratic():
 
 
 @pytest.mark.parametrize("cls, n, target", OVERSIZED_GRIDS)
-def test_oversized_grid_is_a_domain_error(cls, n, target, skip_grid_entropies):
+def test_oversized_grid_is_a_domain_error(cls, n, target):
     with pytest.raises(bc.DomainError, match=f"N = {n} grid does not fit in memory"):
         run(n, target, cls)
 
