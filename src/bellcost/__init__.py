@@ -63,9 +63,9 @@ from .curves import (
     s0,
     sweep_to_csv,
 )
+from ._geometry import BoundChainReport, OutcomeSigns, verify_bound_chain
 from .models import (
     Bias,
-    OutcomeSigns,
     Table2Branch,
     biased_info,
     biased_lift,
@@ -77,13 +77,7 @@ from .models import (
     table1_model,
     table2_model,
 )
-from .oracle import (
-    BoundChainReport,
-    SearchConfig,
-    SearchResult,
-    brute_force_min_info,
-    verify_bound_chain,
-)
+from .oracle import SearchConfig, SearchResult, brute_force_min_info
 from .simulate import (
     RNG_ALGORITHM,
     EmpiricalStats,

@@ -95,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_model.add_argument("--p", type=number, default=None, help="family parameter (q for extreme-bias)")
     p_model.add_argument("--ptilde", type=number, default=None, help="explicit second parameter for table2")
-    p_model.add_argument("--branch", choices=["same", "conjugate"], default="same")
-    p_model.add_argument("--bias-x", dest="bias_x", type=number, default=0.0)
-    p_model.add_argument("--bias-y", dest="bias_y", type=number, default=0.0)
+    p_model.add_argument("--branch", choices=["same", "conjugate"], help="table2 branch, same when omitted")
+    p_model.add_argument("--bias-x", dest="bias_x", type=number, default=None)
+    p_model.add_argument("--bias-y", dest="bias_y", type=number, default=None)
     p_model.add_argument("--flip", action="store_true", help="apply the outcome-flip lift")
     p_model.add_argument("--out", default=None, help="model JSON path")
 
@@ -137,33 +137,38 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+#: The families that read each optional model flag; passing it to any other family is a usage error.
+_BIASED = ("table1", "table2", "onesided", "superdet")
+_FLAG_FAMILIES = {"ptilde": ("table2",), "branch": ("table2",), "bias_x": _BIASED, "bias_y": _BIASED}
+
+
 def _cmd_model(args) -> int:
-    bias = Bias(args.bias_x, args.bias_y)
-    biased = args.bias_x != 0.0 or args.bias_y != 0.0
     family = args.family
+    for dest, families in _FLAG_FAMILIES.items():
+        if getattr(args, dest) is not None and family not in families:
+            raise BellcostError(f"--family {family} does not take --{dest.replace('_', '-')}")
+    if args.ptilde is not None and args.branch is not None:
+        raise BellcostError("--ptilde and --branch exclude each other: --ptilde sets ptilde itself")
+    p = _require(args.p, "--p")
+    bias = Bias(args.bias_x or 0.0, args.bias_y or 0.0)
+    biased = bias.eps_x != 0.0 or bias.eps_y != 0.0
     if family == "table1":
-        p = _require(args.p, "--p")
         m = biased_lift(CausalClass.RETROCAUSAL, bias, p) if biased else table1_model(p)
     elif family == "table2":
-        p = _require(args.p, "--p")
         if biased:
-            ptilde = args.ptilde
-            if ptilde is None and args.branch == "conjugate":
-                ptilde = conjugate(p).p_star
+            ptilde = conjugate(p).p_star if args.branch == "conjugate" else args.ptilde
             m = biased_lift(CausalClass.CAUSAL, bias, p, ptilde)
         elif args.ptilde is not None:
             m = causal_pair_model(p, args.ptilde)
         else:
-            m = table2_model(p, Table2Branch(args.branch))
+            m = table2_model(p, Table2Branch(args.branch or "same"))
     elif family == "onesided":
-        p = _require(args.p, "--p")
         m = biased_lift(CausalClass.ONE_SIDED, bias, p) if biased else one_sided_model(p)
     elif family == "superdet":
-        p = _require(args.p, "--p")
         correlations = correlations_of(flip_lift(table1_model(p)))
         m = superdeterministic_model(correlations, bias.settings())
     elif family == "extreme-bias":
-        m = extreme_bias_example(_require(args.p, "--p"))
+        m = extreme_bias_example(p)
     else:  # pragma: no cover
         raise BellcostError(f"unknown family {family!r}")
     if args.flip:

@@ -1,9 +1,7 @@
 """Constructors for the explicit optimal models and their lifts.
 
-The four-state families all share one response structure: state (mu, nu)
-has A_1 = (-1)^mu A_0 and B_1 = (-1)^nu B_0 with A_0 B_0 = (-1)^(mu nu), so
-that A_x B_y = (-1)^(mu x + nu y + mu nu).  The families differ only in the
-per-state setting conditionals:
+The four-state families all share the (mu, nu) response classes of
+_geometry and differ only in the per-state setting conditionals:
 
 * retrocausal optimum: joint conditionals {p at one special cell, (1-p)/3 elsewhere}
 * causal optimum: factorized conditionals with per-axis flip probabilities (p, ptilde)
@@ -20,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 
+from ._geometry import LAMBDA_CLASSES, SPECIAL, OutcomeSigns, class_model, flip_marginals
 from .core import (
     CausalClass,
     Correlations,
@@ -52,33 +51,6 @@ __all__ = [
     "biased_info",
 ]
 
-#: (mu, nu) classes in table row order.
-LAMBDA_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-@dataclass(frozen=True)
-class OutcomeSigns:
-    """Free sign parameters (s, t, u, v) of the four response rows; any +/-1 works."""
-
-    s: int = 1
-    t: int = 1
-    u: int = 1
-    v: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("s", "t", "u", "v"):
-            if getattr(self, name) not in (-1, 1):
-                raise DomainError(f"outcome sign {name} must be +1 or -1")
-
-    def responses_for(self, mu: int, nu: int) -> tuple[int, int, int, int]:
-        """(A0, A1, B0, B1) for the (mu, nu) row, so that A_x B_y = (-1)^(mu x + nu y + mu nu)."""
-        g = {(0, 0): self.s, (1, 0): self.t, (0, 1): self.u, (1, 1): self.v}[(mu, nu)]
-        a0 = g
-        a1 = g * (-1) ** mu
-        b0 = g * (-1) ** (mu * nu)
-        b1 = b0 * (-1) ** nu
-        return (a0, a1, b0, b1)
-
 
 @dataclass(frozen=True)
 class Bias:
@@ -108,31 +80,6 @@ class Table2Branch(Enum):
     CONJUGATE = "conjugate"
 
 
-def _special_cell(mu: int, nu: int) -> int:
-    """The setting cell (x, y) = (1-nu, 1-mu) singled out by the (mu, nu) row."""
-    return setting_index(1 - nu, 1 - mu)
-
-
-def _flip_marginals(mu: int, nu: int, a, b, whole=1.0):
-    """(P(x=0), P(y=0)) * whole of a (mu, nu) state with masses a, b on its special side.
-
-    a and b are the masses of the special cell's x = 1-nu and y = 1-mu, so the
-    x side flips when nu = 0 and the y side when mu = 0.  The map is its own
-    inverse, and it takes floats and integer arrays alike.
-    """
-    return (whole - a if nu == 0 else a), (whole - b if mu == 0 else b)
-
-
-def _class_model(dists, label: str, signs: OutcomeSigns | None = None) -> Model:
-    """Four equal-weight states, one per LAMBDA_CLASSES row, with the signs' responses."""
-    signs = signs or OutcomeSigns()
-    states = tuple(
-        HiddenState(0.25, dist, signs.responses_for(mu, nu))
-        for (mu, nu), dist in zip(LAMBDA_CLASSES, dists, strict=True)
-    )
-    return Model(states, label=label)
-
-
 def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     """Retrocausal optimum: four equal-weight states, joint conditionals.
 
@@ -143,12 +90,8 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
         raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
     rest = (1.0 - p) / 3.0
-    dists = []
-    for mu, nu in LAMBDA_CLASSES:
-        probs = [rest] * 4
-        probs[_special_cell(mu, nu)] = p
-        dists.append(SettingDist.joint(probs))
-    return _class_model(dists, f"retro-optimal(p={p!r})", signs)
+    dists = [SettingDist.joint([p if k == special else rest for k in range(4)]) for special in SPECIAL]
+    return class_model(dists, f"retro-optimal(p={p!r})", signs)
 
 
 def causal_pair_model(
@@ -164,10 +107,8 @@ def causal_pair_model(
             raise DomainError(f"causal_pair_model: {name}={v!r} outside [0, 1/2]")
     p = min(max(p, 0.0), 0.5)
     ptilde = min(max(ptilde, 0.0), 0.5)
-    dists = [
-        SettingDist.factorized(*_flip_marginals(mu, nu, p, ptilde)) for mu, nu in LAMBDA_CLASSES
-    ]
-    return _class_model(dists, label or f"causal-pair(p={p!r}, ptilde={ptilde!r})", signs)
+    dists = [SettingDist.factorized(*flip_marginals(mu, nu, p, ptilde)) for mu, nu in LAMBDA_CLASSES]
+    return class_model(dists, label or f"causal-pair(p={p!r}, ptilde={ptilde!r})", signs)
 
 
 def table2_model(
@@ -244,18 +185,9 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"extreme_bias_example: q={q!r} outside (0, 1)")
-    signs = signs or OutcomeSigns()
-    weights = {(0, 0): q * q, (1, 0): q * (1 - q), (0, 1): q * (1 - q), (1, 1): (1 - q) ** 2}
-    states = []
-    for mu, nu in LAMBDA_CLASSES:
-        states.append(
-            HiddenState(
-                weights[(mu, nu)],
-                SettingDist.factorized(*_flip_marginals(mu, nu, 0.0, 0.0)),
-                signs.responses_for(mu, nu),
-            )
-        )
-    return Model(tuple(states), label=f"extreme-bias(q={q!r})")
+    dists = [SettingDist.factorized(*flip_marginals(mu, nu, 0.0, 0.0)) for mu, nu in LAMBDA_CLASSES]
+    weights = (q * q, q * (1 - q), q * (1 - q), (1 - q) ** 2)
+    return class_model(dists, f"extreme-bias(q={q!r})", signs, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Independent brute-force verification of the minimal-information curves.
 
 The search space is the grid family the optimality proofs reduce to: four
-equal-weight states, one per (mu, nu) response class with the canonical
-signs, and per-state setting conditionals quantized to multiples of 1/N
+equal-weight states, one per (mu, nu) response class of _geometry with the
+canonical signs, and per-state setting conditionals quantized to multiples of 1/N
 (joint grid for the retrocausal class, factorized for causal, factorized
 with an unbiased Y side for one-sided).  Feasible points must reproduce the
 uniform setting distribution exactly and reach the target CHSH value; the
@@ -49,10 +49,12 @@ improved at an odd budget by the best one-unit exchange between two of its
 states that spends the odd unit; the causal one is four equal factorized
 states.  The tighter F is, the fewer states survive: at N = 24 and an odd
 budget of 3 the exchange keeps 16 of 2 925 states where the circulant alone
-kept 844.  Incumbent and ceiling are built from the grid alone, so the
-oracle never reads the analytic curves it verifies, and every point within
-the tie tolerances of the optimum survives the pruning, so the value and
-witness are those of the unpruned search.
+kept 844.  Incumbent and ceiling are built from the grid alone, and every
+point within the tie tolerances of the optimum survives the pruning, so the
+value and witness are those of the unpruned search.
+
+The oracle reads the response classes and the witness builder from
+_geometry and the rest from core, never the models or the curves it verifies.
 """
 
 from __future__ import annotations
@@ -65,32 +67,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._geometry import LAMBDA_CLASSES, SPECIAL, class_model, flip_marginals
 from .core import (
     CausalClass,
     DomainError,
-    HiddenState,
     Model,
     NoFeasibleModel,
     SettingDist,
     _LOG2,
     binary_entropy,
-    chsh_value,
-    derived_marginal,
-    is_factorized_per_lambda,
     mutual_information,
 )
-from .models import LAMBDA_CLASSES, _class_model, _flip_marginals, _special_cell
 
-__all__ = [
-    "SearchConfig",
-    "SearchResult",
-    "BoundChainReport",
-    "brute_force_min_info",
-    "verify_bound_chain",
-]
-
-#: Special setting cell (flat index) per (mu, nu) class: (x, y) = (1-nu, 1-mu).
-_SPECIAL = tuple(_special_cell(mu, nu) for mu, nu in LAMBDA_CLASSES)
+__all__ = ["SearchConfig", "SearchResult", "brute_force_min_info"]
 
 #: Slack (bits) under every pruning threshold.  It dwarfs the rounding of a
 #: four-term entropy sum and the 1e-9 tie tolerance of the retrocausal witness
@@ -177,7 +166,7 @@ def _grid_result(
     floor is the incumbent's entropy sum; four equal-weight states with a
     uniform marginal carry 2 - (sum of their entropies)/4 bits.
     """
-    model = _class_model(dists, f"{label}(N={cfg.resolution}, target={cfg.target_s!r})")
+    model = class_model(dists, f"{label}(N={cfg.resolution}, target={cfg.target_s!r})")
     incumbent_info = None if floor is None else 2.0 - floor / 4.0
     return SearchResult(mutual_information(model), model, states_searched, states_total, incumbent_info)
 
@@ -188,14 +177,16 @@ def _grid_result(
 
 
 def _compositions4(total: int) -> np.ndarray:
-    """All nonnegative integer 4-vectors summing to total, in lexicographic order."""
+    """All nonnegative integer 4-vectors summing to total, in lexicographic order; output allocated first."""
+    out = np.empty((math.comb(total + 3, 3), 4), dtype=np.int64)
     rows, free = np.zeros((1, 0), dtype=np.int64), np.array([total], dtype=np.int64)
     for _ in range(3):  # each row r with f units left becomes f + 1 rows (r, 0) .. (r, f)
         counts = free + 1
         step = np.arange(counts.sum(), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
         rows = np.column_stack([np.repeat(rows, counts, axis=0), step])
         free = np.repeat(free, counts) - step
-    return np.column_stack([rows, free])
+    out[:, :3], out[:, 3] = rows, free
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -370,8 +361,8 @@ def _retro_pair_from(
 def _exchange(i: int, c: int, j: int) -> np.ndarray:
     """4x4 count change: state i moves a unit from cell c onto its special cell, state j one back to c."""
     move = np.zeros((4, 4), dtype=np.int64)
-    move[i, c] = move[j, _SPECIAL[i]] = -1
-    move[i, _SPECIAL[i]] = move[j, c] = 1
+    move[i, c] = move[j, SPECIAL[i]] = -1
+    move[i, SPECIAL[i]] = move[j, c] = 1
     return move
 
 
@@ -382,7 +373,7 @@ _EXCHANGES = np.array(
     [
         _exchange(i, c, j)
         for i, c, j in itertools.product(range(4), repeat=3)
-        if c != _SPECIAL[i] and _SPECIAL[j] not in (c, _SPECIAL[i])
+        if c != SPECIAL[i] and SPECIAL[j] not in (c, SPECIAL[i])
     ]
 )
 
@@ -393,8 +384,9 @@ def _retro_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
     For an even special total T <= budget every state puts k = T // 4 units
     on its special cell, states 0 and 2 one more when T % 4 == 2, and spreads
     the rest evenly over its other cells.  State i holds its j-th share at
-    cell (3 - i - j) % 4, a circulant in which every cell sums to n, so the
-    marginal is exactly uniform.  The best such T is taken.
+    cell (SPECIAL[i] - j) % 4, share 0 on its special cell; SPECIAL is a
+    permutation, so this is a circulant Latin square in which every cell
+    sums to n, and the marginal is exactly uniform.  The best such T is taken.
 
     An odd budget leaves one unit of special mass that no circulant can use,
     so the 24 one-unit exchanges (_EXCHANGES) of the best circulant are
@@ -415,7 +407,7 @@ def _retro_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
     t = int(sums.argmax())
     cells = np.arange(4)
     shares = (bumped[t], plain[t], bumped[t], plain[t])
-    point = np.array([row[(3 - i - cells) % 4] for i, row in enumerate(shares)])
+    point = np.array([row[(SPECIAL[i] - cells) % 4] for i, row in enumerate(shares)])
     if budget % 2:
         exchanged = point + _EXCHANGES
         scores = _row_entropies(exchanged.reshape(-1, 4), n).reshape(-1, 4).sum(axis=1)
@@ -429,8 +421,8 @@ def _retro_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
 def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n)
+    all_options, all_entropies, hull = _retro_options(n)  # first, so an oversized grid fails here
     floor, _ = _retro_incumbent(n, budget)
-    all_options, all_entropies, hull = _retro_options(n)
     ceiling = _ceilings(hull, budget)
     # reach[c]: the options that can reach the floor with special cell c
     reach = np.array([_reaches(all_entropies, budget - all_options[:, c], ceiling, floor) for c in range(4)])
@@ -438,8 +430,8 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     options, entropies, reach = all_options[keep], all_entropies[keep], reach[:, keep]
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
-    cells_a, q_a, value_a = _retro_half(options, entropies, reach, *_SPECIAL[:2], n, budget)
-    half_b = _retro_half(options, entropies, reach, *_SPECIAL[2:], n, budget)
+    cells_a, q_a, value_a = _retro_half(options, entropies, reach, *SPECIAL[:2], n, budget)
+    half_b = _retro_half(options, entropies, reach, *SPECIAL[2:], n, budget)
     # A rows by (q, cells), so ties go to the least special mass, then the first
     # cell sums; their partners hold the complement sums n - c, at flat index
     # (n+1)^3 - 1 - cells
@@ -447,9 +439,9 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     cells_a, q_a, value_a = cells_a[by_q], q_a[by_q], value_a[by_q]
     row_a, row_b = _pair_join((n + 1) ** 3 - 1 - cells_a, q_a, value_a, *half_b, budget)
     k1, k2 = _retro_pair_from(
-        options, entropies, *_SPECIAL[:2], cells_a[row_a], q_a[row_a], value_a[row_a], n
+        options, entropies, *SPECIAL[:2], cells_a[row_a], q_a[row_a], value_a[row_a], n
     )
-    k3, k4 = _retro_pair_from(options, entropies, *_SPECIAL[2:], *(col[row_b] for col in half_b), n)
+    k3, k4 = _retro_pair_from(options, entropies, *SPECIAL[2:], *(col[row_b] for col in half_b), n)
     dists = [SettingDist.joint((row / n).tolist()) for row in (k1, k2, k3, k4)]
     return _grid_result(cfg, "oracle-retro", dists, len(options), math.comb(n + 3, 3), floor)
 
@@ -528,7 +520,7 @@ def _causal_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
     sums = np.where(4 * q <= budget, 4.0 * h, -np.inf)
     t = int(sums.argmax())
     return float(sums[t]), np.array(
-        [_flip_marginals(mu, nu, int(a[t]), int(b[t]), n) for mu, nu in LAMBDA_CLASSES]
+        [flip_marginals(mu, nu, int(a[t]), int(b[t]), n) for mu, nu in LAMBDA_CLASSES]
     )
 
 
@@ -556,8 +548,8 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
 
     def half(cls_first, cls_second, flip):
         """Pairs whose raw marginal sums (sum i, sum j, sum i*j) fit, keyed by them or by their complements."""
-        i1, j1 = _flip_marginals(*cls_first, a, b, n)
-        i2, j2 = _flip_marginals(*cls_second, a, b, n)
+        i1, j1 = flip_marginals(*cls_first, a, b, n)
+        i2, j2 = flip_marginals(*cls_second, a, b, n)
         si, sj = i1[first] + i2[second], j1[first] + j2[second]
         sij = (i1 * j1)[first] + (i2 * j2)[second]
         rows = np.flatnonzero(sij <= nn)
@@ -574,7 +566,7 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     states = (first[pair_a], second[pair_a], first[pair_b], second[pair_b])
     dists = []
     for (mu, nu), k in zip(LAMBDA_CLASSES, states):
-        i, j = _flip_marginals(mu, nu, int(a[k]), int(b[k]), n)
+        i, j = flip_marginals(mu, nu, int(a[k]), int(b[k]), n)
         dists.append(SettingDist.factorized(i / n, j / n))
     return _grid_result(cfg, "oracle-causal", dists, len(keep), (n + 1) ** 2, floor)
 
@@ -619,99 +611,7 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     hit = by_grid[int(value.argmax())]
     best = (a1[hit], a2[hit], a3[hit], a4[hit])
     dists = [
-        SettingDist.factorized(_flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
+        SettingDist.factorized(flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
         for (mu, nu), a in zip(LAMBDA_CLASSES, best)
     ]
     return _grid_result(cfg, "oracle-onesided", dists, n + 1, n + 1)
-
-
-# ---------------------------------------------------------------------------
-# bound chain
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundChainReport:
-    """Per-model audit of the CHSH upper bounds and their saturation conditions.
-
-    The inequalities are guaranteed for models whose derived setting
-    distribution is uniform (marginal_uniform); the causal fields are None
-    when the per-state conditionals do not factorize.
-    """
-
-    classes: tuple[tuple[int, int], ...]
-    s_value: float
-    marginal_uniform: bool
-    general_bound: float
-    general_saturated: bool
-    p_min: float
-    p_min_bound: float
-    p_min_saturated: bool
-    causal_bound: float | None
-    causal_saturated: bool | None
-    s_within_general: bool
-    s_within_p_min: bool
-    s_within_causal: bool | None
-
-
-def _state_class(st: HiddenState) -> tuple[int, int]:
-    mu = 0 if st.a(1) == st.a(0) else 1
-    nu = 0 if st.b(1) == st.b(0) else 1
-    return mu, nu
-
-
-def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
-    """Classify each state, evaluate the CHSH bound chain, and test saturation."""
-    classes = tuple(_state_class(st) for st in m.states)
-    s_value = chsh_value(m)
-    marg = derived_marginal(m)
-    uniform = all(abs(p - 0.25) <= 1e-9 for p in marg.probs)
-
-    general = 0.0
-    general_sat = True
-    p_min = min(min(st.dist.probs) for st in m.states if st.weight > 0.0)
-    p_min_sat = True
-    for st, (mu, nu) in zip(m.states, classes):
-        if st.weight <= 0.0:
-            continue
-        special = st.dist.probs[_special_cell(mu, nu)]
-        gap = 1.0 - 2.0 * special
-        general += 4.0 * st.weight * abs(gap)
-        if abs(gap) > tol and st.a(0) * st.b(0) != (-1) ** (mu * nu) * (1 if gap > 0 else -1):
-            general_sat = False
-        if min(abs(special - p_min), abs(special - (1.0 - p_min))) > tol:
-            p_min_sat = False
-    p_min_sat = p_min_sat and general_sat
-    p_min_bound = 4.0 - 8.0 * p_min
-
-    causal_bound = None
-    causal_sat = None
-    if is_factorized_per_lambda(m):
-        causal_bound = 0.0
-        causal_sat = general_sat
-        for st, (mu, nu) in zip(m.states, classes):
-            if st.weight <= 0.0:
-                continue
-            px0, py0 = st.dist.px0(), st.dist.py0()
-            pmin_x = min(px0, 1.0 - px0)
-            pmin_y = min(py0, 1.0 - py0)
-            causal_bound += st.weight * (4.0 - 8.0 * pmin_x * pmin_y)
-            p_xbar, p_ybar = _flip_marginals(mu, nu, px0, py0)  # special-side masses
-            if abs(p_xbar - pmin_x) > tol or abs(p_ybar - pmin_y) > tol:
-                causal_sat = False
-
-    return BoundChainReport(
-        classes=classes,
-        s_value=s_value,
-        marginal_uniform=uniform,
-        general_bound=general,
-        general_saturated=general_sat,
-        p_min=p_min,
-        p_min_bound=p_min_bound,
-        p_min_saturated=p_min_sat,
-        causal_bound=causal_bound,
-        causal_saturated=causal_sat,
-        s_within_general=s_value <= general + tol,
-        s_within_p_min=s_value <= p_min_bound + tol,
-        s_within_causal=None if causal_bound is None else s_value <= causal_bound + tol,
-    )

@@ -81,6 +81,7 @@ OVERSIZED_GRIDS = [
     (bc.CausalClass.ONE_SIDED, 10**15, S_Q),
     (bc.CausalClass.CAUSAL, 10**9, S_Q),
     (bc.CausalClass.ONE_SIDED, 10**9, S_Q),
+    (bc.CausalClass.RETROCAUSAL, 10**9, S_Q),
 ]
 
 

@@ -184,9 +184,27 @@ def test_model_families_build(capsys, tmp_path):
         ["model", "--family", "extreme-bias", "--p", "0.2"],
         ["model", "--family", "table2", "--p", "0.1", "--branch", "conjugate"],
         ["model", "--family", "table1", "--p", "0.1", "--bias-x", "0.4", "--bias-y", "-0.2"],
+        ["model", "--family", "table2", "--p", "0.1", "--ptilde", "0.3", "--bias-y", "0.2"],
     ):
         assert main(argv) == 0, argv
         json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--family", "extreme-bias", "--p", "0.2", "--bias-x", "0.5"], "--bias-x"),
+        (["--family", "extreme-bias", "--p", "0.2", "--bias-y", "0"], "--bias-y"),
+        (["--family", "table1", "--p", "0.1", "--ptilde", "0.3"], "--ptilde"),
+        (["--family", "onesided", "--p", "0.1", "--branch", "conjugate"], "--branch"),
+        (["--family", "superdet", "--p", "0.1", "--branch", "same"], "--branch"),
+        (["--family", "table2", "--p", "0.1", "--branch", "conjugate", "--ptilde", "0.3"], "--ptilde"),
+    ],
+)
+def test_model_rejects_flags_its_family_ignores(argv, flag, capsys):
+    assert main(["model", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
 
 
 def test_sample_missing_model_file_is_usage_error(tmp_path, capsys):

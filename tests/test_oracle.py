@@ -151,8 +151,8 @@ def test_search_is_deterministic():
 
 def _naive_retro_best(n, target, tol=1e-9):
     """Full four-way enumeration over the joint grid (exact uniform marginal)."""
+    from bellcost._geometry import SPECIAL
     from bellcost.oracle import _compositions4, _row_entropies, _special_budget
-    import bellcost.oracle as oracle_mod
 
     budget = _special_budget(
         bc.SearchConfig(resolution=n, target_s=target, causal_class=RETRO, tolerance=tol), n
@@ -170,8 +170,7 @@ def _naive_retro_best(n, target, tol=1e-9):
         col = K[:, c]
         total = col[ax[0]] + col[ax[1]] + col[ax[2]] + col[ax[3]]
         ok &= total == n
-    specials = oracle_mod._SPECIAL
-    q = sum(K[:, specials[k]][ax[k]] for k in range(4))
+    q = sum(K[:, SPECIAL[k]][ax[k]] for k in range(4))
     ok &= q <= budget
     value = sum(H[ax[k]] for k in range(4))
     if not ok.any():
@@ -374,11 +373,12 @@ def _scatter_half(rows, n, budget):
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_retro_half_matches_pairwise_loop(n):
-    from bellcost.oracle import _compositions4, _row_entropies, _SPECIAL
+    from bellcost._geometry import SPECIAL
+    from bellcost.oracle import _compositions4, _row_entropies
 
     K = _compositions4(n)
     H = _row_entropies(K, n)
-    for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
+    for sp_first, sp_second in ((SPECIAL[0], SPECIAL[1]), (SPECIAL[2], SPECIAL[3])):
         for budget in (0, 1, n, 4 * n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)
             if budget > 2 * n:  # one half's special mass never exceeds 2n, so the cap loses nothing
@@ -390,17 +390,12 @@ def test_retro_half_matches_pairwise_loop(n):
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_pruned_retro_half_is_exact_above_the_floor(n):
     """Cells whose best pair plus the ceiling C_2 of the spare budget reaches the floor are exact."""
-    from bellcost.oracle import (
-        _SPECIAL,
-        _ceilings,
-        _compositions4,
-        _retro_options,
-        _row_entropies,
-    )
+    from bellcost._geometry import SPECIAL
+    from bellcost.oracle import _ceilings, _compositions4, _retro_options, _row_entropies
 
     K = _compositions4(n)
     H = _row_entropies(K, n)
-    for sp_first, sp_second in ((_SPECIAL[0], _SPECIAL[1]), (_SPECIAL[2], _SPECIAL[3])):
+    for sp_first, sp_second in ((SPECIAL[0], SPECIAL[1]), (SPECIAL[2], SPECIAL[3])):
         for budget in (1, n, 4 * n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)[: 2 * n + 1]
             rest = _ceilings(_retro_options(n)[2], budget)[2][budget - np.arange(len(want))]
@@ -536,7 +531,7 @@ def test_floor_at_the_optimum_keeps_it(monkeypatch):
 @pytest.mark.parametrize("cls", [RETRO, CAUSAL])
 def test_incumbent_is_a_feasible_point_under_the_optimum(cls):
     """The pruning floor is the entropy sum of an exactly uniform model that reaches the target."""
-    from bellcost.models import _class_model
+    from bellcost._geometry import class_model
     from bellcost.oracle import _causal_incumbent, _retro_incumbent, _special_budget
 
     remainders = set()
@@ -550,7 +545,7 @@ def test_incumbent_is_a_feasible_point_under_the_optimum(cls):
                 dists = [bc.SettingDist.joint((row / n).tolist()) for row in rows]
             else:
                 dists = [bc.SettingDist.factorized(i / n, j / n) for i, j in rows.tolist()]
-            m = _class_model(dists, "incumbent")
+            m = class_model(dists, "incumbent")
             assert all(abs(p - 0.25) <= 1e-12 for p in bc.derived_marginal(m).probs), (n, target)
             assert bc.chsh_value(m) >= cfg.target_s - cfg.tolerance, (n, target)
             entropies = [-sum(p * math.log2(p) for p in st.dist.probs if p > 0) for st in m.states]
@@ -558,14 +553,14 @@ def test_incumbent_is_a_feasible_point_under_the_optimum(cls):
             assert floor <= 4.0 * (2.0 - bc.brute_force_min_info(cfg).best_info) + 1e-9, (n, target)
     assert remainders == {0, 1, 2, 3}
     if cls is RETRO:  # construction only: every budget, odd ones through the exchange
-        from bellcost.oracle import _SPECIAL
+        from bellcost._geometry import SPECIAL
 
         for n in range(4, 25):
             for budget in range(4 * n + 1):
                 floor, rows = _retro_incumbent(n, budget)
                 assert rows.min() >= 0, (n, budget)
                 assert (rows.sum(axis=1) == n).all() and (rows.sum(axis=0) == n).all(), (n, budget)
-                assert sum(int(rows[i, c]) for i, c in enumerate(_SPECIAL)) <= budget, (n, budget)
+                assert sum(int(rows[i, c]) for i, c in enumerate(SPECIAL)) <= budget, (n, budget)
                 entropies = [-sum(k / n * math.log2(k / n) for k in row if k > 0) for row in rows.tolist()]
                 assert sum(entropies) == pytest.approx(floor, abs=1e-12), (n, budget)
 
@@ -607,7 +602,7 @@ def test_one_sided_witness_matches_full_grid(n, target):
 
 def _dense_one_sided(cfg):
     """Reference one-sided search: argmax over a dense (N+1)^3 scan of (a1, a2, a3)."""
-    from bellcost.models import LAMBDA_CLASSES, _flip_marginals
+    from bellcost._geometry import LAMBDA_CLASSES, flip_marginals
     from bellcost.oracle import _floor_budget, _grid_entropies, _grid_result
 
     n = cfg.resolution
@@ -622,7 +617,7 @@ def _dense_one_sided(cfg):
     best = np.unravel_index(int(value.argmax()), value.shape)
     best = (*best, a4[best])
     dists = [
-        bc.SettingDist.factorized(_flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
+        bc.SettingDist.factorized(flip_marginals(mu, nu, int(a), 0, n)[0] / n, 0.5)
         for (mu, nu), a in zip(LAMBDA_CLASSES, best)
     ]
     return _grid_result(cfg, "oracle-onesided", dists, n + 1, n + 1)
