@@ -18,9 +18,12 @@ i_2 inversion bisects g(p*) = f((4-s)/(8 p*)) - f(p*) on [p0, 1/2].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
+
+import numpy as np
 
 from ._util import atomic_write_text, fmt12
 from .core import CausalClass, DomainError, _LOG2, _LOG2_3, binary_entropy
@@ -54,6 +57,9 @@ _EDGE_TOL = 1e-12
 
 #: Interior points of each second-derivative grid in appendix_checks.
 _APPENDIX_GRID_POINTS = 400
+
+#: |residual| at or below which _i_2_pairs takes its sign from math.log, not np.log.
+_LOG_SCREEN = 1e-12
 
 
 @unique
@@ -164,6 +170,9 @@ def conjugate(p: float) -> ConjugatePair:
 
 
 def _check_s(s: float, lo: float = 2.0) -> float:
+    # a float skips the numbers.Real check, which costs ~1 us per call
+    if type(s) is not float and (isinstance(s, bool) or not isinstance(s, numbers.Real)):
+        raise DomainError(f"CHSH value s={s!r} is not a real number")
     if not lo - 1e-9 <= s <= 4.0 + 1e-9:
         raise DomainError(f"CHSH value s={s!r} outside [{lo}, 4]")
     return min(max(s, lo), 4.0)
@@ -208,13 +217,65 @@ def i_2_pair(s: float) -> ConjugatePair:
     return ConjugatePair(target / p_star, p_star)
 
 
+def _exact_log(x: np.ndarray) -> np.ndarray:
+    """math.log of each element: the bits of the scalar path, which np.log may miss by an ulp."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+def _residuals(r: np.ndarray, q: np.ndarray, log) -> np.ndarray:
+    """i_2_pair's residual f(r) - f(q), elementwise, in the scalar path's order of operations."""
+    return r * log((1.0 - r) / r) / _LOG2 - q * log((1.0 - q) / q) / _LOG2
+
+
+def _i_2_pairs(s_values) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, p_star) of i_2_pair(s) for many s strictly inside (S0, 4), bit for bit.
+
+    Runs i_2_pair's bisection on every element at once: the same bracket
+    [p0, 1/2], midpoints, stopping width and step limit, and the residual's
+    arithmetic in the same order.  np.log can differ from math.log in the last
+    ulp or few, and each residual term r log((1-r)/r) / ln 2 is at most
+    f(p0) < 0.5 in size, so the np.log residual is within ~1e-15 of the
+    math.log one.  Only a residual within _LOG_SCREEN = 1e-12 of zero could
+    then take the other sign; those are recomputed with math.log, which makes
+    every step, and so every result, that of the scalar bisection.  The pairs
+    pass ConjugatePair's range and |f(p) - f(p*)| <= 1e-10 checks.
+    """
+    s = np.asarray(s_values, dtype=float)
+    if not np.all((s > s0()) & (s < 4.0)):
+        raise DomainError("_i_2_pairs needs every s strictly inside (S0, 4)")
+    p0 = find_p0()
+    target = (4.0 - s) / 8.0
+    lo = np.full_like(target, p0)
+    hi = np.full_like(target, 0.5)
+    for _ in range(200):
+        active = np.flatnonzero(hi - lo > 1e-15)
+        if active.size == 0:
+            break
+        q = 0.5 * (lo[active] + hi[active])
+        r = target[active] / q
+        v = _residuals(r, q, np.log)
+        near = np.flatnonzero(np.abs(v) <= _LOG_SCREEN)
+        if near.size:
+            v[near] = _residuals(r[near], q[near], _exact_log)
+        below = v < 0.0
+        lo[active[below]] = q[below]
+        hi[active[~below]] = q[~below]
+    p_star = 0.5 * (lo + hi)
+    p = target / p_star
+    in_range = (p > 0.0) & (p <= p0 + 1e-9) & (p_star >= p0 - 1e-9)
+    if not np.all(in_range & (np.abs(_residuals(p, p_star, np.log)) <= 1e-10)):
+        raise DomainError("_i_2_pairs: a pair fails ConjugatePair's range or residual check")  # pragma: no cover
+    return p, p_star
+
+
 def i_2(s: float) -> float:
     """Conjugate-pair causal branch on [S0, 4]: 2 - h(p) - h(p*)."""
-    return _pair_info(i_2_pair(s))
+    pair = i_2_pair(s)
+    return _pair_info(pair.p, pair.p_star)
 
 
-def _pair_info(pair: ConjugatePair) -> float:
-    return 2.0 - binary_entropy(pair.p) - binary_entropy(pair.p_star)
+def _pair_info(p: float, p_star: float) -> float:
+    return 2.0 - binary_entropy(p) - binary_entropy(p_star)
 
 
 def i_C(s: float) -> CurvePoint:
@@ -261,8 +322,8 @@ def curve_sweep(
     causal_class: CausalClass, s_min: float, s_max: float, n: int
 ) -> list[CurvePoint]:
     """n evenly spaced curve points on [s_min, s_max]."""
-    if n < 2:
-        raise DomainError("curve_sweep needs n >= 2")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise DomainError(f"curve_sweep needs an integer n >= 2, not {n!r}")
     s_min = _check_s(s_min)
     s_max = _check_s(s_max)
     if s_min > s_max:
@@ -320,7 +381,10 @@ def appendix_checks() -> AppendixReport:
     Slopes use step 1e-5 (central for i_1; i_2 lives on [S0, 4], so its slope
     at S0 uses the second-order one-sided stencil).  Second derivatives use
     central differences with step 1e-4 on interior grids of
-    _APPENDIX_GRID_POINTS points.
+    _APPENDIX_GRID_POINTS points.  The i_2 grid's pairs at s, s + 1e-4 and
+    s - 1e-4 are solved together by _i_2_pairs, an array bisection whose
+    np.log steps are screened and, near a root, settled by math.log, so each
+    pair has the bits of i_2_pair(s).
     """
     branch_point = s0()
     p0 = find_p0()
@@ -338,13 +402,15 @@ def appendix_checks() -> AppendixReport:
         (i_1(s + h2) - 2.0 * i_1(s) + i_1(s - h2)) / (h2 * h2) for s in grid1
     )
     grid2 = [branch_point + (4.0 - branch_point) * k / (n - 1) for k in range(1, n - 1)]
-    pairs2 = [i_2_pair(s) for s in grid2]
+    m = len(grid2)
+    p, p_star = _i_2_pairs(grid2 + [s + h2 for s in grid2] + [s - h2 for s in grid2])
+    info = [_pair_info(a, b) for a, b in zip(p.tolist(), p_star.tolist())]
     min_dd2 = min(
-        (i_2(s + h2) - 2.0 * _pair_info(pair) + i_2(s - h2)) / (h2 * h2)
-        for s, pair in zip(grid2, pairs2)
+        (up - 2.0 * mid + down) / (h2 * h2)
+        for mid, up, down in zip(info[:m], info[m : 2 * m], info[2 * m :])
     )
 
-    ratios = [f_of_p(pair.p) / (4.0 - s) for s, pair in zip(grid2, pairs2)]
+    ratios = [f_of_p(a) / (4.0 - s) for s, a in zip(grid2, p[:m].tolist())]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
 
     return AppendixReport(

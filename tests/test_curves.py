@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
+from bellcost.curves import _i_2_pairs
 
 from conftest import REF, S_Q
 
@@ -134,6 +136,41 @@ def test_i_2_pair_matches_a_bisection_through_f_of_p():
     for s in [s0 + 1e-12, 4.0 - 1e-12, *(s0 + (4.0 - s0) * k / 2000 for k in range(1, 2000))]:
         pair = bc.i_2_pair(s)
         assert (pair.p, pair.p_star) == reference(s), s
+
+
+def _assert_pairs_match_scalar(s_values):
+    p, p_star = _i_2_pairs(s_values)
+    for s, a, b in zip(s_values, p.tolist(), p_star.tolist()):
+        pair = bc.i_2_pair(s)
+        assert (a, b) == (pair.p, pair.p_star), s
+
+
+def test_i_2_pairs_match_i_2_pair_bit_for_bit():
+    """The array bisection reproduces the scalar one exactly: grid, both edges, and random points."""
+    s0 = bc.s0()
+    edges = [s0 + 10.0**-k for k in range(1, 16)] + [4.0 - 10.0**-k for k in range(1, 16)]
+    grid2001 = [s0 + 1e-12, 4.0 - 1e-12, *(s0 + (4.0 - s0) * k / 2000 for k in range(1, 2000))]
+    uniform = np.random.default_rng(20240517).uniform(s0, 4.0, 20_000).tolist()
+    for values in (edges, grid2001, uniform):
+        _assert_pairs_match_scalar(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=bc.s0(), max_value=4.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_i_2_pairs_property(s_values):
+    _assert_pairs_match_scalar(s_values)
+
+
+def test_i_2_pairs_rejects_points_off_the_open_branch():
+    for bad in ([2.0], [3.0, 3.9], [3.9, 4.0], [bc.s0()], [math.nan]):
+        with pytest.raises(bc.DomainError):
+            _i_2_pairs(bad)
 
 
 def test_i_2_against_high_precision_reference():
@@ -277,6 +314,19 @@ def test_curve_sweep_errors():
         bc.curve_sweep(bc.CausalClass.CAUSAL, 3.0, 2.5, 10)
     with pytest.raises(bc.DomainError):
         bc.curve_sweep(bc.CausalClass.CAUSAL, 1.0, 3.0, 10)
+
+
+@pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
+def test_curve_sweep_rejects_a_non_integer_count(n):
+    with pytest.raises(bc.DomainError, match="integer n"):
+        bc.curve_sweep(bc.CausalClass.CAUSAL, 2, 4, n)
+
+
+@pytest.mark.parametrize("cls", list(bc.CausalClass))
+@pytest.mark.parametrize("s", ["3", None, 3 + 0j, b"3", [3.0], np.array([3.0]), True])
+def test_curve_point_rejects_a_non_real_s(cls, s):
+    with pytest.raises(bc.DomainError):
+        bc.curve_point(cls, s)
 
 
 def test_sweep_csv_format(tmp_path):
