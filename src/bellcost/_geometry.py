@@ -69,7 +69,8 @@ class OutcomeSigns:
 
 def state_class(st: HiddenState) -> tuple[int, int]:
     """The (mu, nu) class of a state's responses: mu flags A_1 != A_0, nu flags B_1 != B_0."""
-    return int(st.a(1) != st.a(0)), int(st.b(1) != st.b(0))
+    a0, a1, b0, b1 = st.responses
+    return int(a1 != a0), int(b1 != b0)
 
 
 def flip_marginals(mu: int, nu: int, a, b, whole=1.0):
@@ -137,7 +138,8 @@ def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
         gap = 1.0 - 2.0 * special
         general += 4.0 * st.weight * abs(gap)
         # a state reaches 4 |gap| only if its overall outcome sign, A_0 B_0 / class_sign(0, 0), is the gap's
-        if abs(gap) > tol and st.a(0) * st.b(0) != class_sign(mu, nu, 0, 0) * (1 if gap > 0 else -1):
+        a0, _, b0, _ = st.responses
+        if abs(gap) > tol and a0 * b0 != class_sign(mu, nu, 0, 0) * (1 if gap > 0 else -1):
             general_sat = False
         if min(abs(special - p_min), abs(special - (1.0 - p_min))) > tol:
             p_min_sat = False

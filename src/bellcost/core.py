@@ -7,14 +7,22 @@ provides the model data types, exact evaluators for the CHSH parameter and
 the setting/source mutual information, structural checks (per-state
 factorizability, non-signaling), and JSON serialization.
 
+A model's setting marginal p(x, y) is computed and validated once, at
+construction, and kept on the model.  The evaluators read it, and the
+states' probabilities and responses, directly: each value was checked when
+the object holding it was built, so they neither sum nor check it again.
+
 Conventions: settings are bits, outcomes are -1/+1, entropies are in bits,
 and 0*log2(0) == 0 throughout.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, Sequence
@@ -119,6 +127,16 @@ class CausalClass(Enum):
     SUPERDETERMINISTIC = "superdet"
 
 
+def _require_real(value, what: str) -> None:
+    """Raise DomainError unless value is a real number (int, float, numpy scalar), not a bool.
+
+    A float passes before the numbers.Real check, which costs ~1 us per call;
+    the hottest callers test type(value) is float themselves, to skip the call.
+    """
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{what}={value!r} is not a real number")
+
+
 # ---------------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------------
@@ -126,6 +144,8 @@ class CausalClass(Enum):
 
 def binary_entropy(p: float) -> float:
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), in bits."""
+    if type(p) is not float:
+        _require_real(p, "binary_entropy: p")
     if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
         raise DomainError(f"binary_entropy: p={p!r} outside [0, 1]")
     if p <= 0.0 or p >= 1.0:
@@ -167,19 +187,20 @@ class SettingDist:
     marginals: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         object.__setattr__(self, "probs", probs)
         if len(probs) != 4:
             raise InvalidModel("SettingDist needs exactly 4 probabilities")
         for p in probs:
             if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
                 raise InvalidModel(f"setting probability {p!r} outside [0, 1]")
-        if abs(sum(probs) - 1.0) > SUM_TOL:
-            raise InvalidModel(f"setting probabilities sum to {sum(probs)!r}, not 1")
+        total = sum(probs)
+        if abs(total - 1.0) > SUM_TOL:
+            raise InvalidModel(f"setting probabilities sum to {total!r}, not 1")
         if self.kind == "factorized":
             if self.marginals is None:
                 raise InvalidModel("factorized SettingDist requires marginals")
-            px0, py0 = (float(v) for v in self.marginals)
+            px0, py0 = map(float, self.marginals)
             object.__setattr__(self, "marginals", (px0, py0))
             for v in (px0, py0):
                 if not -STRUCT_TOL <= v <= 1.0 + STRUCT_TOL:
@@ -229,9 +250,29 @@ class SettingDist:
 
 
 def _check_sign(value: float, what: str) -> int:
+    """value as the int +1 or -1 it equals; anything else raises InvalidModel."""
     if value not in (-1, 1):
         raise InvalidModel(f"{what} must be exactly +1 or -1, got {value!r}")
-    return int(value)
+    return 1 if value == 1 else -1
+
+
+#: The 16 response rows (A0, A1, B0, B1), each keyed by itself, so that a tuple
+#: equal to one, such as (1.0, -1, 1, True), finds its int form in one lookup.
+_SIGN_ROWS = {row: row for row in itertools.product((1, -1), repeat=4)}
+
+
+def _sign_row(values) -> tuple[int, int, int, int]:
+    """Four responses as ints +/-1, each read as _check_sign reads it."""
+    if type(values) is tuple:
+        try:
+            row = _SIGN_ROWS.get(values)
+        except TypeError:  # an unhashable entry, which _check_sign rejects
+            row = None
+        if row is not None:
+            return row
+    if len(values) != 4:
+        raise InvalidModel("responses must be (A0, A1, B0, B1)")
+    return tuple(_check_sign(r, "response") for r in values)
 
 
 @dataclass(frozen=True)
@@ -247,10 +288,7 @@ class HiddenState:
         object.__setattr__(self, "weight", w)
         if not -STRUCT_TOL <= w <= 1.0 + STRUCT_TOL:
             raise InvalidModel(f"state weight {w!r} outside [0, 1]")
-        if len(self.responses) != 4:
-            raise InvalidModel("responses must be (A0, A1, B0, B1)")
-        resp = tuple(_check_sign(r, "response") for r in self.responses)
-        object.__setattr__(self, "responses", resp)
+        object.__setattr__(self, "responses", _sign_row(self.responses))
 
     def a(self, x: int) -> int:
         """Alice's response A_x."""
@@ -263,7 +301,14 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class Model:
-    """A finite separable hidden-variable model with deterministic outcomes."""
+    """A finite separable hidden-variable model with deterministic outcomes.
+
+    Construction also computes the setting marginal p(x, y), raising
+    InvalidModel if it is not a distribution, and keeps it for
+    derived_marginal and the evaluators.  It is a function of the states, so
+    it takes no part in ==, repr or the JSON form, and dataclasses.replace
+    computes it afresh.
+    """
 
     states: tuple[HiddenState, ...]
     label: str = ""
@@ -276,7 +321,7 @@ class Model:
         total = sum(s.weight for s in states)
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidModel(f"state weights sum to {total!r}, not 1")
-        derived_marginal(self)  # raises InvalidModel if the mixture is not a distribution
+        object.__setattr__(self, "_marginal", _mixture(states))
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -293,15 +338,15 @@ class Correlations:
     table: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(float(v) for v in self.table)
+        table = tuple(map(float, self.table))
         object.__setattr__(self, "table", table)
         if len(table) != 16:
             raise InvalidModel("correlations table needs 16 entries")
         for v in table:
             if not -STRUCT_TOL <= v <= 1.0 + STRUCT_TOL:
                 raise InvalidModel(f"correlation probability {v!r} outside [0, 1]")
-        for x, y in SETTINGS:
-            s = sum(table[setting_index(x, y) * 4 + k] for k in range(4))
+        for k, (x, y) in enumerate(SETTINGS):
+            s = sum(table[4 * k : 4 * k + 4])
             if abs(s - 1.0) > SUM_TOL:
                 raise InvalidModel(f"p(a,b|{x},{y}) sums to {s!r}, not 1")
 
@@ -328,38 +373,51 @@ class Correlations:
 # ---------------------------------------------------------------------------
 
 
-def derived_marginal(m: Model) -> SettingDist:
-    """Mixture setting distribution p(x,y) = sum_lambda p(lambda) p(x,y|lambda)."""
-    probs = [0.0, 0.0, 0.0, 0.0]
-    for st in m.states:
+def _mixture(states: tuple[HiddenState, ...]) -> SettingDist:
+    """p(x,y) = sum_lambda p(lambda) p(x,y|lambda), each entry summed state by state."""
+    p00 = p01 = p10 = p11 = 0.0
+    for st in states:
         w = st.weight
-        for k in range(4):
-            probs[k] += w * st.dist.probs[k]
+        q00, q01, q10, q11 = st.dist.probs
+        p00 += w * q00
+        p01 += w * q01
+        p10 += w * q10
+        p11 += w * q11
     try:
-        return SettingDist.joint(probs)
+        return SettingDist((p00, p01, p10, p11))
     except InvalidModel as exc:
         raise InvalidModel(f"derived marginal is not a distribution: {exc}") from exc
 
 
+def derived_marginal(m: Model) -> SettingDist:
+    """Mixture setting distribution p(x,y) = sum_lambda p(lambda) p(x,y|lambda).
+
+    The model computes it once, when it is built; this returns that value.
+    """
+    return m._marginal
+
+
 def posterior_weights(m: Model, x: int, y: int) -> tuple[float, ...]:
     """Retrocausal view p(lambda | x, y) = p(lambda) p(x,y|lambda) / p(x,y)."""
-    marg = derived_marginal(m).prob(x, y)
+    k = setting_index(x, y)
+    marg = m._marginal.probs[k]
     if marg <= 0.0:
         raise UndefinedCorrelator(f"setting ({x},{y}) has zero probability")
-    return tuple(st.weight * st.dist.prob(x, y) / marg for st in m.states)
+    return tuple(st.weight * st.dist.probs[k] / marg for st in m.states)
 
 
 def correlators(m: Model) -> tuple[float, float, float, float]:
     """The four correlators <AB>_{xy}, in setting_index order."""
-    marg = derived_marginal(m)
+    marg = m._marginal.probs
     out = []
-    for x, y in SETTINGS:
-        pxy = marg.prob(x, y)
+    for k, (x, y) in enumerate(SETTINGS):
+        pxy = marg[k]
         if pxy <= 0.0:
             raise UndefinedCorrelator(f"setting ({x},{y}) has zero probability")
         acc = 0.0
         for st in m.states:
-            acc += st.weight * st.dist.prob(x, y) * st.a(x) * st.b(y)
+            r = st.responses
+            acc += st.weight * st.dist.probs[k] * r[x] * r[2 + y]
         out.append(acc / pxy)
     return tuple(out)
 
@@ -374,22 +432,21 @@ def chsh_value(m: Model, permutation: tuple[int, int, int, int] | None = None) -
     tuple of four signs (product must be -1); the default is the standard one.
     """
     if permutation is None:
-        permutation = _DEFAULT_PERMUTATION
-    signs = tuple(permutation)
-    if len(signs) != 4 or any(s not in (-1, 1) for s in signs) or math.prod(signs) != -1:
-        raise DomainError("CHSH permutation must be four signs with product -1")
-    corr = correlators(m)
-    return sum(s * c for s, c in zip(signs, corr))
+        signs = _DEFAULT_PERMUTATION
+    else:
+        signs = tuple(permutation)
+        if len(signs) != 4 or any(s not in (-1, 1) for s in signs) or math.prod(signs) != -1:
+            raise DomainError("CHSH permutation must be four signs with product -1")
+    return sum(map(operator.mul, signs, correlators(m)))
 
 
 def mutual_information(m: Model) -> float:
     """I(X,Y : Lambda) = H(X,Y) - sum_lambda p(lambda) H_lambda(X,Y), in bits."""
-    h_marg = derived_marginal(m).entropy()
     cond = 0.0
     for st in m.states:
         if st.weight > 0.0:
             cond += st.weight * st.dist.entropy()
-    return h_marg - cond
+    return m._marginal.entropy() - cond
 
 
 def is_factorized_per_lambda(m: Model, tol: float = STRUCT_TOL) -> bool:
@@ -403,16 +460,15 @@ def is_factorized_per_lambda(m: Model, tol: float = STRUCT_TOL) -> bool:
 
 def correlations_of(m: Model) -> Correlations:
     """Observable table p(a,b|x,y) = sum_lambda p(lambda|x,y) [a=A_x][b=B_y]."""
-    marg = derived_marginal(m)
+    marg = m._marginal.probs
     table = [0.0] * 16
-    for x, y in SETTINGS:
-        pxy = marg.prob(x, y)
+    for k, (x, y) in enumerate(SETTINGS):
+        pxy = marg[k]
         if pxy <= 0.0:
             raise UndefinedCorrelator(f"setting ({x},{y}) has zero probability")
-        base = setting_index(x, y) * 4
         for st in m.states:
-            k = base + 2 * (st.a(x) == -1) + (st.b(y) == -1)
-            table[k] += st.weight * st.dist.prob(x, y) / pxy
+            r = st.responses
+            table[4 * k + 2 * (r[x] == -1) + (r[2 + y] == -1)] += st.weight * st.dist.probs[k] / pxy
     return Correlations(tuple(table))
 
 

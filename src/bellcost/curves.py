@@ -18,7 +18,6 @@ i_2 inversion bisects g(p*) = f((4-s)/(8 p*)) - f(p*) on [p0, 1/2].
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
@@ -26,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import atomic_write_text, fmt12
-from .core import CausalClass, DomainError, _LOG2, _LOG2_3, binary_entropy
+from .core import CausalClass, DomainError, _LOG2, _LOG2_3, _require_real, binary_entropy
 
 __all__ = [
     "Branch",
@@ -68,6 +67,10 @@ class Branch(Enum):
     I2 = "I2"
 
 
+#: A branch's CSV token: its value, or empty for a curve without branches.
+_BRANCH_TOKEN = {None: "", **{branch: branch.value for branch in Branch}}
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """A point (s, info) on a minimal-information curve, with the causal branch tag."""
@@ -91,6 +94,8 @@ class ConjugatePair:
     p_star: float
 
     def __post_init__(self) -> None:
+        _require_real(self.p, "conjugate p")
+        _require_real(self.p_star, "conjugate p_star")
         p0 = find_p0()
         if not -_EDGE_TOL <= self.p <= p0 + 1e-9:
             raise DomainError(f"conjugate p={self.p!r} outside [0, p0]")
@@ -102,6 +107,8 @@ class ConjugatePair:
 
 def f_of_p(p: float) -> float:
     """f(p) = p log2((1-p)/p) on [0, 1/2], with f(0) = 0 by continuity."""
+    if type(p) is not float:
+        _require_real(p, "f_of_p: p")
     if not -_EDGE_TOL <= p <= 0.5 + _EDGE_TOL:
         raise DomainError(f"f_of_p: p={p!r} outside [0, 1/2]")
     if p <= 0.0:
@@ -116,6 +123,9 @@ def _h_slope(p: float) -> float:
 
 def f_slope(p: float) -> float:
     """df/dp = log2((1-p)/p) - 1/((1-p) ln 2), for p in (0, 1/2]."""
+    _require_real(p, "f_slope: p")
+    if not 0.0 < p <= 0.5 + _EDGE_TOL:
+        raise DomainError(f"f_slope: p={p!r} outside (0, 1/2]")
     return _h_slope(p) - 1.0 / ((1.0 - p) * _LOG2)
 
 
@@ -155,6 +165,7 @@ def s0() -> float:
 
 def conjugate(p: float) -> ConjugatePair:
     """The pair (p, p*) with f(p*) = f(p) and p* on the decreasing branch [p0, 1/2]."""
+    _require_real(p, "conjugate: p")
     p0 = find_p0()
     if not -_EDGE_TOL <= p <= p0 + _EDGE_TOL:
         raise DomainError(f"conjugate: p={p!r} outside [0, p0]")
@@ -170,24 +181,33 @@ def conjugate(p: float) -> ConjugatePair:
 
 
 def _check_s(s: float, lo: float = 2.0) -> float:
-    # a float skips the numbers.Real check, which costs ~1 us per call
-    if type(s) is not float and (isinstance(s, bool) or not isinstance(s, numbers.Real)):
-        raise DomainError(f"CHSH value s={s!r} is not a real number")
+    if type(s) is not float:
+        _require_real(s, "CHSH value s")
     if not lo - 1e-9 <= s <= 4.0 + 1e-9:
         raise DomainError(f"CHSH value s={s!r} outside [{lo}, 4]")
     return min(max(s, lo), 4.0)
 
 
+# Each curve has a public function, which checks s with _check_s, and a
+# private kernel, which takes an s that has passed it.
+
+
 def i_R(s: float) -> float:
     """Retrocausal minimum: 2 - h((4-s)/8) - ((4+s)/8) log2 3."""
-    s = _check_s(s)
+    return _i_R(_check_s(s))
+
+
+def _i_R(s: float) -> float:
     value = 2.0 - binary_entropy((4.0 - s) / 8.0) - (4.0 + s) / 8.0 * _LOG2_3
     return max(0.0, value)  # the closed form leaves -2e-16 at s = 2
 
 
 def i_1(s: float) -> float:
     """Equal-pair causal branch: 2 - 2 h(sqrt((4-s)/8))."""
-    s = _check_s(s)
+    return _i_1(_check_s(s))
+
+
+def _i_1(s: float) -> float:
     return 2.0 - 2.0 * binary_entropy(math.sqrt((4.0 - s) / 8.0))
 
 
@@ -199,7 +219,10 @@ def i_2_pair(s: float) -> ConjugatePair:
     the sign changes once because p p*(p) is monotone on [0, p0].  The product
     constraint holds by construction.
     """
-    s = _check_s(s, lo=s0())
+    return _i_2_pair(_check_s(s, lo=s0()))
+
+
+def _i_2_pair(s: float) -> ConjugatePair:
     p0 = find_p0()
     if s == 4.0:
         return ConjugatePair(0.0, 0.5)
@@ -270,7 +293,11 @@ def _i_2_pairs(s_values) -> tuple[np.ndarray, np.ndarray]:
 
 def i_2(s: float) -> float:
     """Conjugate-pair causal branch on [S0, 4]: 2 - h(p) - h(p*)."""
-    pair = i_2_pair(s)
+    return _i_2(_check_s(s, lo=s0()))
+
+
+def _i_2(s: float) -> float:
+    pair = _i_2_pair(s)
     return _pair_info(pair.p, pair.p_star)
 
 
@@ -282,13 +309,16 @@ def i_C(s: float) -> CurvePoint:
     """Causal minimum: i_1 below S0, i_2 above, with the branch tag."""
     s = _check_s(s)
     if s <= s0():
-        return CurvePoint(s, i_1(s), Branch.I1)
-    return CurvePoint(s, i_2(s), Branch.I2)
+        return CurvePoint(s, _i_1(s), Branch.I1)
+    return CurvePoint(s, _i_2(s), Branch.I2)
 
 
 def i_OS(s: float) -> float:
     """One-sided minimum: 1 - h(s/4)."""
-    s = _check_s(s)
+    return _i_OS(_check_s(s))
+
+
+def _i_OS(s: float) -> float:
     return 1.0 - binary_entropy(s / 4.0)
 
 
@@ -305,14 +335,14 @@ def i_SD(s: float) -> float:
 
 def curve_point(causal_class: CausalClass, s: float) -> CurvePoint:
     """Evaluate the minimal-information curve of a causal class at s."""
-    if causal_class is CausalClass.RETROCAUSAL:
-        return CurvePoint(_check_s(s), i_R(s))
-    if causal_class is CausalClass.CAUSAL:
+    if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
         return i_C(s)
-    if causal_class is CausalClass.ZIGZAG:
-        return i_Z(s)
+    if causal_class is CausalClass.RETROCAUSAL:
+        s = _check_s(s)
+        return CurvePoint(s, _i_R(s))
     if causal_class is CausalClass.ONE_SIDED:
-        return CurvePoint(_check_s(s), i_OS(s))
+        s = _check_s(s)
+        return CurvePoint(s, _i_OS(s))
     if causal_class is CausalClass.SUPERDETERMINISTIC:
         return CurvePoint(_check_s(s), i_SD(s))
     raise DomainError(f"unknown causal class {causal_class!r}")  # pragma: no cover
@@ -337,9 +367,10 @@ def sweep_to_csv(
 ) -> str:
     """Render a sweep as CSV (header S,I,branch,class; 12 significant digits; LF)."""
     lines = ["S,I,branch,class"]
+    token = causal_class.value
     for pt in points:
-        branch = pt.branch.value if pt.branch is not None else ""
-        lines.append(f"{fmt12(pt.s)},{fmt12(pt.info)},{branch},{causal_class.value}")
+        branch = _BRANCH_TOKEN[pt.branch]
+        lines.append(f"{fmt12(pt.s)},{fmt12(pt.info)},{branch},{token}")
     text = "\n".join(lines) + "\n"
     if path is not None:
         atomic_write_text(path, text)
@@ -398,8 +429,9 @@ def appendix_checks() -> AppendixReport:
     h2 = 1e-4
     n = _APPENDIX_GRID_POINTS + 2
     grid1 = [2.0 + (4.0 - 2.0) * k / (n - 1) for k in range(1, n - 1)]
+    # every s and s +/- h2 lies inside (2, 4), where _check_s returns s as it is
     min_dd1 = min(
-        (i_1(s + h2) - 2.0 * i_1(s) + i_1(s - h2)) / (h2 * h2) for s in grid1
+        (_i_1(s + h2) - 2.0 * _i_1(s) + _i_1(s - h2)) / (h2 * h2) for s in grid1
     )
     grid2 = [branch_point + (4.0 - branch_point) * k / (n - 1) for k in range(1, n - 1)]
     m = len(grid2)

@@ -28,6 +28,7 @@ from .core import (
     SETTINGS,
     SettingDist,
     _LOG2_3,
+    _require_real,
     binary_entropy,
     posterior_weights,
     setting_index,
@@ -61,6 +62,7 @@ class Bias:
 
     def __post_init__(self) -> None:
         for name, eps in (("eps_x", self.eps_x), ("eps_y", self.eps_y)):
+            _require_real(eps, name)
             if not abs(eps) <= 1.0 + 1e-12:
                 raise DomainError(f"{name}={eps!r} outside [-1, 1]")
 
@@ -86,6 +88,7 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     State (mu, nu) puts probability p on the setting (1-nu, 1-mu) and
     (1-p)/3 on the other three.  CHSH value 4 - 8p for p in [0, 1/4].
     """
+    _require_real(p, "table1_model: p")
     if not -1e-12 <= p <= 0.25 + 1e-12:
         raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
@@ -103,6 +106,7 @@ def causal_pair_model(
     for mu=0 (else ptilde).  CHSH value 4 - 8 p ptilde.
     """
     for name, v in (("p", p), ("ptilde", ptilde)):
+        _require_real(v, f"causal_pair_model: {name}")
         if not -1e-12 <= v <= 0.5 + 1e-12:
             raise DomainError(f"causal_pair_model: {name}={v!r} outside [0, 1/2]")
     p = min(max(p, 0.0), 0.5)
@@ -117,6 +121,7 @@ def table2_model(
     signs: OutcomeSigns | None = None,
 ) -> Model:
     """Causal optimum: ptilde = p on the Same branch, ptilde = p* on the Conjugate branch."""
+    _require_real(p, "table2_model: p")
     if branch is Table2Branch.SAME:
         ptilde = p
     elif branch is Table2Branch.CONJUGATE:
@@ -183,6 +188,7 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
     arbitrarily small as q approaches 0 or 1.  Needs 0 < q < 1 so that all
     settings occur.
     """
+    _require_real(q, "extreme_bias_example: q")
     if not 0.0 < q < 1.0:
         raise DomainError(f"extreme_bias_example: q={q!r} outside (0, 1)")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, 0.0, 0.0)) for mu, nu in LAMBDA_CLASSES]
@@ -249,21 +255,17 @@ def biased_lift(
     else:
         post = [posterior_weights(base_m, x, y) for x, y in SETTINGS]
 
-    settings = bias.settings()
+    settings = bias.settings().probs
     n = len(base_m.states)
     weights = [0.0] * n
-    for k, (x, y) in enumerate(SETTINGS):
-        pxy = settings.prob(x, y)
+    for pxy, post_xy in zip(settings, post):
         for lam in range(n):
-            weights[lam] += pxy * post[k][lam]
+            weights[lam] += pxy * post_xy[lam]
     states = []
     for lam, st in enumerate(base_m.states):
         if weights[lam] <= 0.0:
             raise DomainError("bias lift produced a zero-weight state")  # pragma: no cover
-        probs = [
-            settings.prob(x, y) * post[setting_index(x, y)][lam] / weights[lam]
-            for x, y in SETTINGS
-        ]
+        probs = [pxy * post_xy[lam] / weights[lam] for pxy, post_xy in zip(settings, post)]
         states.append(HiddenState(weights[lam], SettingDist.joint(probs), st.responses))
     label = f"biased({base.value}, eps=({bias.eps_x!r},{bias.eps_y!r}), {base_m.label})"
     return Model(tuple(states), label=label)
@@ -301,6 +303,7 @@ def biased_info(
         if s is None:
             if p is None:
                 raise DomainError("retrocausal biased_info needs s or p")
+            _require_real(p, "biased_info: p")
             s = 4.0 - 8.0 * p
         s = _check_s(s)
         outcomes = [
@@ -317,6 +320,8 @@ def biased_info(
     if base in (CausalClass.CAUSAL, CausalClass.ZIGZAG):
         if p is None or ptilde is None:
             raise DomainError("causal biased_info needs p and ptilde")
+        _require_real(p, "biased_info: p")
+        _require_real(ptilde, "biased_info: ptilde")
         return (
             binary_entropy((1.0 + ex * (1.0 - 2.0 * p)) / 2.0)
             - binary_entropy(p)
@@ -327,6 +332,7 @@ def biased_info(
         if s is None:
             if p is None:
                 raise DomainError("one-sided biased_info needs s or p")
+            _require_real(p, "biased_info: p")
             s = 4.0 - 4.0 * p
         s = _check_s(s)
         return binary_entropy((1.0 + ex * (s / 2.0 - 1.0)) / 2.0) - binary_entropy(s / 4.0)

@@ -209,7 +209,7 @@ def _round_blocks(
         cum_s = np.cumsum(marg.probs)
         cum_post = np.zeros((4, n_states))
         for k, (x, y) in enumerate(SETTINGS):
-            if marg.prob(x, y) > 0.0:
+            if marg.probs[k] > 0.0:
                 cum_post[k] = np.cumsum(posterior_weights(m, x, y))
             else:
                 cum_post[k] = 1.0  # never drawn
@@ -225,8 +225,8 @@ def _round_blocks(
     else:  # pragma: no cover
         raise DomainError(f"unknown sample order {order!r}")
 
-    resp_a = np.array([[st.a(0), st.a(1)] for st in m.states])
-    resp_b = np.array([[st.b(0), st.b(1)] for st in m.states])
+    resp_a = np.array([st.responses[:2] for st in m.states])
+    resp_b = np.array([st.responses[2:] for st in m.states])
 
     def blocks():
         for rows in _blocks(n):
@@ -397,7 +397,10 @@ def _csv_rows(rows: slice, columns: Sequence[np.ndarray]) -> str:
         q = np.abs(col)
         for place in range(1, digits + 1):
             leading = q == 0
-            q, r = np.divmod(q, 10)
+            if place < digits:
+                q, r = np.divmod(q, 10)
+            else:
+                r = q  # q < 10 in every row at the last place, so it is the digit
             chars[pos - place] = r + ord("0")
             if place > 1:
                 chars[pos - place][leading] = 0

@@ -32,6 +32,15 @@ def test_reproduce_passes(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.parametrize("cls", ["causal", "retro", "onesided"])
+def test_curve_output_is_pinned(cls, capsys):
+    """Each 201-point sweep is pinned byte for byte; CI diffs the console script against the same files."""
+    assert main(["curve", "--class", cls, "--points", "201"]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", f"curve-{cls}.txt")
+    with open(golden, newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_curve_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -1,7 +1,9 @@
 """Core types, entropies, exact evaluators, and serialization."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -99,20 +101,42 @@ def test_hidden_state_validation():
     assert st_.a(1) == -1 and st_.b(0) == 1
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: bc.SettingDist.joint([math.nan, 0.5, 0.25, 0.25]),
-        lambda: bc.SettingDist((0.25, 0.25, 0.25, 0.25), "factorized", (0.5, math.nan)),
-        lambda: bc.SettingDist.factorized(math.nan, 0.5),
-        lambda: bc.HiddenState(math.nan, bc.SettingDist.uniform(), (1, 1, 1, 1)),
-        lambda: bc.HiddenState(1.0, bc.SettingDist.uniform(), (1, 1, 1, math.nan)),
-        lambda: bc.Correlations((math.nan,) + (0.25,) * 15),
-    ],
-)
-def test_validators_reject_nan(build):
+_UNIFORM = bc.SettingDist.uniform()
+
+# (name, valid values, constructor from the values): every value the model types validate
+_VALIDATED = [
+    ("joint", [0.25] * 4, bc.SettingDist.joint),
+    ("joint-edge", [0.5, 0.5, 0.0, 0.0], bc.SettingDist.joint),
+    ("factorized", [0.5, 0.5], lambda v: bc.SettingDist.factorized(*v)),
+    ("marginals", [0.5, 0.5], lambda v: bc.SettingDist((0.25,) * 4, "factorized", tuple(v))),
+    ("weight", [0.5], lambda v: bc.HiddenState(v[0], _UNIFORM, (1, 1, 1, 1))),
+    ("responses", [1, -1, 1, -1], lambda v: bc.HiddenState(0.5, _UNIFORM, tuple(v))),
+    ("correlations", [0.25] * 16, lambda v: bc.Correlations(tuple(v))),
+]
+_POSITIONS = [
+    (f"{name}[{pos}]", values, build, pos) for name, values, build in _VALIDATED for pos in range(len(values))
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("values, build, pos", [c[1:] for c in _POSITIONS], ids=[c[0] for c in _POSITIONS])
+def test_validators_reject_nan_and_infinities_in_every_position(values, build, pos, bad):
+    """A min()/max() range check skips a NaN that is not first; every entry must be checked."""
+    build(values)
+    values = list(values)
+    values[pos] = bad
     with pytest.raises(bc.InvalidModel):
-        build()
+        build(values)
+
+
+def test_responses_equal_to_signs_are_stored_as_ints():
+    for raw in ((1.0, -1, True, np.int64(-1)), [1.0, -1, True, np.int64(-1)], (1 + 0j, -1.0, 1, -1)):
+        st_ = bc.HiddenState(0.5, _UNIFORM, raw)
+        assert st_.responses == (1, -1, 1, -1)
+        assert all(type(r) is int for r in st_.responses)
+    for raw in ((1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, [1]), (1, 1, 1, "1"), (1, 1, 1, 0.5)):
+        with pytest.raises(bc.InvalidModel):
+            bc.HiddenState(0.5, _UNIFORM, raw)
 
 
 def test_model_weight_validation():
@@ -178,6 +202,51 @@ def test_derived_marginal():
     dist = bc.SettingDist.joint([0.4, 0.3, 0.2, 0.1])
     single = bc.Model((bc.HiddenState(1.0, dist, (1, 1, 1, 1)),))
     assert bc.derived_marginal(single).probs == dist.probs
+
+
+def _left_to_right_marginal(m):
+    probs = [0.0] * 4
+    for st_ in m.states:
+        for k in range(4):
+            probs[k] += st_.weight * st_.dist.probs[k]
+    return probs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stored_marginal_is_the_left_to_right_sum(seed):
+    m = random_model(np.random.default_rng(3100 + seed))
+    marg = bc.derived_marginal(m)
+    assert [p.hex() for p in marg.probs] == [p.hex() for p in _left_to_right_marginal(m)]
+    assert marg == bc.SettingDist.joint(_left_to_right_marginal(m))
+    assert bc.derived_marginal(m) is marg  # kept on the model, not summed again
+
+
+def test_stored_marginal_is_not_part_of_the_model_value():
+    m = bc.flip_lift(bc.table2_model(0.1, bc.Table2Branch.CONJUGATE))
+    twin = bc.Model(m.states, m.label)
+    assert m == twin and hash(m) == hash(twin)
+    assert repr(m) == f"Model(states={m.states!r}, label={m.label!r})"
+    assert set(bc.model_to_dict(m)) == {"schema", "label", "states"}
+    assert bc.model_from_json(bc.model_to_json(m)) == m
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and repr(back) == repr(m) and bc.model_to_dict(back) == bc.model_to_dict(m)
+    assert bc.derived_marginal(back) == bc.derived_marginal(m)
+    assert bc.chsh_value(back) == bc.chsh_value(m)
+    assert bc.mutual_information(back) == bc.mutual_information(m)
+
+
+def test_replace_recomputes_the_stored_marginal():
+    m = bc.table1_model(0.1)
+    other = bc.biased_lift(bc.CausalClass.RETROCAUSAL, bc.Bias(0.5, -0.3), 0.1)
+    moved = dataclasses.replace(m, states=other.states)
+    assert bc.derived_marginal(moved) == bc.derived_marginal(other) != bc.derived_marginal(m)
+    assert bc.mutual_information(moved) == bc.mutual_information(other)
+    renamed = dataclasses.replace(m, label="renamed")
+    assert bc.derived_marginal(renamed) == bc.derived_marginal(m)
+    bad = bc.HiddenState(-1e-12, bc.SettingDist.joint([1.0 + 1e-12, -1e-12, 0.0, 0.0]), (1, 1, 1, 1))
+    good = bc.HiddenState(1.0 + 1e-12, bc.SettingDist.joint([0.0, 1.0, 0.0, 0.0]), (1, 1, 1, 1))
+    with pytest.raises(bc.InvalidModel, match="derived marginal is not a distribution"):
+        dataclasses.replace(m, states=(good, bad))
 
 
 def test_is_factorized_per_lambda():

@@ -390,3 +390,62 @@ def test_biased_info_parameter_errors():
         bc.biased_info(bc.CausalClass.CAUSAL, bc.Bias(0.2, 0.2), s=3.0)
     with pytest.raises(bc.DomainError):
         bc.biased_info(bc.CausalClass.RETROCAUSAL, bc.Bias(1.0, 0.0), s=3.0)
+
+
+# ---------------------------------------------------------------------------
+# non-real arguments
+# ---------------------------------------------------------------------------
+
+C = bc.CausalClass
+
+# every public entry point that takes a probability or bias, one argument at a time
+REAL_ARGUMENT_ENTRY_POINTS = {
+    "binary_entropy": bc.binary_entropy,
+    "f_of_p": bc.f_of_p,
+    "f_slope": bc.curves.f_slope,
+    "conjugate": bc.conjugate,
+    "ConjugatePair.p": lambda v: bc.ConjugatePair(v, 0.3),
+    "ConjugatePair.p_star": lambda v: bc.ConjugatePair(0.1, v),
+    "Bias.eps_x": lambda v: bc.Bias(v, 0.0),
+    "Bias.eps_y": lambda v: bc.Bias(0.0, v),
+    "table1_model": bc.table1_model,
+    "table2_model": bc.table2_model,
+    "table2_model.conjugate": lambda v: bc.table2_model(v, bc.Table2Branch.CONJUGATE),
+    "causal_pair_model.p": lambda v: bc.causal_pair_model(v, 0.1),
+    "causal_pair_model.ptilde": lambda v: bc.causal_pair_model(0.1, v),
+    "one_sided_model": bc.one_sided_model,
+    "extreme_bias_example": bc.extreme_bias_example,
+    "biased_lift.p": lambda v: bc.biased_lift(C.CAUSAL, bc.Bias(0.2, 0.1), v),
+    "biased_lift.ptilde": lambda v: bc.biased_lift(C.CAUSAL, bc.Bias(0.2, 0.1), 0.1, v),
+    "biased_info.retro_p": lambda v: bc.biased_info(C.RETROCAUSAL, bc.Bias(0.2, 0.1), p=v),
+    "biased_info.causal_p": lambda v: bc.biased_info(C.CAUSAL, bc.Bias(0.2, 0.1), p=v, ptilde=0.1),
+    "biased_info.causal_ptilde": lambda v: bc.biased_info(C.CAUSAL, bc.Bias(0.2, 0.1), p=0.1, ptilde=v),
+    "biased_info.one_sided_p": lambda v: bc.biased_info(C.ONE_SIDED, bc.Bias(0.2, 0.1), p=v),
+}
+
+
+NON_REAL = ["0.1", None, True, False, [0.1], 0.1 + 0j]
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (entry, value)
+        for entry in sorted(REAL_ARGUMENT_ENTRY_POINTS)
+        for value in NON_REAL
+        if not (entry == "biased_lift.ptilde" and value is None)  # None is its default: ptilde = p
+    ],
+    ids=repr,
+)
+def test_entry_points_reject_a_non_real_argument(entry, value):
+    with pytest.raises(bc.DomainError):
+        REAL_ARGUMENT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ARGUMENT_ENTRY_POINTS))
+def test_entry_points_take_numpy_scalars_and_ints(entry):
+    for value in (np.float64(0.1), np.int64(0), 0):
+        try:
+            REAL_ARGUMENT_ENTRY_POINTS[entry](value)
+        except bc.DomainError as exc:  # outside the domain, but read as a number
+            assert "not a real number" not in str(exc)

@@ -206,6 +206,21 @@ def test_round_csv_matches_row_formatting(tmp_path):
     assert bc.rounds_from_csv(str(path)) == rounds
 
 
+def test_round_csv_renders_every_digit_count():
+    # one lambda per digit count, with the widest int64 last: each place, the last one
+    # included, must render as str() does
+    lam = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+    n = len(lam)
+    k = np.arange(n)
+    a, b = 1 - 2 * (k % 3 == 0), 1 - 2 * (k % 5 == 0)
+    columns = [np.array(lam), k % 2, k // 2 % 2, a, b, a, b]
+    rows = zip(range(n), *(col.tolist() for col in columns))
+    lines = bc.rounds_to_csv(bc.RoundLog(*columns)).splitlines()
+    assert lines[0] == "round,lambda,x,y,a,b,pred_a,pred_b"
+    assert lines[1:] == [",".join(map(str, row)) for row in rows]
+    assert lines[-1].split(",")[1] == "9223372036854775807"
+
+
 _HEADER = "round,lambda,x,y,a,b,pred_a,pred_b\n"
 _GOOD_ROWS = "0,0,0,0,1,1,1,1\n1,1,0,1,-1,1,-1,1\n2,2,1,0,1,-1,1,-1\n3,3,1,1,-1,-1,-1,-1\n"
 
