@@ -137,6 +137,24 @@ def _require_real(value, what: str) -> None:
         raise DomainError(f"{what}={value!r} is not a real number")
 
 
+def _real(value, what: str) -> float:
+    """value as a float; anything but a real number (a bool included) raises InvalidModel."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidModel(f"{what} {value!r} is not a real number")
+    return float(value)
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    """values as a tuple of floats, each read by _real; a tuple of floats is returned as it is."""
+    reals = tuple(values)
+    for v in reals:
+        if type(v) is not float:
+            return tuple(_real(v, what) for v in reals)
+    return reals
+
+
 # ---------------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------------
@@ -187,7 +205,7 @@ class SettingDist:
     marginals: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
+        probs = _reals(self.probs, "setting probability")
         object.__setattr__(self, "probs", probs)
         if len(probs) != 4:
             raise InvalidModel("SettingDist needs exactly 4 probabilities")
@@ -200,7 +218,7 @@ class SettingDist:
         if self.kind == "factorized":
             if self.marginals is None:
                 raise InvalidModel("factorized SettingDist requires marginals")
-            px0, py0 = map(float, self.marginals)
+            px0, py0 = _reals(self.marginals, "setting marginal")
             object.__setattr__(self, "marginals", (px0, py0))
             for v in (px0, py0):
                 if not -STRUCT_TOL <= v <= 1.0 + STRUCT_TOL:
@@ -221,8 +239,8 @@ class SettingDist:
 
     @classmethod
     def factorized(cls, px0: float, py0: float) -> "SettingDist":
-        px0 = float(px0)
-        py0 = float(py0)
+        px0 = _real(px0, "setting marginal")
+        py0 = _real(py0, "setting marginal")
         probs = (px0 * py0, px0 * (1 - py0), (1 - px0) * py0, (1 - px0) * (1 - py0))
         return cls(probs, "factorized", (px0, py0))
 
@@ -284,7 +302,7 @@ class HiddenState:
     responses: tuple[int, int, int, int]  # (A0, A1, B0, B1)
 
     def __post_init__(self) -> None:
-        w = float(self.weight)
+        w = _real(self.weight, "state weight")
         object.__setattr__(self, "weight", w)
         if not -STRUCT_TOL <= w <= 1.0 + STRUCT_TOL:
             raise InvalidModel(f"state weight {w!r} outside [0, 1]")
@@ -338,7 +356,7 @@ class Correlations:
     table: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(map(float, self.table))
+        table = _reals(self.table, "correlation probability")
         object.__setattr__(self, "table", table)
         if len(table) != 16:
             raise InvalidModel("correlations table needs 16 entries")

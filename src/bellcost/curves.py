@@ -183,6 +183,7 @@ def conjugate(p: float) -> ConjugatePair:
 def _check_s(s: float, lo: float = 2.0) -> float:
     if type(s) is not float:
         _require_real(s, "CHSH value s")
+        s = float(s)  # a numpy scalar would keep the curves in its own precision
     if not lo - 1e-9 <= s <= 4.0 + 1e-9:
         raise DomainError(f"CHSH value s={s!r} outside [{lo}, 4]")
     return min(max(s, lo), 4.0)

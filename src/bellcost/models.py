@@ -89,12 +89,21 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     (1-p)/3 on the other three.  CHSH value 4 - 8p for p in [0, 1/4].
     """
     _require_real(p, "table1_model: p")
+    p = float(p)  # a numpy scalar would keep (1 - p) / 3 in its own precision
     if not -1e-12 <= p <= 0.25 + 1e-12:
         raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
     rest = (1.0 - p) / 3.0
     dists = [SettingDist.joint([p if k == special else rest for k in range(4)]) for special in SPECIAL]
     return class_model(dists, f"retro-optimal(p={p!r})", signs)
+
+
+def _flip_probability(v: float, what: str) -> float:
+    """A flip probability of the causal family, clamped to [0, 1/2]; one outside it raises DomainError."""
+    _require_real(v, what)
+    if not -1e-12 <= v <= 0.5 + 1e-12:
+        raise DomainError(f"{what}={v!r} outside [0, 1/2]")
+    return min(max(v, 0.0), 0.5)
 
 
 def causal_pair_model(
@@ -105,12 +114,8 @@ def causal_pair_model(
     State (mu, nu) has P(x=0) = 1-p for nu=0 (else p) and P(y=0) = 1-ptilde
     for mu=0 (else ptilde).  CHSH value 4 - 8 p ptilde.
     """
-    for name, v in (("p", p), ("ptilde", ptilde)):
-        _require_real(v, f"causal_pair_model: {name}")
-        if not -1e-12 <= v <= 0.5 + 1e-12:
-            raise DomainError(f"causal_pair_model: {name}={v!r} outside [0, 1/2]")
-    p = min(max(p, 0.0), 0.5)
-    ptilde = min(max(ptilde, 0.0), 0.5)
+    p = _flip_probability(p, "causal_pair_model: p")
+    ptilde = _flip_probability(ptilde, "causal_pair_model: ptilde")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, p, ptilde)) for mu, nu in LAMBDA_CLASSES]
     return class_model(dists, label or f"causal-pair(p={p!r}, ptilde={ptilde!r})", signs)
 
@@ -189,6 +194,7 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
     settings occur.
     """
     _require_real(q, "extreme_bias_example: q")
+    q = float(q)  # a numpy scalar would keep the weights in its own precision
     if not 0.0 < q < 1.0:
         raise DomainError(f"extreme_bias_example: q={q!r} outside (0, 1)")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, 0.0, 0.0)) for mu, nu in LAMBDA_CLASSES]
@@ -320,8 +326,8 @@ def biased_info(
     if base in (CausalClass.CAUSAL, CausalClass.ZIGZAG):
         if p is None or ptilde is None:
             raise DomainError("causal biased_info needs p and ptilde")
-        _require_real(p, "biased_info: p")
-        _require_real(ptilde, "biased_info: ptilde")
+        p = _flip_probability(p, "biased_info: p")
+        ptilde = _flip_probability(ptilde, "biased_info: ptilde")
         return (
             binary_entropy((1.0 + ex * (1.0 - 2.0 * p)) / 2.0)
             - binary_entropy(p)

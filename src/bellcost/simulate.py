@@ -9,19 +9,21 @@ The round stream comes from numpy's Philox counter-based generator (algorithm
 identifier recorded in RNG_ALGORITHM), so identical (model, n, seed, order)
 always reproduce the same rounds.  A round log is held as columns
 (RoundLog), and every statistic is computed from counts over those columns.
-Sampling, counting, writing and reading run in blocks of _BLOCK rounds, so
-their temporaries are bounded by the block, not by the number of rounds.
+Sampling, counting and writing run in blocks of _BLOCK rounds, and reading in
+chunks of about _CHUNK bytes, so their temporaries are bounded by the block or
+chunk, not by the number of rounds.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum, unique
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -57,13 +59,18 @@ RNG_ALGORITHM = "numpy-philox4x64"
 
 _CSV_HEADER = ["round", "lambda", "x", "y", "a", "b", "pred_a", "pred_b"]
 _CSV_HEADER_LINE = ",".join(_CSV_HEADER) + "\n"
+_CSV_HEADER_BYTES = _CSV_HEADER_LINE.encode()
 
 #: Philox keys are 128-bit.
 _SEED_LIMIT = 2**128
 
 #: Rows per block of the round pipeline.  Sampling, counting, writing and
-#: reading a log hold temporaries for one block of rounds, never for all n.
+#: reading a log as text hold temporaries for one block of rounds, never for all n.
 _BLOCK = 1 << 16
+
+#: Bytes per read of rounds_from_csv's byte reader.  The tokenizer's temporaries
+#: for a chunk this size stay in a 2 MiB L2 cache; 1 MiB chunks tokenize slower.
+_CHUNK = 1 << 17
 
 
 @unique
@@ -477,34 +484,147 @@ def _is_round(line: str) -> bool:
         return False
 
 
-def rounds_from_csv(path: str) -> RoundLog:
-    """Read a round log written by rounds_to_csv; a malformed log raises DomainError.
+def _plain_rows(buf: bytes) -> np.ndarray | None:
+    """The (8, rows) int64 fields of a chunk in the plain form, or None if it is not in it.
 
-    Lines may end in LF, CRLF or CR, the last one may lack its ending, and blank
-    lines are skipped.  The file is parsed one block of lines at a time into
-    columns allocated once, and an error names the file line at fault.
+    buf is an LF, as a sentinel, followed by LF-ended lines.  The plain form is
+    lines of 8 comma-separated fields -?[0-9]{1,18}, the form rounds_to_csv
+    writes; a chunk in it holds the same fields that np.loadtxt reads.  The
+    checks count: every byte is a digit, a separator or a `-`, every `-`
+    directly follows a separator, every field ends in a digit and has at most
+    18 of them (10**18 - 1 < 2**63), and the LFs are exactly every eighth
+    separator.
     """
-    columns = np.empty((len(_COLUMNS), max(_line_count(path) - 1, 0)), np.int64)
-    n = 0
+    lf, comma, minus = b"\n,-"
+    width = len(_CSV_HEADER)
+    b = np.frombuffer(buf, np.uint8)
+    if len(b) < 2 or b[0] != lf or b[-1] != lf:
+        return None
+    is_lf = b == lf
+    is_sep = is_lf | (b == comma)
+    is_minus = b == minus
+    digit = b - np.uint8(ord("0"))  # wraps, so only a digit byte reads below 10
+    seps = np.flatnonzero(is_sep)
+    minuses = np.count_nonzero(is_minus)
+    rows, odd = divmod(len(seps) - 1, width)
+    if (
+        odd
+        or len(seps) + minuses + np.count_nonzero(digit < 10) != len(b)
+        or np.count_nonzero(is_lf) != rows + 1
+        or not is_lf[seps[::width]].all()
+    ):
+        return None
+    negative = is_minus[seps[:-1] + 1]  # the fields whose first byte is a `-`
+    if np.count_nonzero(negative) != minuses:  # a `-` that does not follow a separator
+        return None
+    ends = seps[1:] - 1  # each field's last byte
+    values = digit[ends].astype(np.int64)
+    if not (values < 10).all():  # an empty field or a bare `-`
+        return None
+    digits = np.diff(seps) - 1 - negative
+    longest = int(digits.max())
+    if longest > 18:
+        return None
+    if longest > 1:  # the fields with more digits, mostly the round column
+        longer = np.flatnonzero(digits > 1)
+        last, count, total = ends[longer], digits[longer], values[longer]
+        for place in range(1, longest):
+            # a field shorter than place + 1 digits reads a byte before it (or byte 0) as 0
+            tens = digit.take(last - place, mode="clip")
+            tens[count <= place] = 0
+            total += tens * np.int64(10**place)
+        values[longer] = total
+    values *= 1 - 2 * negative.astype(np.int8)  # -1 on a negative field, else 1
+    return values.reshape(rows, width).T
+
+
+def _chunks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of fh in chunks of about _CHUNK bytes, each an LF sentinel and the lines after it.
+
+    Every chunk but the file's last is cut after the last LF of a read, or in a
+    read with no LF after its last CR but one (the CR that ends a read may start
+    a CRLF), so CR-ended lines are cut too; a line longer than a read is joined
+    from several reads.
+    """
+    head = [b"\n"]
+    while data := fh.read(_CHUNK):
+        cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
+        if cut:
+            yield b"".join([*head, data[:cut]])
+            head = [b"\n"]
+        head.append(data[cut:])
+    if any(head[1:]):
+        yield b"".join(head)
+
+
+def _store(columns: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
+    """Check that a block's (8, rows) fields are rounds n, n+1, ..., store them and return the next n.
+
+    line_of(row) is the file line of the block's row, for the error message.
+    """
+    rows = slice(n, n + fields.shape[1])
+    if rows.stop > columns.shape[1]:
+        raise DomainError("round log grew while it was read")
+    gaps = np.flatnonzero(fields[0] != np.arange(rows.start, rows.stop))
+    if gaps.size:
+        row = int(gaps[0])
+        raise DomainError(
+            f"line {line_of(row)}: round column holds {fields[0, row]}, not {rows.start + row}"
+        )
+    columns[:, rows] = fields[1:]
+    return rows.stop
+
+
+def _read_text(fh: TextIO, columns: np.ndarray, n: int, first: int) -> tuple[int, int]:
+    """Store the rounds of fh's lines, of which the first is file line `first`, from round n on.
+
+    Returns the next round and the file line after the last.  The lines are
+    parsed one block of _BLOCK lines at a time.
+    """
+    while lines := list(itertools.islice(fh, _BLOCK)):
+        table = _read_block(lines, first)
+        n = _store(columns, n, table.T, lambda row: first + _row_lines(lines)[row])
+        first += len(lines)
+    return n, first
+
+
+def _rounds_from_text(path: str, columns: np.ndarray) -> int:
+    """Store the rounds of the round log at path, read as text; returns their number."""
     # undecodable bytes become U+FFFD, which no header or round matches
     with open(path, newline="", errors="replace") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != _CSV_HEADER:
             raise DomainError(f"unexpected round-log header {header!r}")
-        first = 2  # file line number of the block's first line
-        while lines := list(itertools.islice(fh, _BLOCK)):
-            table = _read_block(lines, first)
-            rows = slice(n, n + len(table))
-            if rows.stop > columns.shape[1]:
-                raise DomainError("round log grew while it was read")
-            gaps = np.flatnonzero(table[:, 0] != np.arange(rows.start, rows.stop))
-            if gaps.size:
-                row = int(gaps[0])
-                raise DomainError(
-                    f"line {first + _row_lines(lines)[row]}: round column holds "
-                    f"{table[row, 0]}, not {rows.start + row}"
-                )
-            columns[:, rows] = table[:, 1:].T
-            n = rows.stop
-            first += len(lines)
+        n, _ = _read_text(fh, columns, 0, 2)
+    return n
+
+
+def rounds_from_csv(path: str) -> RoundLog:
+    """Read a round log written by rounds_to_csv; a malformed log raises DomainError.
+
+    Lines may end in LF, CRLF or CR, the last one may lack its ending, and blank
+    lines are skipped.  The columns are allocated once, and an error names the
+    file line at fault.  A file whose header line is exactly the one
+    rounds_to_csv writes is read as bytes, in chunks of about 128 KiB cut after
+    their last LF.  A chunk of plain rows, 8 fields -?[0-9]{1,18} per LF-ended
+    line as rounds_to_csv writes them, is parsed by a numpy tokenizer; any
+    other chunk (a blank line, a stray CR, a byte that is not a digit, a short
+    row or a 19-digit value) is decoded and read as text, as is every file
+    with another header line, such as one with CRLF or CR endings.  Both
+    readers accept the same files and give the same rounds and errors.
+    """
+    columns = np.empty((len(_COLUMNS), max(_line_count(path) - 1, 0)), np.int64)
+    with open(path, "rb") as fh:
+        if fh.readline(len(_CSV_HEADER_BYTES)) != _CSV_HEADER_BYTES:
+            return RoundLog(*columns[:, : _rounds_from_text(path, columns)])
+        n, first = 0, 2  # first: the file line of the chunk's first line
+        for buf in _chunks(fh):
+            fields = _plain_rows(buf)
+            if fields is not None:
+                n = _store(columns, n, fields, lambda row: first + row)
+                first += fields.shape[1]
+            else:
+                # undecodable bytes become U+FFFD, which no round matches
+                text = io.TextIOWrapper(io.BytesIO(buf[1:]), newline="", errors="replace")
+                n, first = _read_text(text, columns, n, first)
     return RoundLog(*columns[:, :n])

@@ -129,6 +129,23 @@ def test_validators_reject_nan_and_infinities_in_every_position(values, build, p
         build(values)
 
 
+_REAL_POSITIONS = [c for c in _POSITIONS if not c[0].startswith("responses")]
+
+
+@pytest.mark.parametrize("bad", [None, "0.25", "x", [0.25], True, 0.25 + 0j], ids=repr)
+@pytest.mark.parametrize(
+    "values, build, pos", [c[1:] for c in _REAL_POSITIONS], ids=[c[0] for c in _REAL_POSITIONS]
+)
+def test_validators_reject_a_non_real_entry_in_every_position(values, build, pos, bad):
+    """A weight or probability that is not a real number is an InvalidModel, not a TypeError."""
+    values = list(values)
+    values[pos] = np.float64(values[pos])  # a numpy scalar is read as a float
+    build(values)
+    values[pos] = bad
+    with pytest.raises(bc.InvalidModel, match="is not a real number"):
+        build(values)
+
+
 def test_responses_equal_to_signs_are_stored_as_ints():
     for raw in ((1.0, -1, True, np.int64(-1)), [1.0, -1, True, np.int64(-1)], (1 + 0j, -1.0, 1, -1)):
         st_ = bc.HiddenState(0.5, _UNIFORM, raw)

@@ -392,6 +392,20 @@ def test_biased_info_parameter_errors():
         bc.biased_info(bc.CausalClass.RETROCAUSAL, bc.Bias(1.0, 0.0), s=3.0)
 
 
+@pytest.mark.parametrize("base", [bc.CausalClass.CAUSAL, bc.CausalClass.ZIGZAG])
+def test_causal_biased_info_takes_the_flip_probabilities_of_causal_pair_model(base):
+    bias = bc.Bias(0.5, 0.0)
+    for name, p, ptilde in (("p", 0.7, 0.1), ("ptilde", 0.1, 0.7), ("p", -0.01, 0.1)):
+        with pytest.raises(bc.DomainError) as built:
+            bc.causal_pair_model(p, ptilde)
+        with pytest.raises(bc.DomainError) as info:
+            bc.biased_info(base, bias, p=p, ptilde=ptilde)
+        value = p if name == "p" else ptilde
+        assert str(built.value) == f"causal_pair_model: {name}={value!r} outside [0, 1/2]"
+        assert str(info.value) == f"biased_info: {name}={value!r} outside [0, 1/2]"
+    assert bc.biased_info(base, bias, p=0.5, ptilde=0.0) == 1.0  # the edges of [0, 1/2] are in it
+
+
 # ---------------------------------------------------------------------------
 # non-real arguments
 # ---------------------------------------------------------------------------
@@ -444,8 +458,12 @@ def test_entry_points_reject_a_non_real_argument(entry, value):
 
 @pytest.mark.parametrize("entry", sorted(REAL_ARGUMENT_ENTRY_POINTS))
 def test_entry_points_take_numpy_scalars_and_ints(entry):
-    for value in (np.float64(0.1), np.int64(0), 0):
+    # each is read as the float it equals; np.float32 once kept table1_model's
+    # (1 - p) / 3, and the retrocausal biased_info, in single precision
+    for value in (np.float64(0.1), np.float32(0.1), np.int64(0), 0):
         try:
             REAL_ARGUMENT_ENTRY_POINTS[entry](value)
         except bc.DomainError as exc:  # outside the domain, but read as a number
             assert "not a real number" not in str(exc)
+            with pytest.raises(bc.DomainError):
+                REAL_ARGUMENT_ENTRY_POINTS[entry](float(value))

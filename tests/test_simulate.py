@@ -1,6 +1,7 @@
 """Seeded sampling, the two causal orders, and the plug-in estimators."""
 
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -333,25 +334,150 @@ def test_round_log_reader_accepts_line_ending_forms(tmp_path, monkeypatch, text,
     assert bc.rounds_from_csv(str(path)) == expected
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ("7,0,0,0,1,1,1", "line 10: '7,0,0,0,1,1,1' is not a round of 8 integer fields"),
-        ("7,0,0,0,1,1,1,x", "line 10: '7,0,0,0,1,1,1,x' is not a round of 8 integer fields"),
-        ("8,0,0,0,1,1,1,1", "line 10: round column holds 8, not 7"),
-    ],
-    ids=["short-row", "not-an-integer", "round-gap"],
-)
-def test_bad_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, bad, message):
-    monkeypatch.setattr(simulate, "_BLOCK", 3)
+# a bad row after a blank line, with the file line each error names
+_BAD_ROWS = [
+    ("7,0,0,0,1,1,1", "line 10: '7,0,0,0,1,1,1' is not a round of 8 integer fields"),
+    ("7,0,0,0,1,1,1,x", "line 10: '7,0,0,0,1,1,1,x' is not a round of 8 integer fields"),
+    ("8,0,0,0,1,1,1,1", "line 10: round column holds 8, not 7"),
+]
+
+
+def _log_with_bad_row(path, bad):
     rows = [f"{i},0,0,0,1,1,1,1" for i in range(10)]
     rows[7] = bad
-    rows.insert(7, "")  # the third block of lines is round 6, a blank line and round 7
-    path = tmp_path / "rounds.csv"
+    rows.insert(7, "")  # with blocks of 3 lines, the third is round 6, a blank line and round 7
     path.write_text(_HEADER + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("bad, message", _BAD_ROWS, ids=["short-row", "not-an-integer", "round-gap"])
+def test_bad_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, bad, message):
+    monkeypatch.setattr(simulate, "_BLOCK", 3)
+    path = tmp_path / "rounds.csv"
+    _log_with_bad_row(path, bad)
     with pytest.raises(bc.DomainError) as err:
         bc.rounds_from_csv(str(path))
     assert str(err.value) == message
+
+
+def _random_fields(rng, rows):
+    """rows x 8 plain-form fields: signs, -0, leading zeros and 1 to 18 digits."""
+    fields = []
+    for _ in range(rows * 8):
+        digits = int(rng.choice([1, 1, 1, 2, 3, 7, 18]))
+        field = "".join(rng.choice(list("0123456789"), size=digits))
+        fields.append(("-" if rng.random() < 0.3 else "") + field)
+    fields[:4] = ["-0", "007", "9" * 18, "-" + "9" * 18]
+    return [fields[i : i + 8] for i in range(0, len(fields), 8)]
+
+
+def _chunk(rows) -> bytes:
+    return b"\n" + "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+def _loadtxt_fields(buf):
+    """The (8, rows) fields np.loadtxt reads from a chunk's lines, or None if it reads no table of 8."""
+    lines = io.StringIO(buf[1:].decode("utf-8", "replace"), newline="").readlines()
+    try:
+        table = simulate._parse(lines)
+    except ValueError:
+        return None
+    return table.T if table.shape[1] == 8 else None
+
+
+def _mutated(kind, rows, rng) -> bytes:
+    """A chunk of the rows with one defect of the given kind."""
+    rows = [list(row) for row in rows]
+    i, j = int(rng.integers(len(rows))), int(rng.integers(7))  # field j has a successor in its row
+    fields = {
+        "empty-field": "",
+        "bare-minus": "-",
+        "inner-minus": "1-2",
+        "plus": "+1",
+        "space": " " + rows[i][j],
+        "digits-19": "9" * 19,  # beyond int64
+        "high-byte": rows[i][j] + "\xe9",
+        "split-row": rows[i][j] + "\n" + rows[i][j + 1],
+    }
+    if kind in fields:
+        rows[i][j] = fields[kind]
+        if kind == "split-row":
+            del rows[i][j + 1]
+    elif kind == "shifted-row" and i + 1 < len(rows):  # rows of 7 and 9 fields
+        rows[i + 1].insert(0, rows[i].pop())
+    lines = [",".join(row) + "\n" for row in rows]
+    if kind == "cr":
+        lines[i] = lines[i][:-1] + "\r\n"
+    elif kind == "blank-line":
+        lines.insert(i, "\n")
+    elif kind == "blank-lines-8":
+        lines.insert(i, "\n" * 8)
+    elif kind == "no-last-lf":
+        lines[-1] = lines[-1][:-1]
+    elif kind == "trailing-field":
+        lines.append("9")
+    return b"\n" + "".join(lines).encode()
+
+
+def test_plain_rows_match_loadtxt():
+    rng = np.random.default_rng(19)
+    for rows in [1, 2, 3, 8, 50] * 20:
+        buf = _chunk(_random_fields(rng, rows))
+        fields = simulate._plain_rows(buf)
+        assert fields is not None and fields.shape == (8, rows)
+        assert np.array_equal(fields, _loadtxt_fields(buf)), buf
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "empty-field", "bare-minus", "inner-minus", "plus", "space", "cr", "blank-line",
+        "blank-lines-8", "digits-19", "high-byte", "no-last-lf", "split-row", "shifted-row",
+        "trailing-field",
+    ],
+)
+def test_plain_rows_reject_or_match_loadtxt_on_mutated_chunks(kind):
+    rng = np.random.default_rng(1900)
+    for rows in [1, 2, 3, 8, 50] * 20:
+        buf = _mutated(kind, _random_fields(rng, rows), rng)
+        fields = simulate._plain_rows(buf)
+        assert fields is None or np.array_equal(fields, _loadtxt_fields(buf)), buf
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(chunk)
+    n = 300
+    lam = rng.choice([0, 9, 10, 12345, 10**18 - 1, 2**62], size=n)
+    rest = [rng.integers(0, 2, size=n) for _ in range(2)] + [rng.choice([-1, 1], size=n) for _ in range(4)]
+    path = tmp_path / "rounds.csv"
+    # a blank line, a CRLF and the 19 digits of 2**62 send their chunks to the text reader
+    text = bc.rounds_to_csv(bc.RoundLog(lam, *rest)).encode()
+    path.write_bytes(text.replace(b"\n17,", b"\n\n17,").replace(b"\n200,", b"\r\n200,"))
+    default = bc.rounds_from_csv(str(path))
+    assert default == bc.RoundLog(lam, *rest)
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    assert bc.rounds_from_csv(str(path)) == default
+    monkeypatch.setattr(simulate, "_BLOCK", 3)
+    for bad, message in _BAD_ROWS:
+        _log_with_bad_row(path, bad)
+        with pytest.raises(bc.DomainError) as err:
+            bc.rounds_from_csv(str(path))
+        assert str(err.value) == message
+    path.write_bytes(text.replace(b"\n", b"\r").replace(b"\r", b"\n", 1))  # CRs after an LF header
+    assert bc.rounds_from_csv(str(path)) == default
+    plain = bc.RoundLog(np.minimum(lam, 10**18 - 1), *rest)
+    bc.rounds_to_csv(plain, str(path))
+    monkeypatch.setattr(simulate, "_read_text", None)  # the plain form never reaches the text reader
+    assert bc.rounds_from_csv(str(path)) == plain
+
+
+def test_cr_ended_lines_are_cut_into_chunks(monkeypatch):
+    # a body of CR-ended lines holds no LF to cut at, yet must not be read whole
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    body = b"".join(b"%d,0,0,0,1,1,1,1\r" % i for i in range(1000))
+    chunks = list(simulate._chunks(io.BytesIO(body)))
+    assert max(map(len, chunks)) <= 1 + 64 + 20  # the sentinel, one read and the rest of a line
+    assert b"".join(c[1:] for c in chunks) == body
 
 
 @pytest.mark.parametrize(
