@@ -6,20 +6,20 @@ import contextlib
 import os
 import tempfile
 from collections.abc import Iterator
-from typing import TextIO
+from typing import BinaryIO
 
 
 @contextlib.contextmanager
-def atomic_writer(path: str) -> Iterator[TextIO]:
-    """Open a text file (LF written as is) that replaces path only when the block exits cleanly.
+def atomic_writer(path: str) -> Iterator[BinaryIO]:
+    """Open a binary file that replaces path only when the block exits cleanly.
 
-    The text goes to a temp file beside path, renamed over it at the end, so readers never
+    The bytes go to a temp file beside path, renamed over it at the end, so readers never
     see a partial file; an exception inside the block removes the temp file instead.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -31,9 +31,9 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename, so readers never see a partial file."""
+    """Write text to path as UTF-8 via a temp file + rename, so readers never see a partial file."""
     with atomic_writer(path) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
 def fmt12(value: float) -> str:

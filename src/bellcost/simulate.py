@@ -16,6 +16,7 @@ chunk, not by the number of rounds.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
@@ -297,7 +298,6 @@ class _Tally:
         self.hits = 0
 
     def add(self, lam, x, y, a, b, pred_a, pred_b) -> None:
-        sidx = 2 * x + y
         states, rank = _ranks(lam)
         if not np.array_equal(states, self.states):
             # return_inverse also keeps np.unique from importing numpy.ma (~1.7 MB resident)
@@ -305,9 +305,14 @@ class _Tally:
             joint = np.zeros((len(merged), 4), np.int64)
             joint[where[: len(self.states)]] = self.joint
             self.states, self.joint = merged, joint
-        rows = np.searchsorted(self.states, states)
-        self.joint[rows] += np.bincount(4 * rank + sidx, minlength=4 * len(states)).reshape(-1, 4)
-        self.agree += np.bincount(sidx[a == b], minlength=4)
+        # one count per (state rank, setting 2x + y, a == b)
+        code = 8 * rank
+        code += 4 * x
+        code += 2 * y
+        code += a == b
+        counts = np.bincount(code, minlength=8 * len(states)).reshape(-1, 4, 2)
+        self.joint[np.searchsorted(self.states, states)] += counts.sum(axis=2)
+        self.agree += counts[:, :, 1].sum(axis=0)
         self.hits += int(np.count_nonzero((pred_a == a) & (pred_b == b)))
 
     def stats(self) -> EmpiricalStats:
@@ -364,18 +369,18 @@ def chsh_standard_error(rounds: RoundLog) -> float:
 
 
 def _sample_summary(
-    m: Model, n: int, seed: int, order: SampleOrder, out: TextIO | None = None
+    m: Model, n: int, seed: int, order: SampleOrder, out: BinaryIO | None = None
 ) -> EmpiricalStats:
     """empirical_stats of sample_rounds(m, n, seed, order).
 
     The rounds are drawn, counted and, when out is given, written to it as the
-    text of rounds_to_csv one block at a time, so no more than one block of
+    bytes of rounds_to_csv one block at a time, so no more than one block of
     rounds is ever held.
     """
     blocks = _round_blocks(m, n, seed, order)
     tally = _Tally()
     if out is not None:
-        out.write(_CSV_HEADER_LINE)
+        out.write(_CSV_HEADER_BYTES)
     for rows, (lam, xs, ys, avals, bvals) in blocks:
         block = (lam, xs, ys, avals, bvals, avals, bvals)
         tally.add(*block)
@@ -384,52 +389,65 @@ def _sample_summary(
     return tally.stats()
 
 
-def _csv_rows(rows: slice, columns: Sequence[np.ndarray]) -> str:
-    """CSV rows with LF endings for one block: the round numbers of rows, then the int64 columns.
+def _csv_rows(rows: slice, columns: Sequence[np.ndarray]) -> bytes:
+    """One block's CSV rows as LF-ended ASCII bytes: the round numbers of rows, then the columns.
 
-    Each row is laid out at a fixed width, with a NUL byte wherever a shorter
-    number leaves a place empty; squeezing the NULs out leaves the text.
+    Each row is laid out at a fixed width, one place per byte of a (places,
+    rows) array, with a NUL byte wherever a shorter number leaves a place
+    empty.  The array's transpose as bytes, with the NULs deleted, is the text.
     """
     columns = (np.arange(rows.start, rows.stop), *columns)
     n = len(columns[0])
     if n == 0:
-        return ""
-    layout = [(col, bool((col < 0).any()), len(str(np.abs(col).max()))) for col in columns]
+        return b""
+    layout = []
+    for col in columns:
+        low, high = int(col.min()), int(col.max())
+        layout.append((col, low < 0, len(str(max(-low, high)))))
     chars = np.zeros((sum(signed + digits + 1 for _, signed, digits in layout), n), np.uint8)
     pos = 0
     for col, signed, digits in layout:
+        q = col
         if signed:
-            chars[pos] = np.where(col < 0, ord("-"), 0)
+            # a product, not np.where or a mask: both branch on every row of a random sign
+            chars[pos] = (col < 0).view(np.uint8) * np.uint8(ord("-"))
+            q = np.abs(col)
         pos += signed + digits
-        q = np.abs(col)
         for place in range(1, digits + 1):
-            leading = q == 0
             if place < digits:
-                q, r = np.divmod(q, 10)
+                hi = q // 10  # np.divmod costs 2-4x a floor divide on int64
+                chars[pos - place] = q - 10 * hi + ord("0")
             else:
-                r = q  # q < 10 in every row at the last place, so it is the digit
-            chars[pos - place] = r + ord("0")
+                chars[pos - place] = q + ord("0")  # q < 10 in every row at the last place
             if place > 1:
-                chars[pos - place][leading] = 0
+                chars[pos - place] *= (q != 0).view(np.uint8)  # a leading place stays NUL
+            if place < digits:
+                q = hi
         chars[pos] = ord(",")
         pos += 1
     chars[-1] = ord("\n")
-    laid_out = np.ascontiguousarray(chars.T)
-    return laid_out[laid_out != 0].tobytes().decode("ascii")
+    return chars.T.tobytes().translate(None, b"\0")
 
 
 def rounds_to_csv(rounds: RoundLog, path: str | None = None) -> str:
     """Render rounds as CSV `round,lambda,x,y,a,b,pred_a,pred_b` (LF endings).
 
-    The text is rendered one block of rounds at a time and, when path is
-    given, written to it atomically.
+    The text is rendered one block of rounds at a time.  When path is given,
+    each block's bytes are written to it as they are made, and the file
+    replaces path atomically once the last block is written; the returned text
+    is joined from the blocks' decoded pieces.
     """
     columns = rounds._columns()
     pieces = [_CSV_HEADER_LINE]
-    pieces += (_csv_rows(rows, [col[rows] for col in columns]) for rows in _blocks(len(rounds)))
-    if path is not None:
-        with atomic_writer(path) as fh:
-            fh.writelines(pieces)
+    out = contextlib.nullcontext() if path is None else atomic_writer(path)
+    with out as fh:
+        if fh is not None:
+            fh.write(_CSV_HEADER_BYTES)
+        for rows in _blocks(len(rounds)):
+            data = _csv_rows(rows, [col[rows] for col in columns])
+            if fh is not None:
+                fh.write(data)
+            pieces.append(data.decode("ascii"))
     return "".join(pieces)
 
 
@@ -611,9 +629,16 @@ def rounds_from_csv(path: str) -> RoundLog:
     other chunk (a blank line, a stray CR, a byte that is not a digit, a short
     row or a 19-digit value) is decoded and read as text, as is every file
     with another header line, such as one with CRLF or CR endings.  Both
-    readers accept the same files and give the same rounds and errors.
+    readers accept the same files and give the same rounds and errors.  A file
+    with more lines than the columns can hold in memory raises DomainError.
     """
-    columns = np.empty((len(_COLUMNS), max(_line_count(path) - 1, 0)), np.int64)
+    rows = max(_line_count(path) - 1, 0)
+    try:
+        columns = np.empty((len(_COLUMNS), rows), np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        raise DomainError(
+            f"rounds_from_csv: a log of up to {rows} rounds does not fit in memory"
+        ) from None
     with open(path, "rb") as fh:
         if fh.readline(len(_CSV_HEADER_BYTES)) != _CSV_HEADER_BYTES:
             return RoundLog(*columns[:, : _rounds_from_text(path, columns)])

@@ -3,9 +3,12 @@
 import hashlib
 import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import bellcost as bc
@@ -222,6 +225,60 @@ def test_round_csv_renders_every_digit_count():
     assert lines[-1].split(",")[1] == "9223372036854775807"
 
 
+def _digits_value(digits: int):
+    """Integers in [0, 2**63) with exactly the given number of decimal digits."""
+    return st.integers(10 ** (digits - 1) if digits > 1 else 0, min(10**digits - 1, 2**63 - 1))
+
+
+_rounds = st.lists(
+    st.tuples(
+        st.integers(1, 19).flatmap(_digits_value),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        *[st.sampled_from([-1, 1])] * 4,
+    ),
+    max_size=40,
+)
+
+
+@given(_rounds, st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_round_csv_bytes_match_row_formatting(rows, block):
+    columns = np.array(rows, np.int64).reshape(-1, 7).T
+    rounds = bc.RoundLog(*columns)
+    expected = "round,lambda,x,y,a,b,pred_a,pred_b\n" + "".join(
+        ",".join(map(str, (i, *row))) + "\n" for i, row in enumerate(rows)
+    )
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(simulate, "_BLOCK", block)
+        path = os.path.join(tmp, "rounds.csv")
+        assert bc.rounds_to_csv(rounds, path) == expected
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode()
+        assert bc.rounds_from_csv(path) == rounds
+
+
+def test_failed_round_csv_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "rounds.csv"
+    path.write_bytes(b"old contents\n")
+    rounds = bc.sample_rounds(quantum_causal_model(), 20, seed=1, order=SOURCE)
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    render = simulate._csv_rows
+    calls = []
+
+    def fail_on_second_block(rows, columns):
+        calls.append(rows)
+        if len(calls) == 2:
+            raise RuntimeError("render failed")
+        return render(rows, columns)
+
+    monkeypatch.setattr(simulate, "_csv_rows", fail_on_second_block)
+    with pytest.raises(RuntimeError, match="render failed"):
+        bc.rounds_to_csv(rounds, str(path))
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(os.listdir(tmp_path)) == ["rounds.csv"]  # no .tmp-*~ file is left
+
+
 _HEADER = "round,lambda,x,y,a,b,pred_a,pred_b\n"
 _GOOD_ROWS = "0,0,0,0,1,1,1,1\n1,1,0,1,-1,1,-1,1\n2,2,1,0,1,-1,1,-1\n3,3,1,1,-1,-1,-1,-1\n"
 
@@ -312,6 +369,30 @@ def test_stats_of_large_hidden_state_indices(tmp_path):
     )
     assert bc.empirical_stats(gap) == bc.empirical_stats(rounds)
     assert bc.chsh_standard_error(gap).hex() == bc.chsh_standard_error(rounds).hex()
+
+
+def test_block_counts_merge_states_that_appear_late(monkeypatch):
+    # blocks of 7 rounds; states 0, 5 and 2**62 first occur in later blocks, and 2**62 takes
+    # the sorted (np.unique) ranking while the other blocks take the counting table
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    rng = np.random.default_rng(20)
+    n = 70
+    lam = rng.choice([1, 2, 3], size=n)
+    lam[[16, 30, 31, 50, 69]] = [5, 2**62, 0, 0, 2**62]
+    x, y = rng.integers(0, 2, size=(2, n))
+    a, b = rng.choice([-1, 1], size=(2, n))
+    pred_a = np.where(rng.random(n) < 0.9, a, -a)
+    rounds = bc.RoundLog(lam, x, y, a, b, pred_a, b)
+    tally = simulate._tally(rounds)
+    states, rank = np.unique(lam, return_inverse=True)
+    sidx = 2 * x + y
+    joint = np.bincount(4 * rank + sidx, minlength=4 * len(states)).reshape(-1, 4)
+    assert np.array_equal(tally.states, states) and states.tolist() == [0, 1, 2, 3, 5, 2**62]
+    assert np.array_equal(tally.joint, joint)
+    assert np.array_equal(tally.agree, np.bincount(sidx[a == b], minlength=4))
+    assert tally.hits == np.count_nonzero(pred_a == a)
+    monkeypatch.setattr(simulate, "_BLOCK", n)
+    assert bc.empirical_stats(rounds) == simulate._tally(rounds).stats() == tally.stats()
 
 
 @pytest.mark.parametrize(
@@ -489,6 +570,17 @@ def test_undecodable_round_log_rejected(tmp_path, data):
     path = tmp_path / "rounds.csv"
     path.write_bytes(data)
     with pytest.raises(bc.DomainError):
+        bc.rounds_from_csv(str(path))
+
+
+@pytest.mark.parametrize("lines", [2**62, 2**45], ids=["beyond-intp", "beyond-memory"])
+def test_oversized_round_log_raises_domain_error(tmp_path, monkeypatch, lines):
+    # columns for 2**62 rounds overflow an array's byte count, and for 2**45 rounds a 47-bit
+    # address space, so either request fails before anything is allocated
+    path = tmp_path / "rounds.csv"
+    path.write_text(_HEADER + _GOOD_ROWS)
+    monkeypatch.setattr(simulate, "_line_count", lambda _: lines)
+    with pytest.raises(bc.DomainError, match="does not fit in memory"):
         bc.rounds_from_csv(str(path))
 
 
