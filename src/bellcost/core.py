@@ -555,5 +555,11 @@ def save_model(m: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r") as fh:
-        return model_from_json(fh.read())
+    """Read a model saved by save_model; a file that is not UTF-8 raises InvalidModel."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidModel(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return model_from_json(text)

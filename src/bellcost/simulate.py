@@ -12,19 +12,22 @@ always reproduce the same rounds.  A round log is held as columns
 Sampling, counting and writing run in blocks of _BLOCK rounds, and reading in
 chunks of about _CHUNK bytes, so their temporaries are bounded by the block or
 chunk, not by the number of rounds.
+
+A round log on disk is CSV with one grammar, read by one numpy tokenizer:
+after the header, lines of 8 comma-separated fields -?[0-9]{1,19} within
+int64, ended by LF, CRLF or CR; blank lines are skipped and the last line may
+lack its ending.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 import math
-import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum, unique
-from typing import BinaryIO, TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -65,11 +68,11 @@ _CSV_HEADER_BYTES = _CSV_HEADER_LINE.encode()
 #: Philox keys are 128-bit.
 _SEED_LIMIT = 2**128
 
-#: Rows per block of the round pipeline.  Sampling, counting, writing and
-#: reading a log as text hold temporaries for one block of rounds, never for all n.
+#: Rows per block of the round pipeline.  Sampling, counting and writing hold
+#: temporaries for one block of rounds, never for all n.
 _BLOCK = 1 << 16
 
-#: Bytes per read of rounds_from_csv's byte reader.  The tokenizer's temporaries
+#: Bytes per read of rounds_from_csv.  The tokenizer's temporaries
 #: for a chunk this size stay in a 2 MiB L2 cache; 1 MiB chunks tokenize slower.
 _CHUNK = 1 << 17
 
@@ -341,7 +344,7 @@ class _Tally:
                     info += pij * math.log(pij / (p_lam[i] * p_set[k]))
         return EmpiricalStats(
             s_hat=s_hat,
-            info_hat=info / _LOG2,
+            info_hat=float(info / _LOG2),
             prediction_accuracy=self.hits / n,
             s_standard_error=math.sqrt(var),
         )
@@ -466,52 +469,16 @@ def _line_count(path: str) -> int:
     return int(lines) + (last not in (b"", b"\n", b"\r"))
 
 
-def _parse(lines: list[str]) -> np.ndarray:
-    """np.loadtxt of CSV lines as a 2-D int64 table; blank lines are skipped."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines has no rows
-        return np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-
-
-def _row_lines(lines: list[str]) -> list[int]:
-    """Indices of the lines that hold rows; np.loadtxt skips blank ones."""
-    return [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
-
-
-def _read_block(lines: list[str], first: int) -> np.ndarray:
-    """The (rows, 8) table of a block of round-log lines whose first is file line `first`."""
-    try:
-        table = _parse(lines)
-    except ValueError:
-        table = None
-    if table is not None and table.size == 0:
-        return table.reshape(0, len(_CSV_HEADER))
-    if table is None or table.shape[1] != len(_CSV_HEADER):
-        bad = next(i for i in _row_lines(lines) if not _is_round(lines[i]))
-        text = lines[bad].rstrip("\r\n")
-        raise DomainError(
-            f"line {first + bad}: {text!r} is not a round of {len(_CSV_HEADER)} integer fields"
-        )
-    return table
-
-
-def _is_round(line: str) -> bool:
-    try:
-        return _parse([line]).shape == (1, len(_CSV_HEADER))
-    except ValueError:
-        return False
-
-
 def _plain_rows(buf: bytes) -> np.ndarray | None:
     """The (8, rows) int64 fields of a chunk in the plain form, or None if it is not in it.
 
     buf is an LF, as a sentinel, followed by LF-ended lines.  The plain form is
-    lines of 8 comma-separated fields -?[0-9]{1,18}, the form rounds_to_csv
-    writes; a chunk in it holds the same fields that np.loadtxt reads.  The
-    checks count: every byte is a digit, a separator or a `-`, every `-`
-    directly follows a separator, every field ends in a digit and has at most
-    18 of them (10**18 - 1 < 2**63), and the LFs are exactly every eighth
-    separator.
+    lines of 8 comma-separated fields -?[0-9]{1,19} of magnitude below 2**63,
+    the form rounds_to_csv writes.  The checks count: every byte is a digit, a
+    separator or a `-`, every `-` directly follows a separator, every field
+    ends in a digit and has at most 19 of them, and the LFs are exactly every
+    eighth separator.  A 19-digit field is bounded before its leading digit is
+    added, so no value wraps.
     """
     lf, comma, minus = b"\n,-"
     width = len(_CSV_HEADER)
@@ -541,7 +508,7 @@ def _plain_rows(buf: bytes) -> np.ndarray | None:
         return None
     digits = np.diff(seps) - 1 - negative
     longest = int(digits.max())
-    if longest > 18:
+    if longest > 19:
         return None
     if longest > 1:  # the fields with more digits, mostly the round column
         longer = np.flatnonzero(digits > 1)
@@ -550,7 +517,10 @@ def _plain_rows(buf: bytes) -> np.ndarray | None:
             # a field shorter than place + 1 digits reads a byte before it (or byte 0) as 0
             tens = digit.take(last - place, mode="clip")
             tens[count <= place] = 0
-            total += tens * np.int64(10**place)
+            tens = np.multiply(tens, 10**place, dtype=np.int64)  # uint8 digits, int64 products
+            if place == 18 and (total > np.int64(2**63 - 1) - tens).any():
+                return None
+            total += tens
         values[longer] = total
     values *= 1 - 2 * negative.astype(np.int8)  # -1 on a negative field, else 1
     return values.reshape(rows, width).T
@@ -575,6 +545,35 @@ def _chunks(fh: BinaryIO) -> Iterator[bytes]:
         yield b"".join(head)
 
 
+def _normalized_rows(buf: bytes, first: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse a chunk that _plain_rows rejects, whose first line is file line `first`.
+
+    CRLF and CR become LF, a missing final LF is added and blank lines are
+    dropped, and _plain_rows parses the result.  Returns the (8, rows) fields,
+    each row's file line and the number of lines in the chunk; if the chunk
+    still fails, its first line that is not a round raises DomainError.
+    """
+    text = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    b = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))  # the sentinel, then each line's LF
+    sizes = np.diff(ends)  # each line's length with its LF; a blank line's is 1
+    lines = first + np.flatnonzero(sizes > 1)  # the file lines that are not blank
+    if not len(lines):
+        return np.zeros((len(_CSV_HEADER), 0), np.int64), lines, len(sizes)
+    if len(lines) < len(sizes):
+        text = np.delete(b, ends[:-1][sizes == 1]).tobytes()  # the LF before each blank line
+    fields = _plain_rows(text)
+    if fields is None:
+        rows = zip(lines, text[1:-1].split(b"\n"))
+        line, row = next((line, row) for line, row in rows if _plain_rows(b"\n%s\n" % row) is None)
+        raise DomainError(
+            f"line {line}: {row.decode(errors='replace')!r} is not a round of {len(_CSV_HEADER)} integer fields"
+        )
+    return fields, lines, len(sizes)
+
+
 def _store(columns: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
     """Check that a block's (8, rows) fields are rounds n, n+1, ..., store them and return the next n.
 
@@ -593,44 +592,18 @@ def _store(columns: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
     return rows.stop
 
 
-def _read_text(fh: TextIO, columns: np.ndarray, n: int, first: int) -> tuple[int, int]:
-    """Store the rounds of fh's lines, of which the first is file line `first`, from round n on.
-
-    Returns the next round and the file line after the last.  The lines are
-    parsed one block of _BLOCK lines at a time.
-    """
-    while lines := list(itertools.islice(fh, _BLOCK)):
-        table = _read_block(lines, first)
-        n = _store(columns, n, table.T, lambda row: first + _row_lines(lines)[row])
-        first += len(lines)
-    return n, first
-
-
-def _rounds_from_text(path: str, columns: np.ndarray) -> int:
-    """Store the rounds of the round log at path, read as text; returns their number."""
-    # undecodable bytes become U+FFFD, which no header or round matches
-    with open(path, newline="", errors="replace") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header != _CSV_HEADER:
-            raise DomainError(f"unexpected round-log header {header!r}")
-        n, _ = _read_text(fh, columns, 0, 2)
-    return n
-
-
 def rounds_from_csv(path: str) -> RoundLog:
     """Read a round log written by rounds_to_csv; a malformed log raises DomainError.
 
-    Lines may end in LF, CRLF or CR, the last one may lack its ending, and blank
-    lines are skipped.  The columns are allocated once, and an error names the
-    file line at fault.  A file whose header line is exactly the one
-    rounds_to_csv writes is read as bytes, in chunks of about 128 KiB cut after
-    their last LF.  A chunk of plain rows, 8 fields -?[0-9]{1,18} per LF-ended
-    line as rounds_to_csv writes them, is parsed by a numpy tokenizer; any
-    other chunk (a blank line, a stray CR, a byte that is not a digit, a short
-    row or a 19-digit value) is decoded and read as text, as is every file
-    with another header line, such as one with CRLF or CR endings.  Both
-    readers accept the same files and give the same rounds and errors.  A file
-    with more lines than the columns can hold in memory raises DomainError.
+    After the header line, every line is a round of 8 comma-separated fields
+    -?[0-9]{1,19} within int64, so a `+`, a space, a tab, a 20th digit or a
+    magnitude of 2**63 or more is an error.  Lines may end in LF, CRLF or CR,
+    the last one may lack its ending, and blank lines are skipped.  The
+    columns are allocated once, and an error names the file line at fault.
+    The file is read as bytes in chunks of about 128 KiB, each parsed by a
+    numpy tokenizer; a chunk with CRs, blank lines or a missing final LF is
+    normalized to LF-ended lines and parsed again.  A file with more lines
+    than the columns can hold in memory raises DomainError.
     """
     rows = max(_line_count(path) - 1, 0)
     try:
@@ -640,8 +613,13 @@ def rounds_from_csv(path: str) -> RoundLog:
             f"rounds_from_csv: a log of up to {rows} rounds does not fit in memory"
         ) from None
     with open(path, "rb") as fh:
-        if fh.readline(len(_CSV_HEADER_BYTES)) != _CSV_HEADER_BYTES:
-            return RoundLog(*columns[:, : _rounds_from_text(path, columns)])
+        head = fh.readline(len(_CSV_HEADER_BYTES))
+        if head.rstrip(b"\r\n") != _CSV_HEADER_BYTES[:-1]:
+            line = (head + fh.readline(256)).splitlines() or [b""]
+            header = line[0].decode(errors="replace").split(",")
+            raise DomainError(f"unexpected round-log header {header!r}")
+        if head.endswith(b"\r") and fh.peek(1)[:1] == b"\n":
+            fh.read(1)  # the LF of a CRLF
         n, first = 0, 2  # first: the file line of the chunk's first line
         for buf in _chunks(fh):
             fields = _plain_rows(buf)
@@ -649,7 +627,7 @@ def rounds_from_csv(path: str) -> RoundLog:
                 n = _store(columns, n, fields, lambda row: first + row)
                 first += fields.shape[1]
             else:
-                # undecodable bytes become U+FFFD, which no round matches
-                text = io.TextIOWrapper(io.BytesIO(buf[1:]), newline="", errors="replace")
-                n, first = _read_text(text, columns, n, first)
+                fields, lines, count = _normalized_rows(buf, first)
+                n = _store(columns, n, fields, lines.__getitem__)
+                first += count
     return RoundLog(*columns[:, :n])

@@ -223,6 +223,23 @@ def test_sample_missing_model_file_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sample_model_file_not_utf8_is_usage_error(tmp_path, capsys):
+    model_path = tmp_path / "bad.json"
+    model_path.write_bytes(b"\xff\xfe" + json.dumps({"schema": 1}).encode("utf-16-le"))
+    assert main(["sample", "--model", str(model_path), "--n", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err and str(model_path) in err
+
+
+def test_rounds_out_in_a_missing_directory_names_the_path(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    bc.save_model(bc.table2_model(0.2), str(model_path))
+    target = tmp_path / "missing" / "r.csv"
+    assert main(["sample", "--model", str(model_path), "--n", "100", "--rounds-out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
 def test_sample_bad_seed_is_usage_error(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     bc.save_model(bc.table2_model(0.2), str(model_path))

@@ -364,6 +364,13 @@ def test_model_json_roundtrip(tmp_path):
     assert bc.mutual_information(again) == bc.mutual_information(m)
 
 
+def test_load_model_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe" + bc.model_to_json(bc.table1_model(0.2)).encode("utf-16-le"))
+    with pytest.raises(bc.InvalidModel, match="not UTF-8"):
+        bc.load_model(str(path))
+
+
 def test_model_json_schema_field():
     doc = json.loads(bc.model_to_json(bc.table1_model(0.2)))
     assert doc["schema"] == "bellcost-model/1"

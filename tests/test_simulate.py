@@ -1,5 +1,6 @@
 """Seeded sampling, the two causal orders, and the plug-in estimators."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -192,6 +193,11 @@ def test_golden_round_log(order):
     assert stats.s_standard_error.hex() == GOLDEN[order][3]
 
 
+def test_stats_are_python_floats():
+    stats = bc.empirical_stats(bc.sample_rounds(quantum_causal_model(), 2000, seed=42, order=SOURCE))
+    assert [type(value) for value in dataclasses.astuple(stats)] == [float] * 4
+
+
 def test_round_csv_matches_row_formatting(tmp_path):
     # multi-digit hidden states and a round count crossing several digit widths
     rng = np.random.default_rng(0)
@@ -256,6 +262,14 @@ def test_round_csv_bytes_match_row_formatting(rows, block):
         with open(path, "rb") as fh:
             assert fh.read() == expected.encode()
         assert bc.rounds_from_csv(path) == rounds
+
+
+def test_round_csv_write_to_a_missing_directory_names_the_path(tmp_path):
+    rounds = bc.sample_rounds(quantum_causal_model(), 20, seed=1, order=SOURCE)
+    path = str(tmp_path / "missing" / "rounds.csv")
+    with pytest.raises(FileNotFoundError) as err:
+        bc.rounds_to_csv(rounds, path)
+    assert err.value.filename == path
 
 
 def test_failed_round_csv_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -440,14 +454,48 @@ def test_bad_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, bad
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "4,0,0,0,+1,1,1,1",
+        "4, 0,0,0,1,1,1,1",
+        "4,0 ,0,0,1,1,1,1",
+        "4,0,0,0,1,1,1,1\t",
+        f"4,{2**63},0,0,1,1,1,1",
+        f"4,{-(2**63)},0,0,1,1,1,1",
+        "4," + "0" * 20 + ",0,0,1,1,1,1",
+    ],
+    ids=["plus", "leading-space", "trailing-space", "tab", "2**63", "-2**63", "20-digits"],
+)
+def test_round_log_reader_rejects_fields_outside_the_grammar(tmp_path, bad, end):
+    # np.loadtxt reads all but 2**63 as integers; the tokenizer takes -?[0-9]{1,19} below 2**63
+    path = tmp_path / "rounds.csv"
+    path.write_bytes((_HEADER + _GOOD_ROWS + "\n" + bad + "\n").replace("\n", end).encode())
+    with pytest.raises(bc.DomainError) as err:
+        bc.rounds_from_csv(str(path))
+    assert str(err.value) == f"line 7: {bad!r} is not a round of 8 integer fields"
+
+
+def test_round_log_reader_takes_19_digit_fields_as_plain_rows(tmp_path, monkeypatch):
+    k = np.arange(6)
+    lam = np.array([2**63 - 1, 10**18, 0, 9 * 10**18 - 1, 9 * 10**18, 7])
+    a, b = 1 - 2 * (k % 2), 1 - 2 * (k // 3)
+    rounds = bc.RoundLog(lam, k % 2, k // 2 % 2, a, b, a, b)
+    path = tmp_path / "rounds.csv"
+    bc.rounds_to_csv(rounds, str(path))
+    monkeypatch.setattr(simulate, "_normalized_rows", None)  # the plain form is parsed in one pass
+    assert bc.rounds_from_csv(str(path)) == rounds
+
+
 def _random_fields(rng, rows):
-    """rows x 8 plain-form fields: signs, -0, leading zeros and 1 to 18 digits."""
+    """rows x 8 plain-form fields: signs, -0, leading zeros and 1 to 19 digits."""
     fields = []
     for _ in range(rows * 8):
         digits = int(rng.choice([1, 1, 1, 2, 3, 7, 18]))
         field = "".join(rng.choice(list("0123456789"), size=digits))
         fields.append(("-" if rng.random() < 0.3 else "") + field)
-    fields[:4] = ["-0", "007", "9" * 18, "-" + "9" * 18]
+    fields[:7] = ["-0", "007", "9" * 18, "-" + "9" * 18, str(2**63 - 1), str(1 - 2**63), "0" + "9" * 18]
     return [fields[i : i + 8] for i in range(0, len(fields), 8)]
 
 
@@ -459,7 +507,7 @@ def _loadtxt_fields(buf):
     """The (8, rows) fields np.loadtxt reads from a chunk's lines, or None if it reads no table of 8."""
     lines = io.StringIO(buf[1:].decode("utf-8", "replace"), newline="").readlines()
     try:
-        table = simulate._parse(lines)
+        table = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     return table.T if table.shape[1] == 8 else None
@@ -476,6 +524,9 @@ def _mutated(kind, rows, rng) -> bytes:
         "plus": "+1",
         "space": " " + rows[i][j],
         "digits-19": "9" * 19,  # beyond int64
+        "int64-max+1": str(2**63),
+        "int64-min": str(-(2**63)),  # in int64, but a magnitude of 2**63
+        "digits-20": "0" + str(2**63 - 1),
         "high-byte": rows[i][j] + "\xe9",
         "split-row": rows[i][j] + "\n" + rows[i][j + 1],
     }
@@ -512,8 +563,8 @@ def test_plain_rows_match_loadtxt():
     "kind",
     [
         "empty-field", "bare-minus", "inner-minus", "plus", "space", "cr", "blank-line",
-        "blank-lines-8", "digits-19", "high-byte", "no-last-lf", "split-row", "shifted-row",
-        "trailing-field",
+        "blank-lines-8", "digits-19", "int64-max+1", "int64-min", "digits-20", "high-byte",
+        "no-last-lf", "split-row", "shifted-row", "trailing-field",
     ],
 )
 def test_plain_rows_reject_or_match_loadtxt_on_mutated_chunks(kind):
@@ -531,7 +582,7 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
     lam = rng.choice([0, 9, 10, 12345, 10**18 - 1, 2**62], size=n)
     rest = [rng.integers(0, 2, size=n) for _ in range(2)] + [rng.choice([-1, 1], size=n) for _ in range(4)]
     path = tmp_path / "rounds.csv"
-    # a blank line, a CRLF and the 19 digits of 2**62 send their chunks to the text reader
+    # a blank line and a CRLF send their chunks through the normalizing pass
     text = bc.rounds_to_csv(bc.RoundLog(lam, *rest)).encode()
     path.write_bytes(text.replace(b"\n17,", b"\n\n17,").replace(b"\n200,", b"\r\n200,"))
     default = bc.rounds_from_csv(str(path))
@@ -548,7 +599,6 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
     assert bc.rounds_from_csv(str(path)) == default
     plain = bc.RoundLog(np.minimum(lam, 10**18 - 1), *rest)
     bc.rounds_to_csv(plain, str(path))
-    monkeypatch.setattr(simulate, "_read_text", None)  # the plain form never reaches the text reader
     assert bc.rounds_from_csv(str(path)) == plain
 
 
@@ -571,6 +621,16 @@ def test_undecodable_round_log_rejected(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(bc.DomainError):
         bc.rounds_from_csv(str(path))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("header", [_HEADER[:-1] + ",", _HEADER[:-1] + " ", _HEADER[:-8], ""])
+def test_round_log_header_names_the_header_line(tmp_path, header, end):
+    path = tmp_path / "rounds.csv"
+    path.write_bytes((header + "\n" + _GOOD_ROWS).replace("\n", end).encode())
+    with pytest.raises(bc.DomainError) as err:
+        bc.rounds_from_csv(str(path))
+    assert str(err.value) == f"unexpected round-log header {header.split(',')!r}"
 
 
 @pytest.mark.parametrize("lines", [2**62, 2**45], ids=["beyond-intp", "beyond-memory"])
