@@ -60,7 +60,7 @@ class OutcomeSigns:
 
     def responses_for(self, mu: int, nu: int) -> tuple[int, int, int, int]:
         """(A0, A1, B0, B1) for the (mu, nu) row, with A0 its sign parameter and A_x B_y = class_sign."""
-        a0 = {(0, 0): self.s, (1, 0): self.t, (0, 1): self.u, (1, 1): self.v}[(mu, nu)]
+        a0 = (self.s, self.t, self.u, self.v)[mu + 2 * nu]  # LAMBDA_CLASSES order
         b0 = a0 * class_sign(mu, nu, 0, 0)
         b1 = a0 * class_sign(mu, nu, 0, 1)
         a1 = b0 * class_sign(mu, nu, 1, 0)
@@ -83,9 +83,14 @@ def flip_marginals(mu: int, nu: int, a, b, whole=1.0):
     return (whole - a if nu == 0 else a), (whole - b if mu == 0 else b)
 
 
+#: The signs class_model uses when given none.
+_DEFAULT_SIGNS = OutcomeSigns()
+
+
 def class_model(dists, label: str, signs: OutcomeSigns | None = None, weights=(0.25,) * 4) -> Model:
     """One state per LAMBDA_CLASSES row, with the signs' responses; equal weights by default."""
-    signs = signs or OutcomeSigns()
+    if signs is None:
+        signs = _DEFAULT_SIGNS
     states = tuple(
         HiddenState(w, dist, signs.responses_for(mu, nu))
         for (mu, nu), dist, w in zip(LAMBDA_CLASSES, dists, weights, strict=True)

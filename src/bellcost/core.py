@@ -11,6 +11,9 @@ A model's setting marginal p(x, y) is computed and validated once, at
 construction, and kept on the model.  The evaluators read it, and the
 states' probabilities and responses, directly: each value was checked when
 the object holding it was built, so they neither sum nor check it again.
+The objects are immutable, so what is derived from one is computed once and
+kept on it: a SettingDist's entropy, and a Model's correlators and
+correlation table.
 
 Conventions: settings are bits, outcomes are -1/+1, entropies are in bits,
 and 0*log2(0) == 0 throughout.
@@ -209,9 +212,11 @@ class SettingDist:
         object.__setattr__(self, "probs", probs)
         if len(probs) != 4:
             raise InvalidModel("SettingDist needs exactly 4 probabilities")
-        for p in probs:
-            if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
-                raise InvalidModel(f"setting probability {p!r} outside [0, 1]")
+        p00, p01, p10, p11 = probs
+        lo, hi = -STRUCT_TOL, 1.0 + STRUCT_TOL
+        if not (lo <= p00 <= hi and lo <= p01 <= hi and lo <= p10 <= hi and lo <= p11 <= hi):
+            bad = next(p for p in probs if not lo <= p <= hi)
+            raise InvalidModel(f"setting probability {bad!r} outside [0, 1]")
         total = sum(probs)
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidModel(f"setting probabilities sum to {total!r}, not 1")
@@ -220,13 +225,17 @@ class SettingDist:
                 raise InvalidModel("factorized SettingDist requires marginals")
             px0, py0 = _reals(self.marginals, "setting marginal")
             object.__setattr__(self, "marginals", (px0, py0))
-            for v in (px0, py0):
-                if not -STRUCT_TOL <= v <= 1.0 + STRUCT_TOL:
-                    raise InvalidModel(f"setting marginal {v!r} outside [0, 1]")
-            expected = (px0 * py0, px0 * (1 - py0), (1 - px0) * py0, (1 - px0) * (1 - py0))
-            for got, want in zip(probs, expected):
-                if abs(got - want) > STRUCT_TOL:
-                    raise InvalidModel("factorized entries do not match marginal products")
+            if not (lo <= px0 <= hi and lo <= py0 <= hi):
+                bad = px0 if not lo <= px0 <= hi else py0
+                raise InvalidModel(f"setting marginal {bad!r} outside [0, 1]")
+            px1, py1 = 1 - px0, 1 - py0
+            if (
+                abs(p00 - px0 * py0) > STRUCT_TOL
+                or abs(p01 - px0 * py1) > STRUCT_TOL
+                or abs(p10 - px1 * py0) > STRUCT_TOL
+                or abs(p11 - px1 * py1) > STRUCT_TOL
+            ):
+                raise InvalidModel("factorized entries do not match marginal products")
         elif self.kind == "joint":
             if self.marginals is not None:
                 raise InvalidModel("joint SettingDist must not carry marginals")
@@ -264,7 +273,12 @@ class SettingDist:
         return self.probs[0] + self.probs[2]
 
     def entropy(self) -> float:
-        return shannon_entropy(self.probs)
+        """H(X, Y) in bits, computed on the first call and kept (outside ==, repr and JSON)."""
+        h = getattr(self, "_entropy", None)
+        if h is None:
+            h = shannon_entropy(self.probs)
+            object.__setattr__(self, "_entropy", h)
+        return h
 
 
 def _check_sign(value: float, what: str) -> int:
@@ -323,9 +337,10 @@ class Model:
 
     Construction also computes the setting marginal p(x, y), raising
     InvalidModel if it is not a distribution, and keeps it for
-    derived_marginal and the evaluators.  It is a function of the states, so
-    it takes no part in ==, repr or the JSON form, and dataclasses.replace
-    computes it afresh.
+    derived_marginal and the evaluators; correlators and correlations_of
+    keep what they compute on the model the first time.  All three are
+    functions of the states, so they take no part in ==, hash, repr or the
+    JSON form, and dataclasses.replace computes them afresh.
     """
 
     states: tuple[HiddenState, ...]
@@ -425,7 +440,10 @@ def posterior_weights(m: Model, x: int, y: int) -> tuple[float, ...]:
 
 
 def correlators(m: Model) -> tuple[float, float, float, float]:
-    """The four correlators <AB>_{xy}, in setting_index order."""
+    """The four correlators <AB>_{xy}, in setting_index order, computed once per model."""
+    kept = getattr(m, "_correlators", None)
+    if kept is not None:
+        return kept
     marg = m._marginal.probs
     out = []
     for k, (x, y) in enumerate(SETTINGS):
@@ -437,7 +455,9 @@ def correlators(m: Model) -> tuple[float, float, float, float]:
             r = st.responses
             acc += st.weight * st.dist.probs[k] * r[x] * r[2 + y]
         out.append(acc / pxy)
-    return tuple(out)
+    out = tuple(out)
+    object.__setattr__(m, "_correlators", out)
+    return out
 
 
 _DEFAULT_PERMUTATION = (1, 1, 1, -1)
@@ -477,7 +497,10 @@ def is_factorized_per_lambda(m: Model, tol: float = STRUCT_TOL) -> bool:
 
 
 def correlations_of(m: Model) -> Correlations:
-    """Observable table p(a,b|x,y) = sum_lambda p(lambda|x,y) [a=A_x][b=B_y]."""
+    """Observable table p(a,b|x,y) = sum_lambda p(lambda|x,y) [a=A_x][b=B_y], computed once per model."""
+    kept = getattr(m, "_correlations", None)
+    if kept is not None:
+        return kept
     marg = m._marginal.probs
     table = [0.0] * 16
     for k, (x, y) in enumerate(SETTINGS):
@@ -487,18 +510,26 @@ def correlations_of(m: Model) -> Correlations:
         for st in m.states:
             r = st.responses
             table[4 * k + 2 * (r[x] == -1) + (r[2 + y] == -1)] += st.weight * st.dist.probs[k] / pxy
-    return Correlations(tuple(table))
+    kept = Correlations(tuple(table))
+    object.__setattr__(m, "_correlations", kept)
+    return kept
 
 
 def is_nonsignaling(c: Correlations, tol: float = SUM_TOL) -> bool:
-    """True iff p(a|x,y) is independent of y and p(b|x,y) independent of x, within tol."""
-    for a in (1, -1):
-        for x in (0, 1):
-            if abs(c.alice_marginal(a, x, 0) - c.alice_marginal(a, x, 1)) > tol:
+    """True iff p(a|x,y) is independent of y and p(b|x,y) independent of x, within tol.
+
+    The marginals are summed from the table as alice_marginal and bob_marginal sum them.
+    """
+    t = c.table
+    for x in (0, 1):
+        k, j = 4 * setting_index(x, 0), 4 * setting_index(x, 1)
+        for a in (0, 2):  # a = +1, -1
+            if abs((t[k + a] + t[k + a + 1]) - (t[j + a] + t[j + a + 1])) > tol:
                 return False
-    for b in (1, -1):
-        for y in (0, 1):
-            if abs(c.bob_marginal(b, 0, y) - c.bob_marginal(b, 1, y)) > tol:
+    for y in (0, 1):
+        k, j = 4 * setting_index(0, y), 4 * setting_index(1, y)
+        for b in (0, 1):  # b = +1, -1
+            if abs((t[k + b] + t[k + b + 2]) - (t[j + b] + t[j + b + 2])) > tol:
                 return False
     return True
 

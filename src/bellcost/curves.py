@@ -13,6 +13,11 @@ The i_2 branch is parameterized by conjugate probability pairs (p, p*) with
 equal values of f(p) = p log2((1-p)/p) and 4 - 8 p p* = s.  Every solver here
 is plain bisection on an analytic bracket holding a single sign change; the
 i_2 inversion bisects g(p*) = f((4-s)/(8 p*)) - f(p*) on [p0, 1/2].
+
+curve_sweep evaluates its grid in one array pass: the closed forms in
+curve_point's order of operations, every logarithm by math.log, and the scalar
+i_2 solve only at the causal points above S0, so each point is that of
+curve_point at the same grid value, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt12
+from ._util import atomic_write_text
 from .core import CausalClass, DomainError, _LOG2, _LOG2_3, _require_real, binary_entropy
 
 __all__ = [
@@ -70,8 +75,11 @@ class Branch(Enum):
 #: A branch's CSV token: its value, or empty for a curve without branches.
 _BRANCH_TOKEN = {None: "", **{branch: branch.value for branch in Branch}}
 
+#: The causal branch of a point, indexed by whether it lies above S0.
+_BRANCH_OF_UPPER = (Branch.I1, Branch.I2)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     """A point (s, info) on a minimal-information curve, with the causal branch tag."""
 
@@ -349,30 +357,58 @@ def curve_point(causal_class: CausalClass, s: float) -> CurvePoint:
     raise DomainError(f"unknown causal class {causal_class!r}")  # pragma: no cover
 
 
+def _binary_entropies(p: np.ndarray) -> np.ndarray:
+    """binary_entropy of each element of p in [0, 1], bit for bit: its arithmetic, with math.log."""
+    h = np.zeros_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    q = p[inner]
+    h[inner] = -(q * _exact_log(q) + (1.0 - q) * _exact_log(1.0 - q)) / _LOG2
+    return h
+
+
 def curve_sweep(
     causal_class: CausalClass, s_min: float, s_max: float, n: int
 ) -> list[CurvePoint]:
-    """n evenly spaced curve points on [s_min, s_max]."""
+    """n evenly spaced curve points on [s_min, s_max], each that of curve_point bit for bit.
+
+    The grid and the closed forms (i_R, i_1, i_OS, i_SD) are evaluated as
+    arrays in curve_point's order of operations, with math.log; the causal
+    points above S0 take the scalar i_2 solve.
+    """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"curve_sweep needs an integer n >= 2, not {n!r}")
     s_min = _check_s(s_min)
     s_max = _check_s(s_max)
     if s_min > s_max:
         raise DomainError("curve_sweep needs s_min <= s_max")
-    grid = [s_min + (s_max - s_min) * k / (n - 1) for k in range(n)]
-    return [curve_point(causal_class, s) for s in grid]
+    # each grid value passes _check_s, which clamps one that rounds past 4
+    s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.arange(n) / (n - 1), 2.0), 4.0)
+    if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
+        upper = s > s0()
+        info = 2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0))
+        info[upper] = [_i_2(v) for v in s[upper].tolist()]
+        branches = map(_BRANCH_OF_UPPER.__getitem__, upper.tolist())
+        return list(map(CurvePoint, s.tolist(), info.tolist(), branches))
+    if causal_class is CausalClass.RETROCAUSAL:
+        info = np.maximum(0.0, 2.0 - _binary_entropies((4.0 - s) / 8.0) - (4.0 + s) / 8.0 * _LOG2_3)
+    elif causal_class is CausalClass.ONE_SIDED:
+        info = 1.0 - _binary_entropies(s / 4.0)
+    elif causal_class is CausalClass.SUPERDETERMINISTIC:
+        info = np.full(n, 2.0)
+    else:  # pragma: no cover
+        raise DomainError(f"unknown causal class {causal_class!r}")
+    return list(map(CurvePoint, s.tolist(), info.tolist()))
 
 
 def sweep_to_csv(
     points: list[CurvePoint], causal_class: CausalClass, path: str | None = None
 ) -> str:
     """Render a sweep as CSV (header S,I,branch,class; 12 significant digits; LF)."""
-    lines = ["S,I,branch,class"]
-    token = causal_class.value
+    row = "%.12g,%.12g,%s," + causal_class.value + "\n"  # %.12g renders as fmt12 does
+    fields = []
     for pt in points:
-        branch = _BRANCH_TOKEN[pt.branch]
-        lines.append(f"{fmt12(pt.s)},{fmt12(pt.info)},{branch},{token}")
-    text = "\n".join(lines) + "\n"
+        fields += (pt.s, pt.info, _BRANCH_TOKEN[pt.branch])
+    text = "S,I,branch,class\n" + row * len(points) % tuple(fields)
     if path is not None:
         atomic_write_text(path, text)
     return text

@@ -145,6 +145,10 @@ def one_sided_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     return causal_pair_model(p, 0.5, signs, label=f"one-sided(p={p!r})")
 
 
+#: The point mass at each joint setting, in setting_index order.
+_POINT_MASSES = tuple(SettingDist.joint([1.0 if k == j else 0.0 for k in range(4)]) for j in range(4))
+
+
 def superdeterministic_model(c: Correlations, settings: SettingDist) -> Model:
     """Point-mass model reproducing arbitrary correlations and setting statistics.
 
@@ -158,16 +162,13 @@ def superdeterministic_model(c: Correlations, settings: SettingDist) -> Model:
             raise DomainError("superdeterministic_model needs strictly positive settings")
     states = []
     for xi, zeta in SETTINGS:
+        k = setting_index(xi, zeta)
         for alpha in (1, -1):
             for beta in (1, -1):
                 w = c.prob(alpha, beta, xi, zeta) * settings.prob(xi, zeta)
                 if w == 0.0:
                     continue
-                probs = [0.0] * 4
-                probs[setting_index(xi, zeta)] = 1.0
-                states.append(
-                    HiddenState(w, SettingDist.joint(probs), (alpha, alpha, beta, beta))
-                )
+                states.append(HiddenState(w, _POINT_MASSES[k], (alpha, alpha, beta, beta)))
     return Model(tuple(states), label="superdeterministic")
 
 
@@ -180,9 +181,9 @@ def flip_lift(m: Model) -> Model:
     """
     states = []
     for st in m.states:
+        a0, a1, b0, b1 = st.responses
         states.append(HiddenState(st.weight / 2.0, st.dist, st.responses))
-        flipped = tuple(-r for r in st.responses)
-        states.append(HiddenState(st.weight / 2.0, st.dist, flipped))
+        states.append(HiddenState(st.weight / 2.0, st.dist, (-a0, -a1, -b0, -b1)))
     return Model(tuple(states), label=f"flip({m.label})")
 
 

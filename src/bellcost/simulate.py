@@ -118,22 +118,28 @@ class RoundLog:
     predicted_b: np.ndarray
 
     def __post_init__(self) -> None:
+        views = {}  # id of each argument -> its column, so an array passed twice is checked once
         for name in _COLUMNS:
-            col = np.asarray(getattr(self, name))
-            if col.ndim != 1 or col.dtype.kind not in "iu":
-                raise DomainError(f"round-log column {name} must be a 1-D integer array")
-            col = col.astype(np.int64, copy=False).view()
-            col.flags.writeable = False
+            arg = getattr(self, name)
+            col = views.get(id(arg))
+            if col is None:
+                col = np.asarray(arg)
+                if col.ndim != 1 or col.dtype.kind not in "iu":
+                    raise DomainError(f"round-log column {name} must be a 1-D integer array")
+                col = col.astype(np.int64, copy=False).view()
+                col.flags.writeable = False
+                views[id(arg)] = col
             object.__setattr__(self, name, col)
         n = len(self.lambda_index)
-        if any(len(col) != n for col in self._columns()):
+        if any(len(col) != n for col in views.values()):
             raise DomainError("round-log columns differ in length")
-        _check_column("lambda_index", self.lambda_index >= 0, "a hidden-state index >= 0")
-        for name in ("x", "y"):
-            col = getattr(self, name)
-            _check_column(name, (col == 0) | (col == 1), "a setting 0 or 1")
-        for name in ("a", "b", "predicted_a", "predicted_b"):
-            _check_column(name, np.abs(getattr(self, name)) == 1, "an outcome -1 or +1")
+        for names, rule, expected in _COLUMN_RULES:
+            checked = []
+            for name in names:
+                col = getattr(self, name)
+                if all(col is not done for done in checked):
+                    _check_column(name, rule(col), expected)
+                    checked.append(col)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
@@ -148,6 +154,14 @@ class RoundLog:
         if not isinstance(other, RoundLog):
             return NotImplemented
         return all(map(np.array_equal, self._columns(), other._columns()))
+
+
+#: Columns that share a rule, the rule every value must meet, and what the error calls such a value.
+_COLUMN_RULES = (
+    (("lambda_index",), lambda col: col >= 0, "a hidden-state index >= 0"),
+    (("x", "y"), lambda col: (col >> 1) == 0, "a setting 0 or 1"),
+    (("a", "b", "predicted_a", "predicted_b"), lambda col: np.abs(col) == 1, "an outcome -1 or +1"),
+)
 
 
 def _check_column(name: str, ok: np.ndarray, expected: str) -> None:
@@ -302,7 +316,9 @@ class _Tally:
 
     def add(self, lam, x, y, a, b, pred_a, pred_b) -> None:
         states, rank = _ranks(lam)
-        if not np.array_equal(states, self.states):
+        if not len(self.states):  # the first block
+            self.states, self.joint = states, np.zeros((len(states), 4), np.int64)
+        elif not np.array_equal(states, self.states):
             # return_inverse also keeps np.unique from importing numpy.ma (~1.7 MB resident)
             merged, where = np.unique(np.concatenate([self.states, states]), return_inverse=True)
             joint = np.zeros((len(merged), 4), np.int64)
@@ -323,25 +339,25 @@ class _Tally:
         if n == 0:
             raise DomainError("empirical_stats needs at least one round")
 
+        # the loops read Python ints and floats: the same arithmetic as on numpy scalars, unboxed
+        counts, agree = self.joint.sum(axis=0).tolist(), self.agree.tolist()
         s_hat = var = 0.0
         for x, y in SETTINGS:
             k = setting_index(x, y)
-            cnt = int(self.joint[:, k].sum())
+            cnt = counts[k]
             if cnt == 0:
                 raise MissingSetting(f"setting ({x},{y}) never occurs in the round log")
-            corr = (2 * int(self.agree[k]) - cnt) / cnt
+            corr = (2 * agree[k] - cnt) / cnt
             s_hat += corr if (x, y) != (1, 1) else -corr
             var += max(0.0, 1.0 - corr * corr) / cnt
 
         joint = self.joint / n
-        p_lam = joint.sum(axis=1)
-        p_set = joint.sum(axis=0)
+        p_set = joint.sum(axis=0).tolist()
         info = 0.0
-        for i in range(joint.shape[0]):
-            for k in range(4):
-                pij = joint[i, k]
+        for row, p_lam in zip(joint.tolist(), joint.sum(axis=1).tolist()):
+            for pij, p_xy in zip(row, p_set):
                 if pij > 0.0:
-                    info += pij * math.log(pij / (p_lam[i] * p_set[k]))
+                    info += pij * math.log(pij / (p_lam * p_xy))
         return EmpiricalStats(
             s_hat=s_hat,
             info_hat=float(info / _LOG2),
@@ -601,8 +617,9 @@ def rounds_from_csv(path: str) -> RoundLog:
     the last one may lack its ending, and blank lines are skipped.  The
     columns are allocated once, and an error names the file line at fault.
     The file is read as bytes in chunks of about 128 KiB, each parsed by a
-    numpy tokenizer; a chunk with CRs, blank lines or a missing final LF is
-    normalized to LF-ended lines and parsed again.  A file with more lines
+    numpy tokenizer; a chunk with CRs goes straight to normalizing, and one
+    with blank lines or a missing final LF is normalized after the tokenizer
+    rejects it; either is then parsed as LF-ended lines.  A file with more lines
     than the columns can hold in memory raises DomainError.
     """
     rows = max(_line_count(path) - 1, 0)
@@ -622,7 +639,7 @@ def rounds_from_csv(path: str) -> RoundLog:
             fh.read(1)  # the LF of a CRLF
         n, first = 0, 2  # first: the file line of the chunk's first line
         for buf in _chunks(fh):
-            fields = _plain_rows(buf)
+            fields = None if b"\r" in buf else _plain_rows(buf)  # a CR always fails the plain form
             if fields is not None:
                 n = _store(columns, n, fields, lambda row: first + row)
                 first += fields.shape[1]

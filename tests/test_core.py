@@ -266,6 +266,58 @@ def test_replace_recomputes_the_stored_marginal():
         dataclasses.replace(m, states=(good, bad))
 
 
+_KEPT_FACTORIES = {
+    "table1": lambda: bc.table1_model(0.1),
+    "table2_conjugate": lambda: bc.table2_model(0.1, bc.Table2Branch.CONJUGATE),
+    "superdeterministic": lambda: bc.superdeterministic_model(
+        bc.correlations_of(bc.flip_lift(bc.table1_model(0.1))), bc.SettingDist.factorized(0.6, 0.3)
+    ),
+    "biased_causal": lambda: bc.biased_lift(bc.CausalClass.CAUSAL, bc.Bias(-0.2, 0.7), 0.15, 0.3),
+}
+
+
+def _evaluator_bits(m):
+    return (
+        bc.chsh_value(m).hex(),
+        bc.mutual_information(m).hex(),
+        [c.hex() for c in bc.correlators(m)],
+        [p.hex() for p in bc.correlations_of(m).table],
+        [st_.dist.entropy().hex() for st_ in m.states],
+        bc.derived_marginal(m).entropy().hex(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_KEPT_FACTORIES))
+def test_kept_entropies_and_correlators_are_not_part_of_any_value(name):
+    fresh, filled = _KEPT_FACTORIES[name](), _KEPT_FACTORIES[name]()
+    bits = _evaluator_bits(filled)  # fills the kept entropies and correlators
+    assert bits == _evaluator_bits(_KEPT_FACTORIES[name]())
+    assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    assert bc.model_to_json(filled) == bc.model_to_json(fresh)
+    for a, b in zip(filled.states, fresh.states):
+        assert a.dist == b.dist and hash(a.dist) == hash(b.dist) and repr(a.dist) == repr(b.dist)
+        assert dataclasses.replace(a.dist) == b.dist
+    renamed = dataclasses.replace(filled, label="renamed")
+    assert renamed == dataclasses.replace(fresh, label="renamed")
+    assert repr(renamed) == repr(dataclasses.replace(fresh, label="renamed"))
+    moved = dataclasses.replace(filled, states=bc.table1_model(0.2).states)  # computes its own
+    assert bc.correlators(moved) == bc.correlators(bc.table1_model(0.2))
+    assert bc.correlations_of(moved) == bc.correlations_of(bc.table1_model(0.2))
+    assert bc.correlations_of(filled) is bc.correlations_of(filled)  # kept, not computed again
+    # a lift of a model whose values are kept has the bits of a lift of a fresh one
+    assert _evaluator_bits(bc.flip_lift(filled)) == _evaluator_bits(bc.flip_lift(fresh))
+    assert bc.model_to_json(bc.flip_lift(filled)) == bc.model_to_json(bc.flip_lift(fresh))
+
+
+def test_kept_entropy_survives_pickle_and_is_the_computed_one():
+    dist = bc.SettingDist.joint([0.4, 0.3, 0.2, 0.1])
+    h = dist.entropy()
+    assert dist.entropy() is h  # kept, not computed again
+    assert h == bc.shannon_entropy(dist.probs)
+    back = pickle.loads(pickle.dumps(dist))
+    assert back == dist and back.entropy() == h
+
+
 def test_is_factorized_per_lambda():
     assert bc.is_factorized_per_lambda(bc.table2_model(0.17))
     assert bc.is_factorized_per_lambda(bc.table1_model(0.25))
@@ -293,6 +345,34 @@ def test_nonsignaling_checks():
     assert bc.is_nonsignaling(lifted)
     white = bc.Correlations((0.25,) * 16)
     assert bc.is_nonsignaling(white)
+
+
+def _nonsignaling_by_marginals(c, tol):
+    for a in (1, -1):
+        for x in (0, 1):
+            if abs(c.alice_marginal(a, x, 0) - c.alice_marginal(a, x, 1)) > tol:
+                return False
+    for b in (1, -1):
+        for y in (0, 1):
+            if abs(c.bob_marginal(b, 0, y) - c.bob_marginal(b, 1, y)) > tol:
+                return False
+    return True
+
+
+def test_nonsignaling_reads_the_marginals_of_the_table():
+    rng = np.random.default_rng(2203)
+    verdicts = set()
+    for _ in range(400):
+        rows = rng.random((4, 4))
+        if rng.random() < 0.5:  # rows whose marginals agree except for one side, or on both
+            rows[1] = rows[0][[1, 0, 3, 2]] if rng.random() < 0.5 else rows[0]
+            rows[3] = rows[2]
+        c = bc.Correlations(tuple((rows / rows.sum(axis=1, keepdims=True)).ravel().tolist()))
+        for tol in (1e-12, 0.05, 0.3):
+            verdict = bc.is_nonsignaling(c, tol)
+            assert verdict == _nonsignaling_by_marginals(c, tol)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

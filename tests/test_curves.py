@@ -307,6 +307,47 @@ def test_curve_sweep_causal_monotone_with_branch_switch():
     assert pts[switch - 1].s <= bc.s0() <= pts[switch].s
 
 
+# (s_min, s_max, n) whose last grid point, s_min + (s_max - s_min) * (n - 1) / (n - 1), rounds past s_max
+_OVERSHOOT = (2.497493534960194, 3.861499418058824, 196)
+
+
+def _sweep_grids():
+    """Seeded (s_min, s_max, n) draws, plus both ends at 2 and at 4, n = 2, ranges either side of S0."""
+    rng = np.random.default_rng(2202)
+    grids = [
+        (2.0, 2.0, 2), (4.0, 4.0, 2), (2.0, 4.0, 2), (2.0, 4.0, 201),
+        (2.0, bc.s0(), 9), (bc.s0(), 4.0, 9), (3.0, 3.9, 2), _OVERSHOOT,
+    ]
+    for _ in range(60):
+        lo, hi = sorted(rng.uniform(2.0, 4.0, size=2).tolist())
+        grids.append((lo, hi, int(rng.integers(2, 120))))
+    return grids
+
+
+def test_overshooting_grid_rounds_past_its_end():
+    s_min, s_max, n = _OVERSHOOT
+    assert s_min + (s_max - s_min) * (n - 1) / (n - 1) > s_max
+
+
+@pytest.mark.parametrize("cls", list(bc.CausalClass))
+def test_curve_sweep_is_curve_point_bit_for_bit(cls):
+    crossed = False
+    for s_min, s_max, n in _sweep_grids():
+        points = bc.curve_sweep(cls, s_min, s_max, n)
+        assert len(points) == n
+        for k, pt in enumerate(points):
+            ref = bc.curve_point(cls, s_min + (s_max - s_min) * k / (n - 1))
+            assert (pt.s.hex(), pt.info.hex(), pt.branch) == (ref.s.hex(), ref.info.hex(), ref.branch)
+        crossed |= s_min < bc.s0() < s_max
+    assert crossed
+
+
+def test_zigzag_sweep_is_the_causal_sweep():
+    for s_min, s_max, n in _sweep_grids():
+        zigzag = bc.curve_sweep(bc.CausalClass.ZIGZAG, s_min, s_max, n)
+        assert zigzag == bc.curve_sweep(bc.CausalClass.CAUSAL, s_min, s_max, n)
+
+
 def test_curve_sweep_errors():
     with pytest.raises(bc.DomainError):
         bc.curve_sweep(bc.CausalClass.CAUSAL, 2.0, 4.0, 1)

@@ -330,6 +330,23 @@ def test_round_log_columns_validated():
         bc.RoundLog(*good[:, :, None])  # not 1-D
 
 
+def test_round_log_checks_an_aliased_column_under_each_of_its_names():
+    lam, x, y, a, b = np.array([[0, 1], [0, 1], [1, 0], [1, -1], [-1, 1]])
+    rounds = bc.RoundLog(lam, x, y, a, b, a, b)
+    assert rounds.predicted_a is rounds.a and rounds.predicted_b is rounds.b
+    assert rounds == bc.RoundLog(lam, x, y, a, b, a.copy(), b.copy())
+    with pytest.raises(bc.DomainError, match="round 0: a is not an outcome"):
+        bc.RoundLog(lam, x, y, x, b, x, b)  # x holds settings, not outcomes
+    with pytest.raises(bc.DomainError, match="round 1: x is not a setting"):
+        bc.RoundLog(lam, a, y, a, b, a, b)
+    with pytest.raises(bc.DomainError, match="round 0: y is not a setting"):
+        bc.RoundLog(lam, x, np.array([2, 0]), a, b, a, b)
+    with pytest.raises(bc.DomainError, match="round 1: y is not a setting"):
+        bc.RoundLog(lam, x, np.array([0, -1]), a, b, a, b)
+    with pytest.raises(bc.DomainError, match="round 0: predicted_b is not an outcome"):
+        bc.RoundLog(lam, x, y, a, b, a, np.array([3, 1]))
+
+
 @pytest.mark.parametrize("block", [1, 7, 2000])
 @pytest.mark.parametrize("order", [SOURCE, SETTINGS_FIRST])
 def test_golden_round_log_is_independent_of_block_size(tmp_path, monkeypatch, order, block):
@@ -440,15 +457,21 @@ _BAD_ROWS = [
 def _log_with_bad_row(path, bad):
     rows = [f"{i},0,0,0,1,1,1,1" for i in range(10)]
     rows[7] = bad
-    rows.insert(7, "")  # with blocks of 3 lines, the third is round 6, a blank line and round 7
+    rows.insert(7, "")  # a blank line before the bad row, at file lines 9 and 10
     path.write_text(_HEADER + "\n".join(rows) + "\n")
 
 
 @pytest.mark.parametrize("bad, message", _BAD_ROWS, ids=["short-row", "not-an-integer", "round-gap"])
 def test_bad_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, bad, message):
-    monkeypatch.setattr(simulate, "_BLOCK", 3)
+    # a read of 48 bytes holds three 16-byte rows, so the third chunk is round 6, the blank line and the bad row
+    monkeypatch.setattr(simulate, "_CHUNK", 48)
     path = tmp_path / "rounds.csv"
     _log_with_bad_row(path, bad)
+    with open(path, "rb") as fh:
+        fh.readline()
+        chunks = list(simulate._chunks(fh))
+    assert [c.count(b"\n") - 1 for c in chunks[:2]] == [3, 3]
+    assert chunks[2].startswith(b"\n6,0,0,0,1,1,1,1\n\n%s\n" % bad.encode())
     with pytest.raises(bc.DomainError) as err:
         bc.rounds_from_csv(str(path))
     assert str(err.value) == message
@@ -589,7 +612,6 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
     assert default == bc.RoundLog(lam, *rest)
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     assert bc.rounds_from_csv(str(path)) == default
-    monkeypatch.setattr(simulate, "_BLOCK", 3)
     for bad, message in _BAD_ROWS:
         _log_with_bad_row(path, bad)
         with pytest.raises(bc.DomainError) as err:
@@ -600,6 +622,22 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
     plain = bc.RoundLog(np.minimum(lam, 10**18 - 1), *rest)
     bc.rounds_to_csv(plain, str(path))
     assert bc.rounds_from_csv(str(path)) == plain
+
+
+def test_chunks_with_a_cr_skip_the_plain_pass(tmp_path, monkeypatch):
+    # a CR is never in the plain form, so such a chunk is normalized without a failed first pass
+    k = np.arange(40)
+    rounds = bc.RoundLog(k % 3, k % 2, k // 2 % 2, 1 - 2 * (k % 2), 1 - 2 * (k // 4 % 2), *([np.ones(40, np.int64)] * 2))
+    text = bc.rounds_to_csv(rounds).encode()
+    path = tmp_path / "rounds.csv"
+    path.write_bytes(text[:300] + text[300:].replace(b"\n", b"\r\n"))  # LF rows, then CRLF rows
+    parsed = []
+    plain_rows = simulate._plain_rows
+    monkeypatch.setattr(simulate, "_plain_rows", lambda buf: parsed.append(buf) or plain_rows(buf))
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    assert bc.rounds_from_csv(str(path)) == rounds
+    assert not any(b"\r" in buf for buf in parsed)
+    assert sum(buf.count(b"\n") - 1 for buf in parsed) == len(rounds)  # each row parsed once
 
 
 def test_cr_ended_lines_are_cut_into_chunks(monkeypatch):
