@@ -26,6 +26,8 @@ from .core import (
 
 #: (mu, nu) classes in table row order.
 LAMBDA_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
+#: Each class's row in LAMBDA_CLASSES.
+_CLASS_INDEX = {cls: k for k, cls in enumerate(LAMBDA_CLASSES)}
 
 
 def class_sign(mu: int, nu: int, x: int, y: int) -> int:
@@ -60,7 +62,10 @@ class OutcomeSigns:
 
     def responses_for(self, mu: int, nu: int) -> tuple[int, int, int, int]:
         """(A0, A1, B0, B1) for the (mu, nu) row, with A0 its sign parameter and A_x B_y = class_sign."""
-        a0 = (self.s, self.t, self.u, self.v)[mu + 2 * nu]  # LAMBDA_CLASSES order
+        k = _CLASS_INDEX.get((mu, nu))
+        if k is None:
+            raise DomainError(f"(mu, nu) must be one of {LAMBDA_CLASSES}, not {(mu, nu)!r}")
+        a0 = (self.s, self.t, self.u, self.v)[k]
         b0 = a0 * class_sign(mu, nu, 0, 0)
         b1 = a0 * class_sign(mu, nu, 0, 1)
         a1 = b0 * class_sign(mu, nu, 1, 0)

@@ -12,8 +12,7 @@ construction, and kept on the model.  The evaluators read it, and the
 states' probabilities and responses, directly: each value was checked when
 the object holding it was built, so they neither sum nor check it again.
 The objects are immutable, so what is derived from one is computed once and
-kept on it: a SettingDist's entropy, and a Model's correlators and
-correlation table.
+kept on it: a SettingDist's entropy and a Model's correlators.
 
 Conventions: settings are bits, outcomes are -1/+1, entropies are in bits,
 and 0*log2(0) == 0 throughout.
@@ -337,10 +336,10 @@ class Model:
 
     Construction also computes the setting marginal p(x, y), raising
     InvalidModel if it is not a distribution, and keeps it for
-    derived_marginal and the evaluators; correlators and correlations_of
-    keep what they compute on the model the first time.  All three are
-    functions of the states, so they take no part in ==, hash, repr or the
-    JSON form, and dataclasses.replace computes them afresh.
+    derived_marginal and the evaluators; correlators keeps what it computes
+    on the model the first time.  Both are functions of the states, so they
+    take no part in ==, hash, repr or the JSON form, and
+    dataclasses.replace computes them afresh.
     """
 
     states: tuple[HiddenState, ...]
@@ -497,10 +496,7 @@ def is_factorized_per_lambda(m: Model, tol: float = STRUCT_TOL) -> bool:
 
 
 def correlations_of(m: Model) -> Correlations:
-    """Observable table p(a,b|x,y) = sum_lambda p(lambda|x,y) [a=A_x][b=B_y], computed once per model."""
-    kept = getattr(m, "_correlations", None)
-    if kept is not None:
-        return kept
+    """Observable table p(a,b|x,y) = sum_lambda p(lambda|x,y) [a=A_x][b=B_y]."""
     marg = m._marginal.probs
     table = [0.0] * 16
     for k, (x, y) in enumerate(SETTINGS):
@@ -510,9 +506,7 @@ def correlations_of(m: Model) -> Correlations:
         for st in m.states:
             r = st.responses
             table[4 * k + 2 * (r[x] == -1) + (r[2 + y] == -1)] += st.weight * st.dist.probs[k] / pxy
-    kept = Correlations(tuple(table))
-    object.__setattr__(m, "_correlations", kept)
-    return kept
+    return Correlations(tuple(table))
 
 
 def is_nonsignaling(c: Correlations, tol: float = SUM_TOL) -> bool:

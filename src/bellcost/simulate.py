@@ -118,28 +118,21 @@ class RoundLog:
     predicted_b: np.ndarray
 
     def __post_init__(self) -> None:
-        views = {}  # id of each argument -> its column, so an array passed twice is checked once
         for name in _COLUMNS:
-            arg = getattr(self, name)
-            col = views.get(id(arg))
-            if col is None:
-                col = np.asarray(arg)
-                if col.ndim != 1 or col.dtype.kind not in "iu":
-                    raise DomainError(f"round-log column {name} must be a 1-D integer array")
-                col = col.astype(np.int64, copy=False).view()
-                col.flags.writeable = False
-                views[id(arg)] = col
+            col = np.asarray(getattr(self, name))
+            if col.ndim != 1 or col.dtype.kind not in "iu":
+                raise DomainError(f"round-log column {name} must be a 1-D integer array")
+            col = col.astype(np.int64, copy=False).view()
+            col.flags.writeable = False
             object.__setattr__(self, name, col)
         n = len(self.lambda_index)
-        if any(len(col) != n for col in views.values()):
+        if any(len(col) != n for col in self._columns()):
             raise DomainError("round-log columns differ in length")
-        for names, rule, expected in _COLUMN_RULES:
-            checked = []
-            for name in names:
-                col = getattr(self, name)
-                if all(col is not done for done in checked):
-                    _check_column(name, rule(col), expected)
-                    checked.append(col)
+        _check_column("lambda_index", self.lambda_index >= 0, "a hidden-state index >= 0")
+        for name in ("x", "y"):
+            _check_column(name, (getattr(self, name) >> 1) == 0, "a setting 0 or 1")
+        for name in ("a", "b", "predicted_a", "predicted_b"):
+            _check_column(name, np.abs(getattr(self, name)) == 1, "an outcome -1 or +1")
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
@@ -154,14 +147,6 @@ class RoundLog:
         if not isinstance(other, RoundLog):
             return NotImplemented
         return all(map(np.array_equal, self._columns(), other._columns()))
-
-
-#: Columns that share a rule, the rule every value must meet, and what the error calls such a value.
-_COLUMN_RULES = (
-    (("lambda_index",), lambda col: col >= 0, "a hidden-state index >= 0"),
-    (("x", "y"), lambda col: (col >> 1) == 0, "a setting 0 or 1"),
-    (("a", "b", "predicted_a", "predicted_b"), lambda col: np.abs(col) == 1, "an outcome -1 or +1"),
-)
 
 
 def _check_column(name: str, ok: np.ndarray, expected: str) -> None:

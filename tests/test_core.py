@@ -303,7 +303,7 @@ def test_kept_entropies_and_correlators_are_not_part_of_any_value(name):
     moved = dataclasses.replace(filled, states=bc.table1_model(0.2).states)  # computes its own
     assert bc.correlators(moved) == bc.correlators(bc.table1_model(0.2))
     assert bc.correlations_of(moved) == bc.correlations_of(bc.table1_model(0.2))
-    assert bc.correlations_of(filled) is bc.correlations_of(filled)  # kept, not computed again
+    assert bc.correlators(filled) is bc.correlators(filled)  # kept, not computed again
     # a lift of a model whose values are kept has the bits of a lift of a fresh one
     assert _evaluator_bits(bc.flip_lift(filled)) == _evaluator_bits(bc.flip_lift(fresh))
     assert bc.model_to_json(bc.flip_lift(filled)) == bc.model_to_json(bc.flip_lift(fresh))

@@ -31,6 +31,12 @@ def test_state_class_inverts_responses_for(signs):
         assert state_class(bc.HiddenState(0.25, dist, signs.responses_for(mu, nu))) == (mu, nu)
 
 
+@pytest.mark.parametrize("mu, nu", [(2, 0), (-1, 0), (0, 2), (0, -1), (-1, -1), (0.5, 0), ("0", 0)])
+def test_responses_for_rejects_a_pair_that_is_no_class(mu, nu):
+    with pytest.raises(bc.DomainError, match="must be one of"):
+        bc.OutcomeSigns(1, -1, 1, -1).responses_for(mu, nu)
+
+
 def test_special_cells_make_a_latin_square():
     """State i's j-th share at cell (SPECIAL[i] - j) % 4 fills every cell once per row and column."""
     assert SPECIAL == tuple(special_cell(mu, nu) for mu, nu in LAMBDA_CLASSES)
