@@ -19,6 +19,7 @@ from .core import (
     HiddenState,
     Model,
     _DEFAULT_PERMUTATION,
+    _check_tol,
     chsh_value,
     derived_marginal,
     is_factorized_per_lambda,
@@ -134,6 +135,7 @@ class BoundChainReport:
 
 def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
     """Classify each state, evaluate the CHSH bound chain, and test saturation."""
+    tol = _check_tol(tol, "verify_bound_chain: tol")
     classes = tuple(state_class(st) for st in m.states)
     s_value = chsh_value(m)
     uniform = all(abs(p - 0.25) <= 1e-9 for p in derived_marginal(m).probs)

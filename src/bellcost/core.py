@@ -139,6 +139,24 @@ def _require_real(value, what: str) -> None:
         raise DomainError(f"{what}={value!r} is not a real number")
 
 
+def _check_tol(tol, what: str) -> float:
+    """tol as a float; DomainError unless it is a finite real number >= 0.
+
+    A float passes on one chained comparison, as the checks that take a tol
+    run several times per model.
+    """
+    if type(tol) is float and 0.0 <= tol < math.inf:
+        return tol
+    _require_real(tol, what)
+    try:
+        value = float(tol)
+    except OverflowError:  # an int past the largest float
+        value = math.inf
+    if not 0.0 <= value < math.inf:  # a NaN fails this test too
+        raise DomainError(f"{what}={tol!r} is not a finite number >= 0")
+    return value
+
+
 def _real(value, what: str) -> float:
     """value as a float; anything but a real number (a bool included) raises InvalidModel."""
     if type(value) is float:
@@ -178,12 +196,12 @@ def shannon_entropy(dist: Sequence[float]) -> float:
     total = 0.0
     acc = 0.0
     for p in dist:
-        if p < -STRUCT_TOL:
-            raise DomainError(f"shannon_entropy: negative entry {p!r}")
+        if not p >= -STRUCT_TOL:  # a NaN fails this test too
+            raise DomainError(f"shannon_entropy: negative or NaN entry {p!r}")
         total += p
         if p > 0.0:
             acc -= p * math.log(p)
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise DomainError(f"shannon_entropy: entries sum to {total!r}, not 1")
     return acc / _LOG2
 
@@ -488,6 +506,7 @@ def mutual_information(m: Model) -> float:
 
 def is_factorized_per_lambda(m: Model, tol: float = STRUCT_TOL) -> bool:
     """True iff every p(x,y|lambda) factorizes: |p00*p11 - p01*p10| <= tol per state."""
+    tol = _check_tol(tol, "is_factorized_per_lambda: tol")
     for st in m.states:
         p = st.dist.probs
         if abs(p[0] * p[3] - p[1] * p[2]) > tol:
@@ -514,6 +533,7 @@ def is_nonsignaling(c: Correlations, tol: float = SUM_TOL) -> bool:
 
     The marginals are summed from the table as alice_marginal and bob_marginal sum them.
     """
+    tol = _check_tol(tol, "is_nonsignaling: tol")
     t = c.table
     for x in (0, 1):
         k, j = 4 * setting_index(x, 0), 4 * setting_index(x, 1)

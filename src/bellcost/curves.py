@@ -62,8 +62,8 @@ _EDGE_TOL = 1e-12
 #: Interior points of each second-derivative grid in appendix_checks.
 _APPENDIX_GRID_POINTS = 400
 
-#: |residual| at or below which _i_2_pairs takes its sign from math.log, not np.log.
-_LOG_SCREEN = 1e-12
+#: E = 2**-48 = 32 ulp(1/2): a bound on the rounding error of i_2_pair's residual (see _i_2_solve).
+_RESIDUAL_ERROR = 2.0**-48
 
 
 @unique
@@ -259,44 +259,114 @@ def _residuals(r: np.ndarray, q: np.ndarray, log) -> np.ndarray:
     return r * log((1.0 - r) / r) / _LOG2 - q * log((1.0 - q) / q) / _LOG2
 
 
-def _i_2_pairs(s_values) -> tuple[np.ndarray, np.ndarray]:
+def _approximate_roots(target: np.ndarray, p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate roots of the i_2 residual g on [p0, 1/2] and the slopes g' there, by np.log.
+
+    Six bisection steps, then six Newton steps from the right end of the
+    bracket, kept inside it.  g is convex and g(1/2) > 0, so Newton from the
+    right descends to the root.  The values only place the certificates of
+    _i_2_solve, which are checked with math.log; they decide no bit.
+    """
+    lo = np.full_like(target, p0)
+    hi = np.full_like(target, 0.5)
+    for _ in range(6):
+        q = 0.5 * (lo + hi)
+        below = _residuals(target / q, q, np.log) < 0.0
+        lo = np.where(below, q, lo)
+        hi = np.where(below, hi, q)
+    q = hi
+    for _ in range(6):
+        r = target / q
+        log_r = np.log((1.0 - r) / r)
+        log_q = np.log((1.0 - q) / q)
+        # g and g' times ln 2, with g'(q) = -f'(r) r/q - f'(q) and f'(p) ln 2 = ln((1-p)/p) - 1/(1-p)
+        g = r * log_r - q * log_q
+        slope = (1.0 / (1.0 - r) - log_r) * r / q + 1.0 / (1.0 - q) - log_q
+        q = np.fmin(np.fmax(q - g / slope, lo), hi)
+    return q, slope / _LOG2
+
+
+def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Arrays (p, p_star) of i_2_pair(s) for many s strictly inside (S0, 4), bit for bit.
 
-    Runs i_2_pair's bisection on every element at once: the same bracket
-    [p0, 1/2], midpoints, stopping width and step limit, and the residual's
-    arithmetic in the same order.  np.log can differ from math.log in the last
-    ulp or few, and each residual term r log((1-r)/r) / ln 2 is at most
-    f(p0) < 0.5 in size, so the np.log residual is within ~1e-15 of the
-    math.log one.  Only a residual within _LOG_SCREEN = 1e-12 of zero could
-    then take the other sign; those are recomputed with math.log, which makes
-    every step, and so every result, that of the scalar bisection.  The pairs
-    pass ConjugatePair's range and |f(p) - f(p*)| <= 1e-10 checks.
+    Also returns the number of residuals evaluated with math.log and the
+    number of uncertified bracket sides (two per s).
+
+    The result of i_2_pair's bisection is fixed by the sign of its float
+    residual g^(q) at each midpoint q.  This replays that bisection on every
+    element at once: the same bracket [p0, 1/2], the same 0.5*(lo + hi)
+    midpoints, the same 1e-15 stopping width and 200-step limit.  A midpoint
+    is decided without g^ only where a certificate proves g^'s sign:
+
+    * g(q) = f(t/q) - f(q), with t = (4-s)/8 and r = t/q, is the exact
+      residual of the float inputs.  Where r <= p0 <= q and r < q,
+      g'' = (q-r)(1-qr) / (q^2 (1-q)^2 (1-r)^2 ln 2) + 2 f'(r) r / q^2 >= 0,
+      since f' >= 0 on [0, p0].  f(p0) = max f, so g(p0) <= 0.
+    * E = _RESIDUAL_ERROR bounds |g^ - g|.  With u = 2**-53, each term
+      p log((1-p)/p) / ln 2 takes two roundings inside the log (2u), libm's
+      log (<= 1 ulp <= 2u |log|), a product, a division and the rounded ln 2
+      (3.5u relative).  As f(p) <= f(p0) < 0.41 and p <= 1/2, a term is off
+      by <= 5.5u f(p) + 2u p / ln 2 <= 3.7u.  Rounding r = t/q moves f(r) by
+      <= r |f'(r)| u < 0.81u, and the final subtraction by < 0.41u: in all
+      |g^ - g| < 8.7u, and E = 32u.  Against 40-digit arithmetic the largest
+      error seen is ~1.8u.
+    * If g^(p0) < -2E, then g(p0) < -E: r(p0) = t/p0 lies a margin below the
+      maximizer of f, so r <= r(p0) < p0 <= q for every q >= p0, and g is
+      convex on [p0, 1/2].  If also g^(a) < -2E, then g < -E on [p0, a], so
+      every midpoint q <= a has g^(q) < 0 and sets lo.  If g^(b) > 2E, convexity
+      and g(p0) < 0 give g(q) >= g(b) > E for q >= b, so every midpoint q >= b
+      has g^(q) > 0 and sets hi.
+
+    The np.log roots x^ of _approximate_roots place a and b about 2.25 E/g'
+    either side of x^, where |g| ~ 2.25 E.  Only a midpoint strictly between a
+    and b evaluates g^, with math.log.  A side whose check fails falls back to
+    a = p0 or b = 1/2, where the same loop evaluates g^ at every midpoint on
+    that side.  The pairs pass ConjugatePair's range and |f(p) - f(p*)| <= 1e-10
+    checks.
     """
     s = np.asarray(s_values, dtype=float)
     if not np.all((s > s0()) & (s < 4.0)):
         raise DomainError("_i_2_pairs needs every s strictly inside (S0, 4)")
     p0 = find_p0()
     target = (4.0 - s) / 8.0
+    root, slope = _approximate_roots(target, p0)
+    width = 2.25 * _RESIDUAL_ERROR / np.fmax(slope, _RESIDUAL_ERROR)
+    a = np.fmax(root - width, p0)
+    b = np.fmin(root + width, 0.5)
+    bound = 2.0 * _RESIDUAL_ERROR
+    r0 = target / p0
+    convex = r0 * _exact_log((1.0 - r0) / r0) / _LOG2 - f_of_p(p0) < -bound  # g^(p0), by _residuals' steps
+    left = convex & (_residuals(target / a, a, _exact_log) < -bound)
+    right = convex & (_residuals(target / b, b, _exact_log) > bound)
+    a = np.where(left, a, p0)
+    b = np.where(right, b, 0.5)
+    exact = 3 * s.size
     lo = np.full_like(target, p0)
     hi = np.full_like(target, 0.5)
     for _ in range(200):
-        active = np.flatnonzero(hi - lo > 1e-15)
-        if active.size == 0:
+        live = hi - lo > 1e-15
+        if not live.any():
             break
-        q = 0.5 * (lo[active] + hi[active])
-        r = target[active] / q
-        v = _residuals(r, q, np.log)
-        near = np.flatnonzero(np.abs(v) <= _LOG_SCREEN)
+        q = 0.5 * (lo + hi)
+        below = q <= a
+        near = np.flatnonzero(live & ~below & (q < b))
         if near.size:
-            v[near] = _residuals(r[near], q[near], _exact_log)
-        below = v < 0.0
-        lo[active[below]] = q[below]
-        hi[active[~below]] = q[~below]
+            qn = q[near]
+            below[near] = _residuals(target[near] / qn, qn, _exact_log) < 0.0
+            exact += near.size
+        np.copyto(lo, q, where=live & below)
+        np.copyto(hi, q, where=live & ~below)
     p_star = 0.5 * (lo + hi)
     p = target / p_star
     in_range = (p > 0.0) & (p <= p0 + 1e-9) & (p_star >= p0 - 1e-9)
     if not np.all(in_range & (np.abs(_residuals(p, p_star, np.log)) <= 1e-10)):
         raise DomainError("_i_2_pairs: a pair fails ConjugatePair's range or residual check")  # pragma: no cover
+    return p, p_star, exact, int(np.count_nonzero(~left) + np.count_nonzero(~right))
+
+
+def _i_2_pairs(s_values) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, p_star) of i_2_pair(s) for many s strictly inside (S0, 4), bit for bit (_i_2_solve)."""
+    p, p_star, _, _ = _i_2_solve(s_values)
     return p, p_star
 
 
@@ -424,6 +494,9 @@ class AppendixReport:
     min_i1_second_derivative: float
     min_i2_second_derivative: float
     f_ratio_monotone: bool
+    i2_pairs: int  # i_2 pairs solved for the i_2 grid
+    i2_exact_residuals: int  # residuals of those solves evaluated with math.log
+    i2_uncertified_sides: int  # bracket sides (two per pair) whose certificate failed
 
     @property
     def tangent_gap(self) -> float:
@@ -449,10 +522,13 @@ def appendix_checks() -> AppendixReport:
     Slopes use step 1e-5 (central for i_1; i_2 lives on [S0, 4], so its slope
     at S0 uses the second-order one-sided stencil).  Second derivatives use
     central differences with step 1e-4 on interior grids of
-    _APPENDIX_GRID_POINTS points.  The i_2 grid's pairs at s, s + 1e-4 and
-    s - 1e-4 are solved together by _i_2_pairs, an array bisection whose
-    np.log steps are screened and, near a root, settled by math.log, so each
-    pair has the bits of i_2_pair(s).
+    _APPENDIX_GRID_POINTS points.  Both grids, the pair informations and the
+    f(p)/(4-S) ratios are evaluated as arrays in the scalar order of
+    operations, with math.log.  The i_2 grid's pairs at s, s + 1e-4 and
+    s - 1e-4 are solved together by _i_2_solve, which replays i_2_pair's
+    bisection from a certified bracket, so each pair has the bits of
+    i_2_pair(s); the report counts its pairs, its math.log residuals and its
+    uncertified bracket sides.
     """
     branch_point = s0()
     p0 = find_p0()
@@ -465,22 +541,21 @@ def appendix_checks() -> AppendixReport:
 
     h2 = 1e-4
     n = _APPENDIX_GRID_POINTS + 2
-    grid1 = [2.0 + (4.0 - 2.0) * k / (n - 1) for k in range(1, n - 1)]
+    k = np.arange(1, n - 1)
     # every s and s +/- h2 lies inside (2, 4), where _check_s returns s as it is
-    min_dd1 = min(
-        (_i_1(s + h2) - 2.0 * _i_1(s) + _i_1(s - h2)) / (h2 * h2) for s in grid1
-    )
-    grid2 = [branch_point + (4.0 - branch_point) * k / (n - 1) for k in range(1, n - 1)]
-    m = len(grid2)
-    p, p_star = _i_2_pairs(grid2 + [s + h2 for s in grid2] + [s - h2 for s in grid2])
-    info = [_pair_info(a, b) for a, b in zip(p.tolist(), p_star.tolist())]
-    min_dd2 = min(
-        (up - 2.0 * mid + down) / (h2 * h2)
-        for mid, up, down in zip(info[:m], info[m : 2 * m], info[2 * m :])
-    )
+    grid1 = 2.0 + (4.0 - 2.0) * k / (n - 1)
+    i1 = [2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0)) for s in (grid1 + h2, grid1, grid1 - h2)]
+    min_dd1 = float(np.min((i1[0] - 2.0 * i1[1] + i1[2]) / (h2 * h2)))
 
-    ratios = [f_of_p(a) / (4.0 - s) for s, a in zip(grid2, p[:m].tolist())]
-    monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
+    grid2 = branch_point + (4.0 - branch_point) * k / (n - 1)
+    m = grid2.size
+    p, p_star, exact, uncertified = _i_2_solve(np.concatenate((grid2, grid2 + h2, grid2 - h2)))
+    info = 2.0 - _binary_entropies(p) - _binary_entropies(p_star)
+    min_dd2 = float(np.min((info[m : 2 * m] - 2.0 * info[:m] + info[2 * m :]) / (h2 * h2)))
+
+    a = p[:m]
+    ratios = a * _exact_log((1.0 - a) / a) / _LOG2 / (4.0 - grid2)
+    monotone = bool(np.all(ratios[1:] > ratios[:-1]))
 
     return AppendixReport(
         slope_i1_at_s0=slope1,
@@ -489,4 +564,7 @@ def appendix_checks() -> AppendixReport:
         min_i1_second_derivative=min_dd1,
         min_i2_second_derivative=min_dd2,
         f_ratio_monotone=monotone,
+        i2_pairs=p.size,
+        i2_exact_residuals=exact,
+        i2_uncertified_sides=uncertified,
     )

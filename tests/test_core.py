@@ -62,6 +62,9 @@ def test_shannon_entropy_errors():
         bc.shannon_entropy([0.5, -0.1, 0.6])
     with pytest.raises(bc.DomainError):
         bc.shannon_entropy([0.5, 0.4])
+    for bad in ([math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
+        with pytest.raises(bc.DomainError):
+            bc.shannon_entropy(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +376,24 @@ def test_nonsignaling_reads_the_marginals_of_the_table():
             assert verdict == _nonsignaling_by_marginals(c, tol)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _tolerance_checks():
+    m = bc.table1_model(0.1)  # signaling, and not factorized per state
+    return ((bc.is_nonsignaling, bc.correlations_of(m)), (bc.is_factorized_per_lambda, m), (bc.verify_bound_chain, m))
+
+
+def test_tolerance_must_be_a_finite_real_at_least_zero():
+    for tol in (math.nan, math.inf, -math.inf, -1e-9, -1, 10**400, np.float64("nan"), True, "1e-9", None):
+        for check, arg in _tolerance_checks():
+            with pytest.raises(bc.DomainError):
+                check(arg, tol)
+
+
+def test_tolerance_of_any_real_type_gives_the_float_verdict():
+    for check, arg in _tolerance_checks():
+        for tol in (0, 1, np.float32(0.25), np.float64(1e-12)):
+            assert check(arg, tol) == check(arg, float(tol)), (check.__name__, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
+from bellcost import curves
 from bellcost.curves import _i_2_pairs
 
 from conftest import REF, S_Q
@@ -171,6 +172,108 @@ def test_i_2_pairs_rejects_points_off_the_open_branch():
     for bad in ([2.0], [3.0, 3.9], [3.9, 4.0], [bc.s0()], [math.nan]):
         with pytest.raises(bc.DomainError):
             _i_2_pairs(bad)
+
+
+def _seeded_branch_points(rng, n):
+    """n values of s in (S0, 4): uniform, within 1e-12 of S0, and within 1e-15 of 4."""
+    s0 = bc.s0()
+    s = np.concatenate(
+        [
+            rng.uniform(s0, 4.0, n - n // 5),
+            s0 + rng.uniform(0.0, 1e-12, n // 10),
+            4.0 - rng.integers(1, 3, n // 10) * 2.0**-51,  # the two floats below 4 within 1e-15 of it
+        ]
+    )
+    s = s[(s > s0) & (s < 4.0)]
+    assert s.size >= n - 10
+    return s
+
+
+def test_i_2_residual_error_is_within_a_tenth_of_its_bound():
+    """|g^ - g| <= E/10 for the float residual g^ that decides i_2_pair's bisection."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2311)
+    s = _seeded_branch_points(rng, 10_100)
+    target = (4.0 - s) / 8.0
+    _, p_star = _i_2_pairs(s)
+    p0 = bc.find_p0()
+    # half of the points anywhere on [p0, 1/2], half next to the root, where the signs are decided
+    q = np.where(
+        rng.random(s.size) < 0.5,
+        rng.uniform(p0, 0.5, s.size),
+        p_star + rng.normal(0.0, 1e-13, s.size),
+    )
+    q = np.clip(q, p0, 0.5)
+    g_hat = curves._residuals(target / q, q, curves._exact_log)
+    with mp.workdps(40):
+        f = lambda p: p * mp.log((1 - p) / p) / mp.log(2)
+        worst = max(
+            abs(f(mp.mpf(t) / mp.mpf(x)) - f(mp.mpf(x)) - mp.mpf(g))
+            for t, x, g in zip(target.tolist(), q.tolist(), g_hat.tolist())
+        )
+    assert worst <= curves._RESIDUAL_ERROR / 10.0
+
+
+def test_i_2_residual_is_convex_where_the_bracket_lives():
+    """g'' = (q-r)(1-qr)/(q^2 (1-q)^2 (1-r)^2 ln 2) + 2 f'(r) r/q^2 >= 0 for r = t/q, q in [p0, 1/2]."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2312)
+    s = _seeded_branch_points(rng, 2_000)
+    p0 = bc.find_p0()
+    q = np.concatenate([np.full(200, p0), np.full(200, 0.5), rng.uniform(p0, 0.5, s.size - 400)])
+    with mp.workdps(40):
+        ln2 = mp.log(2)
+        f_slope = lambda p: mp.log((1 - p) / p) / ln2 - 1 / ((1 - p) * ln2)
+        for sv, qv in zip(s.tolist(), q.tolist()):
+            x = mp.mpf(qv)
+            r = mp.mpf((4.0 - sv) / 8.0) / x
+            curvature = (x - r) * (1 - x * r) / (x**2 * (1 - x) ** 2 * (1 - r) ** 2 * ln2)
+            curvature += 2 * f_slope(r) * r / x**2
+            assert curvature >= 0, (sv, qv)
+
+
+def _appendix_i_2_grid():
+    n = curves._APPENDIX_GRID_POINTS + 2
+    s0 = bc.s0()
+    grid2 = s0 + (4.0 - s0) * np.arange(1, n - 1) / (n - 1)
+    return np.concatenate((grid2, grid2 + 1e-4, grid2 - 1e-4))
+
+
+def test_appendix_i_2_grid_makes_few_exact_residuals(monkeypatch):
+    """The certified bracket leaves at most 8 math.log residuals per pair (16 logarithms)."""
+    s = _appendix_i_2_grid()
+    logs = []
+    exact_log = curves._exact_log
+    monkeypatch.setattr(curves, "_exact_log", lambda x: logs.append(x.size) or exact_log(x))
+    _, _, exact, uncertified = curves._i_2_solve(s)
+    assert sum(logs) <= 16 * s.size
+    assert exact <= 8 * s.size
+    assert uncertified == 0
+
+
+def test_i_2_solve_certifies_nothing_where_convexity_is_unproven():
+    """Within ~1e-8 of S0, g^(p0) is not below -2E: both sides fall back and every midpoint is evaluated."""
+    s0 = bc.s0()
+    s = [s0 + 1e-15, s0 + 1e-12, s0 + 1e-9]
+    _assert_pairs_match_scalar(s)
+    assert curves._i_2_solve(s)[3] == 2 * len(s)
+
+
+def test_i_2_pairs_ignore_the_approximate_roots(monkeypatch):
+    """Wrong np.log roots and slopes cost exact residuals, never bits: certificates are checked."""
+    s = np.concatenate([_appendix_i_2_grid()[::7], np.random.default_rng(2313).uniform(bc.s0(), 4.0, 300)])
+    *want, cheapest, _ = curves._i_2_solve(s)
+    rng = np.random.default_rng(2314)
+    fakes = [
+        lambda t, p0: (np.full_like(t, p0), np.full_like(t, math.nan)),  # no slope: both sides fall back
+        lambda t, p0: (np.full_like(t, 0.5), np.full_like(t, 1e-30)),  # a huge width
+        lambda t, p0: (rng.uniform(p0, 0.5, t.size), rng.uniform(-1.0, 3.0, t.size)),  # anywhere
+    ]
+    for fake in fakes:
+        monkeypatch.setattr(curves, "_approximate_roots", fake)
+        p, p_star, exact, _ = curves._i_2_solve(s)
+        assert np.array_equal(p, want[0]) and np.array_equal(p_star, want[1])
+        assert exact > cheapest
 
 
 def test_i_2_against_high_precision_reference():
@@ -421,6 +524,13 @@ def test_numerical_curvature_matches_closed_form():
 
 def test_f_ratio_monotone(report):
     assert report.f_ratio_monotone
+
+
+def test_appendix_report_counts_its_i_2_solve(report):
+    """The report says how its 1 200 pairs were solved: math.log residuals and failed certificates."""
+    assert report.i2_pairs == 3 * curves._APPENDIX_GRID_POINTS
+    assert 3 * report.i2_pairs < report.i2_exact_residuals <= 8 * report.i2_pairs
+    assert report.i2_uncertified_sides == 0
 
 
 def test_appendix_report_bits(report):
