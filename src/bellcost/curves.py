@@ -544,8 +544,10 @@ def appendix_checks() -> AppendixReport:
     k = np.arange(1, n - 1)
     # every s and s +/- h2 lies inside (2, 4), where _check_s returns s as it is
     grid1 = 2.0 + (4.0 - 2.0) * k / (n - 1)
-    i1 = [2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0)) for s in (grid1 + h2, grid1, grid1 - h2)]
-    min_dd1 = float(np.min((i1[0] - 2.0 * i1[1] + i1[2]) / (h2 * h2)))
+    up, mid, down = (
+        2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0)) for s in (grid1 + h2, grid1, grid1 - h2)
+    )
+    min_dd1 = float(np.min((up - 2.0 * mid + down) / (h2 * h2)))
 
     grid2 = branch_point + (4.0 - branch_point) * k / (n - 1)
     m = grid2.size

@@ -380,7 +380,11 @@ def test_nonsignaling_reads_the_marginals_of_the_table():
 
 def _tolerance_checks():
     m = bc.table1_model(0.1)  # signaling, and not factorized per state
-    return ((bc.is_nonsignaling, bc.correlations_of(m)), (bc.is_factorized_per_lambda, m), (bc.verify_bound_chain, m))
+    return (
+        (bc.is_nonsignaling, bc.correlations_of(m)),
+        (bc.is_factorized_per_lambda, m),
+        (bc.verify_bound_chain, m),
+    )
 
 
 def test_tolerance_must_be_a_finite_real_at_least_zero():
