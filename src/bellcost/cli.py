@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import shutil
 import sys
 
 from ._util import atomic_write_text, atomic_writer, fmt12
@@ -70,24 +72,30 @@ def number(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse sizes a formatter for every add_argument and probes the terminal each time;
+    # one probe, with HelpFormatter's own "columns - 2", gives the same help text
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="bellcost",
+        formatter_class=formatter,
         description=(
             "Minimal information cost of simulating CHSH violations under "
             "retrocausal, causal, zigzag, one-sided and superdeterministic "
             "measurement dependence."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser, formatter_class=formatter
+    )
 
-    p_curve = sub.add_parser("curve", help="write a CSV sweep of a minimal-information curve")
+    p_curve = add_parser("curve", help="write a CSV sweep of a minimal-information curve")
     p_curve.add_argument("--class", dest="causal_class", required=True, choices=sorted(_CLASS_BY_TOKEN))
     p_curve.add_argument("--from", dest="s_from", type=number, default=2.0)
     p_curve.add_argument("--to", dest="s_to", type=number, default=4.0)
     p_curve.add_argument("--points", type=int, default=201)
     p_curve.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
-    p_model = sub.add_parser("model", help="build a model, write its JSON, print an evaluation block")
+    p_model = add_parser("model", help="build a model, write its JSON, print an evaluation block")
     p_model.add_argument(
         "--family",
         required=True,
@@ -101,14 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--flip", action="store_true", help="apply the outcome-flip lift")
     p_model.add_argument("--out", default=None, help="model JSON path")
 
-    p_verify = sub.add_parser("verify", help="brute-force check of a curve at one target S")
+    p_verify = add_parser("verify", help="brute-force check of a curve at one target S")
     p_verify.add_argument("--class", dest="causal_class", required=True, choices=["retro", "causal", "onesided"])
     p_verify.add_argument("--s", type=number, required=True)
     p_verify.add_argument("--grid", type=int, default=16)
     p_verify.add_argument("--tolerance", type=number, default=1e-9)
     p_verify.add_argument("--out", default=None, help="JSON report path (stdout always)")
 
-    p_sample = sub.add_parser("sample", help="draw seeded rounds from a model file")
+    p_sample = add_parser("sample", help="draw seeded rounds from a model file")
     p_sample.add_argument("--model", required=True)
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
@@ -116,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--rounds-out", dest="rounds_out", default=None, help="round-log CSV path")
     p_sample.add_argument("--stats-out", dest="stats_out", default=None, help="stats JSON path")
 
-    sub.add_parser("reproduce", help="recompute the headline constants and check tolerances")
+    add_parser("reproduce", help="recompute the headline constants and check tolerances")
     return parser
 
 

@@ -195,12 +195,15 @@ def shannon_entropy(dist: Sequence[float]) -> float:
     """Entropy in bits of a probability vector (entries >= 0, summing to 1)."""
     total = 0.0
     acc = 0.0
-    for p in dist:
-        if not p >= -STRUCT_TOL:  # a NaN fails this test too
-            raise DomainError(f"shannon_entropy: negative or NaN entry {p!r}")
-        total += p
-        if p > 0.0:
-            acc -= p * math.log(p)
+    try:
+        for p in dist:
+            if not p >= -STRUCT_TOL:  # a NaN fails this test too
+                raise DomainError(f"shannon_entropy: negative or NaN entry {p!r}")
+            total += p
+            if p > 0.0:
+                acc -= p * math.log(p)
+    except TypeError as exc:  # a string, None or complex entry fails the comparison
+        raise DomainError(f"shannon_entropy: entries must be real numbers ({exc})") from None
     if not abs(total - 1.0) <= SUM_TOL:
         raise DomainError(f"shannon_entropy: entries sum to {total!r}, not 1")
     return acc / _LOG2

@@ -262,9 +262,10 @@ def _residuals(r: np.ndarray, q: np.ndarray, log) -> np.ndarray:
 def _approximate_roots(target: np.ndarray, p0: float) -> tuple[np.ndarray, np.ndarray]:
     """Approximate roots of the i_2 residual g on [p0, 1/2] and the slopes g' there, by np.log.
 
-    Six bisection steps, then six Newton steps from the right end of the
-    bracket, kept inside it.  g is convex and g(1/2) > 0, so Newton from the
-    right descends to the root.  The values only place the certificates of
+    Six bisection steps, then Newton steps from the right end of the bracket,
+    kept inside it, until no element moves by more than 1e-12 of its value
+    (at most 20 steps).  g is convex and g(1/2) > 0, so Newton from the right
+    descends to the root.  The values only place the certificates of
     _i_2_solve, which are checked with math.log; they decide no bit.
     """
     lo = np.full_like(target, p0)
@@ -275,14 +276,17 @@ def _approximate_roots(target: np.ndarray, p0: float) -> tuple[np.ndarray, np.nd
         lo = np.where(below, q, lo)
         hi = np.where(below, hi, q)
     q = hi
-    for _ in range(6):
+    for _ in range(20):
         r = target / q
         log_r = np.log((1.0 - r) / r)
         log_q = np.log((1.0 - q) / q)
         # g and g' times ln 2, with g'(q) = -f'(r) r/q - f'(q) and f'(p) ln 2 = ln((1-p)/p) - 1/(1-p)
         g = r * log_r - q * log_q
         slope = (1.0 / (1.0 - r) - log_r) * r / q + 1.0 / (1.0 - q) - log_q
+        last = q
         q = np.fmin(np.fmax(q - g / slope, lo), hi)
+        if np.all(np.abs(q - last) <= 1e-12 * q):
+            break
     return q, slope / _LOG2
 
 
@@ -316,13 +320,21 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
       every midpoint q <= a has g^(q) < 0 and sets lo.  If g^(b) > 2E, convexity
       and g(p0) < 0 give g(q) >= g(b) > E for q >= b, so every midpoint q >= b
       has g^(q) > 0 and sets hi.
+    * One g^(p0), at the least s of the call, certifies every s.  4 - s and
+      /8 are exact and a rounded division is monotone, so a larger s has a
+      t and an r(p0) no larger; f increases on [0, p0], so its g(p0) is no
+      larger either, and below -E.  Only when that certificate fails (within
+      ~1e-8 of S0) is g^(p0) evaluated per s.
 
     The np.log roots x^ of _approximate_roots place a and b about 2.25 E/g'
     either side of x^, where |g| ~ 2.25 E.  Only a midpoint strictly between a
     and b evaluates g^, with math.log.  A side whose check fails falls back to
     a = p0 or b = 1/2, where the same loop evaluates g^ at every midpoint on
-    that side.  The pairs pass ConjugatePair's range and |f(p) - f(p*)| <= 1e-10
-    checks.
+    that side.  All brackets start as [p0, 1/2] and halve in step, so while
+    every one is wider than 1e-15 each element takes its step with np.where,
+    the same lo and hi the masked step writes; only the last stragglers take
+    the masked step.  The pairs pass ConjugatePair's range and
+    |f(p) - f(p*)| <= 1e-10 checks.
     """
     s = np.asarray(s_values, dtype=float)
     if not np.all((s > s0()) & (s < 4.0)):
@@ -334,28 +346,41 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     a = np.fmax(root - width, p0)
     b = np.fmin(root + width, 0.5)
     bound = 2.0 * _RESIDUAL_ERROR
-    r0 = target / p0
-    convex = r0 * _exact_log((1.0 - r0) / r0) / _LOG2 - f_of_p(p0) < -bound  # g^(p0), by _residuals' steps
-    left = convex & (_residuals(target / a, a, _exact_log) < -bound)
-    right = convex & (_residuals(target / b, b, _exact_log) > bound)
+    f0 = f_of_p(p0)
+    r0 = float(target.max()) / p0
+    exact = 1 + 2 * s.size
+    convex = r0 * math.log((1.0 - r0) / r0) / _LOG2 - f0 < -bound  # g^(p0), by _residuals' steps
+    if not convex:
+        r0 = target / p0
+        convex = r0 * _exact_log((1.0 - r0) / r0) / _LOG2 - f0 < -bound
+        exact += s.size
+    ends = np.concatenate((a, b))
+    g_ends = _residuals(np.concatenate((target, target)) / ends, ends, _exact_log)
+    left = convex & (g_ends[: s.size] < -bound)
+    right = convex & (g_ends[s.size :] > bound)
     a = np.where(left, a, p0)
     b = np.where(right, b, 0.5)
-    exact = 3 * s.size
     lo = np.full_like(target, p0)
     hi = np.full_like(target, 0.5)
     for _ in range(200):
         live = hi - lo > 1e-15
-        if not live.any():
+        every = live.all()
+        if not every and not live.any():
             break
         q = 0.5 * (lo + hi)
         below = q <= a
-        near = np.flatnonzero(live & ~below & (q < b))
+        undecided = (a < q) & (q < b)
+        near = np.flatnonzero(undecided if every else undecided & live)
         if near.size:
             qn = q[near]
             below[near] = _residuals(target[near] / qn, qn, _exact_log) < 0.0
             exact += near.size
-        np.copyto(lo, q, where=live & below)
-        np.copyto(hi, q, where=live & ~below)
+        if every:
+            lo = np.where(below, q, lo)
+            hi = np.where(below, hi, q)
+        else:
+            np.copyto(lo, q, where=live & below)
+            np.copyto(hi, q, where=live & ~below)
     p_star = 0.5 * (lo + hi)
     p = target / p_star
     in_range = (p > 0.0) & (p <= p0 + 1e-9) & (p_star >= p0 - 1e-9)
@@ -452,7 +477,10 @@ def curve_sweep(
     if s_min > s_max:
         raise DomainError("curve_sweep needs s_min <= s_max")
     # each grid value passes _check_s, which clamps one that rounds past 4
-    s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.arange(n) / (n - 1), 2.0), 4.0)
+    try:
+        s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.arange(n) / (n - 1), 2.0), 4.0)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        raise DomainError(f"curve_sweep: a sweep of n = {n} points does not fit in memory") from None
     if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
         upper = s > s0()
         info = 2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0))
@@ -544,15 +572,15 @@ def appendix_checks() -> AppendixReport:
     k = np.arange(1, n - 1)
     # every s and s +/- h2 lies inside (2, 4), where _check_s returns s as it is
     grid1 = 2.0 + (4.0 - 2.0) * k / (n - 1)
-    up, mid, down = (
-        2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0)) for s in (grid1 + h2, grid1, grid1 - h2)
-    )
+    s1 = np.concatenate((grid1 + h2, grid1, grid1 - h2))
+    up, mid, down = np.split(2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s1) / 8.0)), 3)
     min_dd1 = float(np.min((up - 2.0 * mid + down) / (h2 * h2)))
 
     grid2 = branch_point + (4.0 - branch_point) * k / (n - 1)
     m = grid2.size
     p, p_star, exact, uncertified = _i_2_solve(np.concatenate((grid2, grid2 + h2, grid2 - h2)))
-    info = 2.0 - _binary_entropies(p) - _binary_entropies(p_star)
+    h_p, h_p_star = np.split(_binary_entropies(np.concatenate((p, p_star))), 2)
+    info = 2.0 - h_p - h_p_star
     min_dd2 = float(np.min((info[m : 2 * m] - 2.0 * info[:m] + info[2 * m :]) / (h2 * h2)))
 
     a = p[:m]

@@ -592,10 +592,15 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     """
     n = cfg.resolution
     budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
-    split = np.empty((budget // 2 + 1, n + 1))  # t <= budget // 2 <= 2n; first, so an oversized grid fails here
+    # the split table (t <= budget // 2 <= 2n) and the padded h in one block, allocated first, so an
+    # oversized grid fails here, even where a small budget leaves the table one row of n + 1 cells
+    size = (budget // 2 + 1) * (n + 1)
+    block = np.empty(size + 3 * n + 1)
+    split, padded = block[:size].reshape(budget // 2 + 1, n + 1), block[size:]
     h_grid = _grid_entropies(n)
     # h padded with n cells of -inf on each side; view[t, a] = padded[n + t - a] = h(t - a) for a <= n
-    padded = np.concatenate([np.full(n, -np.inf), h_grid, np.full(n, -np.inf)])
+    padded[:n] = padded[2 * n + 1 :] = -np.inf
+    padded[n : 2 * n + 1] = h_grid
     view = np.lib.stride_tricks.as_strided(padded[n:], split.shape, (8, -8), writeable=False)
     np.add(h_grid, view, out=split)
     pair_best = split.max(axis=1)

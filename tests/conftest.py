@@ -82,6 +82,7 @@ OVERSIZED_GRIDS = [
     (bc.CausalClass.CAUSAL, 10**9, S_Q),
     (bc.CausalClass.ONE_SIDED, 10**9, S_Q),
     (bc.CausalClass.RETROCAUSAL, 10**9, S_Q),
+    (bc.CausalClass.ONE_SIDED, 10**9, 4.0),  # a one-row split table
 ]
 
 

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bellcost as bc
 from bellcost import simulate
@@ -56,6 +58,13 @@ def test_curve_writes_csv(tmp_path, capsys):
     s_before = float(lines[switch].split(",")[0])
     s_after = float(lines[switch + 1].split(",")[0])
     assert s_before <= bc.s0() <= s_after
+
+
+def test_curve_oversized_sweep_is_usage_error(capsys):
+    assert main(["curve", "--class", "retro", "--points", "10000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: curve_sweep: a sweep of n = 10000000000000 points does not fit in memory\n"
+    )
 
 
 def test_curve_stdout(capsys):
@@ -302,3 +311,114 @@ def test_verify_out_of_range_s_fails_before_search(s, monkeypatch, capsys):
 def test_verify_oversized_grid_is_usage_error(cls, grid, target, capsys):
     assert main(["verify", "--class", cls.value, "--s", repr(target), "--grid", str(grid)]) == 2
     assert capsys.readouterr().err.startswith(f"error: brute_force_min_info: the N = {grid} grid")
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps usage lines differently")
+@pytest.mark.parametrize("command", ["", "curve", "model", "verify", "sample", "reproduce"])
+def test_help_is_pinned(command, monkeypatch, capsys):
+    """Each --help at COLUMNS=80 is pinned byte for byte; CI diffs the console script against the pins."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", f"help-{command}.txt" if command else "help.txt")
+    with open(golden, newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+_NUMBERS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "0.1", "0.25", "2", "3.9", "4", "sq", "sqrt2", "1e308", "x"]
+)
+_OUTS = st.sampled_from(["out.txt", "missing/out.txt", "."])
+
+
+def _argv(command, flags, required=()):
+    """argv for command with a subset of flags, each drawn with its value strategy (None: a switch).
+
+    Half of the draws keep the required flags, so that many argv get past argparse.
+    """
+    optional = sorted(set(flags) - set(required))
+    chosen = st.one_of(
+        st.lists(st.sampled_from(sorted(flags)), unique=True),
+        st.lists(st.sampled_from(optional), unique=True).map(lambda names: [*required, *names]),
+    )
+
+    def build(names):
+        parts = [st.just([n]) if flags[n] is None else flags[n].map(lambda v, n=n: [n, v]) for n in names]
+        return st.tuples(*parts).map(lambda drawn: [command, *(token for part in drawn for token in part)])
+
+    return chosen.flatmap(build)
+
+
+_ARGV = st.one_of(
+    _argv(
+        "curve",
+        {
+            "--class": st.sampled_from(["causal", "retro", "onesided", "zigzag", "superdet", "x"]),
+            "--from": _NUMBERS,
+            "--to": _NUMBERS,
+            "--points": st.sampled_from(["-1", "0", "1", "2", "11", "10000000000000", "1.5", "x"]),
+            "--out": _OUTS,
+        },
+        required=("--class",),
+    ),
+    _argv(
+        "model",
+        {
+            "--family": st.sampled_from(["table1", "table2", "onesided", "superdet", "extreme-bias", "x"]),
+            "--p": _NUMBERS,
+            "--ptilde": _NUMBERS,
+            "--branch": st.sampled_from(["same", "conjugate", "x"]),
+            "--bias-x": _NUMBERS,
+            "--bias-y": _NUMBERS,
+            "--flip": None,
+            "--out": _OUTS,
+        },
+        required=("--family",),
+    ),
+    _argv(
+        "verify",
+        {
+            "--class": st.sampled_from(["retro", "causal", "onesided", "x"]),
+            "--s": _NUMBERS,
+            "--grid": st.sampled_from(["-1", "0", "1", "2", "8", "1000000000", "nan", "x"]),
+            "--tolerance": _NUMBERS,
+            "--out": _OUTS,
+        },
+        required=("--class", "--s"),
+    ),
+    _argv(
+        "sample",
+        {
+            "--model": st.sampled_from(["m.json", "out.txt", "missing/m.json", "."]),
+            "--n": st.sampled_from(["-1", "0", "1", "10", "10000", "1e3", "x"]),
+            "--seed": st.sampled_from(["-1", "0", "7", "18446744073709551616", "x"]),
+            "--order": st.sampled_from(["settings-first", "source-first", "x"]),
+            "--rounds-out": _OUTS,
+            "--stats-out": _OUTS,
+        },
+        required=("--model", "--n"),
+    ),
+    st.just(["reproduce"]),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_cli_exits_with_a_documented_code(argv, tmp_path, monkeypatch, capsys):
+    """Any argv returns 0, 1 or 2, or stops in argparse with SystemExit(2).
+
+    A library error is reported as error: on stderr with exit 2, never as a traceback.
+    """
+    monkeypatch.chdir(tmp_path)
+    if not os.path.exists("m.json"):
+        assert main(["model", "--family", "table1", "--p", "0.1", "--out", "m.json"]) == 0
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: "), argv

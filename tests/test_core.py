@@ -33,10 +33,10 @@ def test_binary_entropy_quantum_point():
 
 def test_binary_entropy_against_high_precision_reference():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    for p in (P_Q, 0.1, 0.218, 0.49, 0.9):
-        want = float(-mp.mpf(p) * mp.log(p, 2) - (1 - mp.mpf(p)) * mp.log(1 - mp.mpf(p), 2))
-        assert bc.binary_entropy(p) == pytest.approx(want, abs=1e-14)
+    with mp.workdps(50):
+        for p in (P_Q, 0.1, 0.218, 0.49, 0.9):
+            want = float(-mp.mpf(p) * mp.log(p, 2) - (1 - mp.mpf(p)) * mp.log(1 - mp.mpf(p), 2))
+            assert bc.binary_entropy(p) == pytest.approx(want, abs=1e-14)
 
 
 def test_binary_entropy_symmetry_and_domain():
@@ -62,7 +62,8 @@ def test_shannon_entropy_errors():
         bc.shannon_entropy([0.5, -0.1, 0.6])
     with pytest.raises(bc.DomainError):
         bc.shannon_entropy([0.5, 0.4])
-    for bad in ([math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
+    nonreal = (["a", 1.0], [None, 1.0], [1 + 0j])
+    for bad in ([math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 0.0], [1.0, -math.inf], *nonreal):
         with pytest.raises(bc.DomainError):
             bc.shannon_entropy(bad)
 

@@ -47,10 +47,10 @@ def test_s0():
 
 def test_find_p0_against_high_precision_reference():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    deriv = lambda p: mp.log((1 - p) / p, 2) - 1 / ((1 - p) * mp.log(2))
-    root = float(mp.findroot(deriv, mp.mpf("0.218")))
-    assert bc.find_p0() == pytest.approx(root, abs=1e-12)
+    with mp.workdps(50):
+        deriv = lambda p: mp.log((1 - p) / p, 2) - 1 / ((1 - p) * mp.log(2))
+        root = float(mp.findroot(deriv, mp.mpf("0.218")))
+        assert bc.find_p0() == pytest.approx(root, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,25 @@ def test_i_2_solve_certifies_nothing_where_convexity_is_unproven():
     assert curves._i_2_solve(s)[3] == 2 * len(s)
 
 
+def test_i_2_solve_certifies_convexity_at_the_least_s():
+    """One g^(p0) at the least s stands for the call; where it fails, each s is certified on its own."""
+    s0 = bc.s0()
+    for s in ([s0 + 2e-8, 3.9], [3.9, s0 + 1e-15, 3.7]):  # g^(p0) = -0.2 E and 0 at the least s
+        _assert_pairs_match_scalar(s)
+        assert curves._i_2_solve(s)[3] == 2
+    # two s far from S0 share one g^(p0): the call counts one residual fewer than two calls
+    exact = [curves._i_2_solve(s)[2] for s in ([3.7, 3.9], [3.7], [3.9])]
+    assert exact[0] == exact[1] + exact[2] - 1
+
+
+@pytest.mark.parametrize("offset, residuals", [(1e-6, 24), (1e-5, 21)])
+def test_i_2_solve_certifies_both_sides_just_above_the_unproven_band(offset, residuals):
+    """Newton runs until its step is below 1e-12 relative, so the roots near S0 are placed well enough."""
+    s = [bc.s0() + offset]
+    _assert_pairs_match_scalar(s)
+    assert curves._i_2_solve(s)[2:] == (residuals, 0)
+
+
 def test_i_2_pairs_ignore_the_approximate_roots(monkeypatch):
     """Wrong np.log roots and slopes cost exact residuals, never bits: certificates are checked."""
     s = np.concatenate([_appendix_i_2_grid()[::7], np.random.default_rng(2313).uniform(bc.s0(), 4.0, 300)])
@@ -278,27 +297,27 @@ def test_i_2_pairs_ignore_the_approximate_roots(monkeypatch):
 
 def test_i_2_against_high_precision_reference():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    h = lambda p: -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
-    f = lambda p: p * mp.log((1 - p) / p, 2)
-    deriv = lambda p: mp.log((1 - p) / p, 2) - 1 / ((1 - p) * mp.log(2))
-    p0 = mp.findroot(deriv, mp.mpf("0.218"))
+    with mp.workdps(50):
+        h = lambda p: -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
+        f = lambda p: p * mp.log((1 - p) / p, 2)
+        deriv = lambda p: mp.log((1 - p) / p, 2) - 1 / ((1 - p) * mp.log(2))
+        p0 = mp.findroot(deriv, mp.mpf("0.218"))
 
-    def reference(s):
-        target = (4 - mp.mpf(s)) / 8
-        lo, hi = p0, mp.mpf(1) / 2
-        for _ in range(200):  # bisection to far below double precision
-            mid = (lo + hi) / 2
-            if f(target / mid) < f(mid):
-                lo = mid
-            else:
-                hi = mid
-        p_star = (lo + hi) / 2
-        return float(2 - h(target / p_star) - h(p_star))
+        def reference(s):
+            target = (4 - mp.mpf(s)) / 8
+            lo, hi = p0, mp.mpf(1) / 2
+            for _ in range(200):  # bisection to far below double precision
+                mid = (lo + hi) / 2
+                if f(target / mid) < f(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            p_star = (lo + hi) / 2
+            return float(2 - h(target / p_star) - h(p_star))
 
-    near_s0 = [bc.s0() + d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3)]
-    for s in near_s0 + [3.7, 3.8, 3.9, 3.99, 4.0 - 1e-7]:
-        assert bc.i_2(s) == pytest.approx(reference(s), abs=1e-14), s
+        near_s0 = [bc.s0() + d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3)]
+        for s in near_s0 + [3.7, 3.8, 3.9, 3.99, 4.0 - 1e-7]:
+            assert bc.i_2(s) == pytest.approx(reference(s), abs=1e-14), s
 
 
 @pytest.mark.parametrize(
@@ -458,6 +477,13 @@ def test_curve_sweep_errors():
         bc.curve_sweep(bc.CausalClass.CAUSAL, 3.0, 2.5, 10)
     with pytest.raises(bc.DomainError):
         bc.curve_sweep(bc.CausalClass.CAUSAL, 1.0, 3.0, 10)
+
+
+@pytest.mark.parametrize("n", [10**13, 10**19])
+def test_oversized_curve_sweep_is_a_domain_error(n):
+    """The grid is the sweep's first allocation; numpy's memory and size errors name n instead."""
+    with pytest.raises(bc.DomainError, match=f"n = {n} points does not fit in memory"):
+        bc.curve_sweep(bc.CausalClass.RETROCAUSAL, 2, 4, n)
 
 
 @pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
