@@ -323,8 +323,8 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     * One g^(p0), at the least s of the call, certifies every s.  4 - s and
       /8 are exact and a rounded division is monotone, so a larger s has a
       t and an r(p0) no larger; f increases on [0, p0], so its g(p0) is no
-      larger either, and below -E.  Only when that certificate fails (within
-      ~1e-8 of S0) is g^(p0) evaluated per s.
+      larger either, and below -E.  When that certificate fails (within
+      ~1e-8 of S0), no side of any s is certified.
 
     The np.log roots x^ of _approximate_roots place a and b about 2.25 E/g'
     either side of x^, where |g| ~ 2.25 E.  Only a midpoint strictly between a
@@ -339,6 +339,8 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     s = np.asarray(s_values, dtype=float)
     if not np.all((s > s0()) & (s < 4.0)):
         raise DomainError("_i_2_pairs needs every s strictly inside (S0, 4)")
+    if s.size == 0:
+        return s.copy(), s.copy(), 0, 0
     p0 = find_p0()
     target = (4.0 - s) / 8.0
     root, slope = _approximate_roots(target, p0)
@@ -346,20 +348,15 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     a = np.fmax(root - width, p0)
     b = np.fmin(root + width, 0.5)
     bound = 2.0 * _RESIDUAL_ERROR
-    f0 = f_of_p(p0)
     r0 = float(target.max()) / p0
-    exact = 1 + 2 * s.size
-    convex = r0 * math.log((1.0 - r0) / r0) / _LOG2 - f0 < -bound  # g^(p0), by _residuals' steps
-    if not convex:
-        r0 = target / p0
-        convex = r0 * _exact_log((1.0 - r0) / r0) / _LOG2 - f0 < -bound
-        exact += s.size
+    convex = r0 * math.log((1.0 - r0) / r0) / _LOG2 - f_of_p(p0) < -bound  # g^(p0), by _residuals' steps
     ends = np.concatenate((a, b))
     g_ends = _residuals(np.concatenate((target, target)) / ends, ends, _exact_log)
     left = convex & (g_ends[: s.size] < -bound)
     right = convex & (g_ends[s.size :] > bound)
     a = np.where(left, a, p0)
     b = np.where(right, b, 0.5)
+    exact = 1 + 2 * s.size
     lo = np.full_like(target, p0)
     hi = np.full_like(target, 0.5)
     for _ in range(200):
@@ -468,7 +465,8 @@ def curve_sweep(
 
     The grid and the closed forms (i_R, i_1, i_OS, i_SD) are evaluated as
     arrays in curve_point's order of operations, with math.log; the causal
-    points above S0 take the scalar i_2 solve.
+    points above S0 take the scalar i_2 solve.  A sweep whose arrays or
+    points cannot be allocated raises DomainError.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"curve_sweep needs an integer n >= 2, not {n!r}")
@@ -476,11 +474,20 @@ def curve_sweep(
     s_max = _check_s(s_max)
     if s_min > s_max:
         raise DomainError("curve_sweep needs s_min <= s_max")
-    # each grid value passes _check_s, which clamps one that rounds past 4
     try:
-        s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.arange(n) / (n - 1), 2.0), 4.0)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
-        raise DomainError(f"curve_sweep: a sweep of n = {n} points does not fit in memory") from None
+        return _sweep(causal_class, s_min, s_max, n)
+    except MemoryError:
+        pass
+    except ValueError as exc:  # numpy's size errors: more bytes than an array can index
+        if not str(exc).startswith(("array is too big", "Maximum allowed")):
+            raise
+    raise DomainError(f"curve_sweep: a sweep of n = {n} points does not fit in memory")
+
+
+def _sweep(causal_class: CausalClass, s_min: float, s_max: float, n: int) -> list[CurvePoint]:
+    """curve_sweep's points, for checked arguments."""
+    # each grid value passes _check_s, which clamps one that rounds past 4
+    s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.arange(n) / (n - 1), 2.0), 4.0)
     if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
         upper = s > s0()
         info = 2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0))

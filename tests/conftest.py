@@ -82,7 +82,7 @@ OVERSIZED_GRIDS = [
     (bc.CausalClass.CAUSAL, 10**9, S_Q),
     (bc.CausalClass.ONE_SIDED, 10**9, S_Q),
     (bc.CausalClass.RETROCAUSAL, 10**9, S_Q),
-    (bc.CausalClass.ONE_SIDED, 10**9, 4.0),  # a one-row split table
+    (bc.CausalClass.ONE_SIDED, 10**12, 4.0),  # a small budget: 501 rows of 10**12 + 1 cells
 ]
 
 

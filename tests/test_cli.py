@@ -61,9 +61,9 @@ def test_curve_writes_csv(tmp_path, capsys):
 
 
 def test_curve_oversized_sweep_is_usage_error(capsys):
-    assert main(["curve", "--class", "retro", "--points", "10000000000000"]) == 2
+    assert main(["curve", "--class", "retro", "--points", "100000000000000"]) == 2
     assert capsys.readouterr().err == (
-        "error: curve_sweep: a sweep of n = 10000000000000 points does not fit in memory\n"
+        "error: curve_sweep: a sweep of n = 100000000000000 points does not fit in memory\n"
     )
 
 
@@ -350,6 +350,14 @@ def _argv(command, flags, required=()):
     return chosen.flatmap(build)
 
 
+def _fails_alike_on_every_host(argv):
+    """False for --s 4 with --grid 1000000000: a one-sided search there may need only a 32 GB block,
+    which a large host allocates and then fills for minutes; every other 10**9 grid exceeds the
+    address space."""
+    pairs = set(zip(argv, argv[1:]))
+    return not {("--s", "4"), ("--grid", "1000000000")} <= pairs
+
+
 _ARGV = st.one_of(
     _argv(
         "curve",
@@ -357,7 +365,7 @@ _ARGV = st.one_of(
             "--class": st.sampled_from(["causal", "retro", "onesided", "zigzag", "superdet", "x"]),
             "--from": _NUMBERS,
             "--to": _NUMBERS,
-            "--points": st.sampled_from(["-1", "0", "1", "2", "11", "10000000000000", "1.5", "x"]),
+            "--points": st.sampled_from(["-1", "0", "1", "2", "11", "100000000000000", "1.5", "x"]),
             "--out": _OUTS,
         },
         required=("--class",),
@@ -386,7 +394,7 @@ _ARGV = st.one_of(
             "--out": _OUTS,
         },
         required=("--class", "--s"),
-    ),
+    ).filter(_fails_alike_on_every_host),
     _argv(
         "sample",
         {

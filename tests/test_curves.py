@@ -154,6 +154,9 @@ def test_i_2_pairs_match_i_2_pair_bit_for_bit():
     uniform = np.random.default_rng(20240517).uniform(s0, 4.0, 20_000).tolist()
     for values in (edges, grid2001, uniform):
         _assert_pairs_match_scalar(values)
+    p, p_star = _i_2_pairs([])
+    assert p.shape == p_star.shape == (0,)
+    assert curves._i_2_solve([])[2:] == (0, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,12 +263,7 @@ def test_i_2_solve_certifies_nothing_where_convexity_is_unproven():
 
 
 def test_i_2_solve_certifies_convexity_at_the_least_s():
-    """One g^(p0) at the least s stands for the call; where it fails, each s is certified on its own."""
-    s0 = bc.s0()
-    for s in ([s0 + 2e-8, 3.9], [3.9, s0 + 1e-15, 3.7]):  # g^(p0) = -0.2 E and 0 at the least s
-        _assert_pairs_match_scalar(s)
-        assert curves._i_2_solve(s)[3] == 2
-    # two s far from S0 share one g^(p0): the call counts one residual fewer than two calls
+    """One g^(p0) at the least s stands for the call: two s share it, one residual fewer than two calls."""
     exact = [curves._i_2_solve(s)[2] for s in ([3.7, 3.9], [3.7], [3.9])]
     assert exact[0] == exact[1] + exact[2] - 1
 
@@ -479,11 +477,33 @@ def test_curve_sweep_errors():
         bc.curve_sweep(bc.CausalClass.CAUSAL, 1.0, 3.0, 10)
 
 
-@pytest.mark.parametrize("n", [10**13, 10**19])
+@pytest.mark.parametrize("n", [10**14, 10**19])
 def test_oversized_curve_sweep_is_a_domain_error(n):
-    """The grid is the sweep's first allocation; numpy's memory and size errors name n instead."""
+    """The grid of 10**14 points exceeds a 47-bit address space and that of 10**19 an array's byte
+    count, so each fails at the sweep's first allocation; the error names n instead."""
     with pytest.raises(bc.DomainError, match=f"n = {n} points does not fit in memory"):
         bc.curve_sweep(bc.CausalClass.RETROCAUSAL, 2, 4, n)
+
+
+@pytest.mark.parametrize("cls", [bc.CausalClass.CAUSAL, bc.CausalClass.RETROCAUSAL, bc.CausalClass.ONE_SIDED])
+def test_curve_sweep_memory_error_after_the_grid_is_a_domain_error(cls, monkeypatch):
+    """A MemoryError past the grid, here from the entropies of the info values, names n too."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(curves, "_binary_entropies", exhausted)
+    with pytest.raises(bc.DomainError, match="n = 11 points does not fit in memory"):
+        bc.curve_sweep(cls, 2, 4, 11)
+
+
+def test_curve_sweep_passes_other_value_errors_through(monkeypatch):
+    def broken(*args):
+        raise ValueError("not a size error")
+
+    monkeypatch.setattr(curves, "_binary_entropies", broken)
+    with pytest.raises(ValueError, match="not a size error"):
+        bc.curve_sweep(bc.CausalClass.RETROCAUSAL, 2, 4, 11)
 
 
 @pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
