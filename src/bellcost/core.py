@@ -20,6 +20,7 @@ and 0*log2(0) == 0 throughout.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -27,7 +28,9 @@ import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ._util import atomic_write_text
 
@@ -81,9 +84,21 @@ _LOG2_3 = math.log(3.0) / _LOG2
 SETTINGS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+#: The int value of each setting, keyed by itself, so that a value equal to one, such as 1.0, finds it.
+_BITS = {0: 0, 1: 1}
+
+
+def _bit(value, what: str) -> int:
+    """A setting as the int 0 or 1; any other value raises DomainError."""
+    try:
+        return _BITS[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise DomainError(f"setting {what} = {value!r} is not 0 or 1") from None
+
+
 def setting_index(x: int, y: int) -> int:
-    """Flat index of the joint setting (x, y): 2*x + y."""
-    return 2 * x + y
+    """Flat index of the joint setting (x, y): 2*x + y; a setting other than 0 or 1 raises DomainError."""
+    return 2 * _bit(x, "x") + _bit(y, "y")
 
 
 class BellcostError(Exception):
@@ -139,6 +154,28 @@ def _require_real(value, what: str) -> None:
         raise DomainError(f"{what}={value!r} is not a real number")
 
 
+def _require_int(value, lo: int, message: str) -> None:
+    """Raise DomainError(message) unless value is an integer (numbers.Integral, not a bool) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise DomainError(message)
+
+
+@contextlib.contextmanager
+def _allocation_guard(request: str) -> Iterator[None]:
+    """Turn an allocation the block cannot make into DomainError(f"{request} does not fit in memory").
+
+    A MemoryError, or numpy's ValueError for an array with more bytes or
+    elements than it can index ("array is too big", "Maximum allowed ..."),
+    becomes that DomainError; any other ValueError passes through.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(("array is too big", "Maximum allowed")):
+            raise
+        raise DomainError(f"{request} does not fit in memory") from None
+
+
 def _check_tol(tol, what: str) -> float:
     """tol as a float; DomainError unless it is a finite real number >= 0.
 
@@ -189,6 +226,20 @@ def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p)) / _LOG2
+
+
+def _exact_log(x: np.ndarray) -> np.ndarray:
+    """math.log of each element: the bits of the scalar path, which np.log may miss by an ulp."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+def _binary_entropies(p: np.ndarray) -> np.ndarray:
+    """binary_entropy of each element of p in [0, 1], bit for bit: its arithmetic, with math.log."""
+    h = np.zeros_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    q = p[inner]
+    h[inner] = -(q * _exact_log(q) + (1.0 - q) * _exact_log(1.0 - q)) / _LOG2
+    return h
 
 
 def shannon_entropy(dist: Sequence[float]) -> float:
@@ -343,12 +394,12 @@ class HiddenState:
         object.__setattr__(self, "responses", _sign_row(self.responses))
 
     def a(self, x: int) -> int:
-        """Alice's response A_x."""
-        return self.responses[x]
+        """Alice's response A_x; a setting other than 0 or 1 raises DomainError."""
+        return self.responses[_bit(x, "x")]
 
     def b(self, y: int) -> int:
-        """Bob's response B_y."""
-        return self.responses[2 + y]
+        """Bob's response B_y; a setting other than 0 or 1 raises DomainError."""
+        return self.responses[2 + _bit(y, "y")]
 
 
 @dataclass(frozen=True)
@@ -595,7 +646,12 @@ def _reject_constant(name: str) -> float:
 
 
 def model_from_json(text: str) -> Model:
-    return model_from_dict(json.loads(text, parse_constant=_reject_constant))
+    """A model from its JSON form; JSON nested too deeply to parse raises InvalidModel."""
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        raise InvalidModel("model JSON is nested too deeply to parse") from None
+    return model_from_dict(doc)
 
 
 def save_model(m: Model, path: str) -> None:

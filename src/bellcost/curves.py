@@ -30,7 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import atomic_write_text
-from .core import CausalClass, DomainError, _LOG2, _LOG2_3, _require_real, binary_entropy
+from .core import (
+    CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _binary_entropies, _exact_log,
+    _require_int, _require_real, binary_entropy,
+)
 
 __all__ = [
     "Branch",
@@ -249,11 +252,6 @@ def _i_2_pair(s: float) -> ConjugatePair:
     return ConjugatePair(target / p_star, p_star)
 
 
-def _exact_log(x: np.ndarray) -> np.ndarray:
-    """math.log of each element: the bits of the scalar path, which np.log may miss by an ulp."""
-    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
-
-
 def _residuals(r: np.ndarray, q: np.ndarray, log) -> np.ndarray:
     """i_2_pair's residual f(r) - f(q), elementwise, in the scalar path's order of operations."""
     return r * log((1.0 - r) / r) / _LOG2 - q * log((1.0 - q) / q) / _LOG2
@@ -338,7 +336,7 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     """
     s = np.asarray(s_values, dtype=float)
     if not np.all((s > s0()) & (s < 4.0)):
-        raise DomainError("_i_2_pairs needs every s strictly inside (S0, 4)")
+        raise DomainError("_i_2_solve needs every s strictly inside (S0, 4)")
     if s.size == 0:
         return s.copy(), s.copy(), 0, 0
     p0 = find_p0()
@@ -382,14 +380,8 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     p = target / p_star
     in_range = (p > 0.0) & (p <= p0 + 1e-9) & (p_star >= p0 - 1e-9)
     if not np.all(in_range & (np.abs(_residuals(p, p_star, np.log)) <= 1e-10)):
-        raise DomainError("_i_2_pairs: a pair fails ConjugatePair's range or residual check")  # pragma: no cover
+        raise DomainError("_i_2_solve: a pair fails ConjugatePair's range or residual check")  # pragma: no cover
     return p, p_star, exact, int(np.count_nonzero(~left) + np.count_nonzero(~right))
-
-
-def _i_2_pairs(s_values) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (p, p_star) of i_2_pair(s) for many s strictly inside (S0, 4), bit for bit (_i_2_solve)."""
-    p, p_star, _, _ = _i_2_solve(s_values)
-    return p, p_star
 
 
 def i_2(s: float) -> float:
@@ -449,15 +441,6 @@ def curve_point(causal_class: CausalClass, s: float) -> CurvePoint:
     raise DomainError(f"unknown causal class {causal_class!r}")  # pragma: no cover
 
 
-def _binary_entropies(p: np.ndarray) -> np.ndarray:
-    """binary_entropy of each element of p in [0, 1], bit for bit: its arithmetic, with math.log."""
-    h = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    q = p[inner]
-    h[inner] = -(q * _exact_log(q) + (1.0 - q) * _exact_log(1.0 - q)) / _LOG2
-    return h
-
-
 def curve_sweep(
     causal_class: CausalClass, s_min: float, s_max: float, n: int
 ) -> list[CurvePoint]:
@@ -466,43 +449,32 @@ def curve_sweep(
     The grid and the closed forms (i_R, i_1, i_OS, i_SD) are evaluated as
     arrays in curve_point's order of operations, with math.log; the causal
     points above S0 take the scalar i_2 solve.  A sweep whose arrays or
-    points cannot be allocated raises DomainError.
+    points cannot be allocated, n = 2**63 - 1 and beyond included, raises DomainError.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise DomainError(f"curve_sweep needs an integer n >= 2, not {n!r}")
+    _require_int(n, 2, f"curve_sweep needs an integer n >= 2, not {n!r}")
     s_min = _check_s(s_min)
     s_max = _check_s(s_max)
     if s_min > s_max:
         raise DomainError("curve_sweep needs s_min <= s_max")
-    try:
-        return _sweep(causal_class, s_min, s_max, n)
-    except MemoryError:
-        pass
-    except ValueError as exc:  # numpy's size errors: more bytes than an array can index
-        if not str(exc).startswith(("array is too big", "Maximum allowed")):
-            raise
-    raise DomainError(f"curve_sweep: a sweep of n = {n} points does not fit in memory")
-
-
-def _sweep(causal_class: CausalClass, s_min: float, s_max: float, n: int) -> list[CurvePoint]:
-    """curve_sweep's points, for checked arguments."""
-    # each grid value passes _check_s, which clamps one that rounds past 4
-    s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.arange(n) / (n - 1), 2.0), 4.0)
-    if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
-        upper = s > s0()
-        info = 2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0))
-        info[upper] = [_i_2(v) for v in s[upper].tolist()]
-        branches = map(_BRANCH_OF_UPPER.__getitem__, upper.tolist())
-        return list(map(CurvePoint, s.tolist(), info.tolist(), branches))
-    if causal_class is CausalClass.RETROCAUSAL:
-        info = np.maximum(0.0, 2.0 - _binary_entropies((4.0 - s) / 8.0) - (4.0 + s) / 8.0 * _LOG2_3)
-    elif causal_class is CausalClass.ONE_SIDED:
-        info = 1.0 - _binary_entropies(s / 4.0)
-    elif causal_class is CausalClass.SUPERDETERMINISTIC:
-        info = np.full(n, 2.0)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown causal class {causal_class!r}")
-    return list(map(CurvePoint, s.tolist(), info.tolist()))
+    with _allocation_guard(f"curve_sweep: a sweep of n = {n} points"):
+        # np.indices, not np.arange: numpy's arange of 2**63 - 1 or more points is empty, not too big;
+        # each grid value passes _check_s, which clamps one that rounds past 4
+        s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.indices((n,))[0] / (n - 1), 2.0), 4.0)
+        if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
+            upper = s > s0()
+            info = 2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0))
+            info[upper] = [_i_2(v) for v in s[upper].tolist()]
+            branches = map(_BRANCH_OF_UPPER.__getitem__, upper.tolist())
+            return list(map(CurvePoint, s.tolist(), info.tolist(), branches))
+        if causal_class is CausalClass.RETROCAUSAL:
+            info = np.maximum(0.0, 2.0 - _binary_entropies((4.0 - s) / 8.0) - (4.0 + s) / 8.0 * _LOG2_3)
+        elif causal_class is CausalClass.ONE_SIDED:
+            info = 1.0 - _binary_entropies(s / 4.0)
+        elif causal_class is CausalClass.SUPERDETERMINISTIC:
+            info = np.full(n, 2.0)
+        else:  # pragma: no cover
+            raise DomainError(f"unknown causal class {causal_class!r}")
+        return list(map(CurvePoint, s.tolist(), info.tolist()))
 
 
 def sweep_to_csv(

@@ -75,7 +75,9 @@ from .core import (
     NoFeasibleModel,
     SettingDist,
     _LOG2,
-    binary_entropy,
+    _allocation_guard,
+    _binary_entropies,
+    _require_int,
     mutual_information,
 )
 
@@ -102,10 +104,7 @@ class SearchConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, numbers.Integral):
-            raise DomainError(f"SearchConfig: resolution must be an int, got {self.resolution!r}")
-        if self.resolution < 4:
-            raise DomainError("SearchConfig: resolution must be >= 4")
+        _require_int(self.resolution, 4, f"SearchConfig: resolution must be an int >= 4, got {self.resolution!r}")
         for name in ("target_s", "tolerance"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -147,14 +146,8 @@ def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
         raise DomainError(
             "brute_force_min_info supports the retrocausal, causal and one-sided classes"
         )
-    try:
+    with _allocation_guard(f"brute_force_min_info: the N = {cfg.resolution} grid"):
         return search(cfg)
-    except MemoryError:
-        pass
-    except ValueError as exc:  # numpy's size errors: more bytes than an array can index
-        if not str(exc).startswith(("array is too big", "Maximum allowed")):
-            raise
-    raise DomainError(f"brute_force_min_info: the N = {cfg.resolution} grid does not fit in memory")
 
 
 def _grid_result(
@@ -191,8 +184,8 @@ def _compositions4(total: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _grid_entropies(n: int) -> np.ndarray:
-    """h(k/n) for k = 0..n, read-only."""
-    h = np.fromiter((binary_entropy(k / n) for k in range(n + 1)), dtype=float, count=n + 1)
+    """h(k/n) for k = 0..n, each binary_entropy(k / n) bit for bit, read-only."""
+    h = _binary_entropies(np.arange(n + 1) / n)
     h.flags.writeable = False
     return h
 

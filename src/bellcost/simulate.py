@@ -39,6 +39,8 @@ from .core import (
     OrderUnavailable,
     SETTINGS,
     _LOG2,
+    _allocation_guard,
+    _require_int,
     derived_marginal,
     is_factorized_per_lambda,
     posterior_weights,
@@ -170,10 +172,10 @@ class EmpiricalStats:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, not {seed!r}")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    message = f"seed must be an integer in [0, 2**128), not {seed!r}"
+    _require_int(seed, 0, message)
+    if seed >= _SEED_LIMIT:
+        raise DomainError(message)
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -192,8 +194,7 @@ def _round_blocks(
     (rows, k) array, and Philox fills consecutive blocks with consecutive rows of
     the single (n, k) draw, so the rounds do not depend on the block size.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"sample_rounds needs an integer n >= 1, not {n!r}")
+    _require_int(n, 1, f"sample_rounds needs an integer n >= 1, not {n!r}")
     rng = _generator(seed)
     n_states = len(m.states)
 
@@ -258,10 +259,8 @@ def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
     sampling holds one block of rounds.
     """
     blocks = _round_blocks(m, n, seed, order)
-    try:
+    with _allocation_guard(f"sample_rounds: a log of n = {n} rounds"):
         columns = np.empty((5, n), np.int64)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
-        raise DomainError(f"sample_rounds: a log of n = {n} rounds does not fit in memory") from None
     for rows, block in blocks:
         columns[:, rows] = block
     lam, xs, ys, avals, bvals = columns
@@ -608,12 +607,8 @@ def rounds_from_csv(path: str) -> RoundLog:
     than the columns can hold in memory raises DomainError.
     """
     rows = max(_line_count(path) - 1, 0)
-    try:
+    with _allocation_guard(f"rounds_from_csv: a log of up to {rows} rounds"):
         columns = np.empty((len(_COLUMNS), rows), np.int64)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
-        raise DomainError(
-            f"rounds_from_csv: a log of up to {rows} rounds does not fit in memory"
-        ) from None
     with open(path, "rb") as fh:
         head = fh.readline(len(_CSV_HEADER_BYTES))
         if head.rstrip(b"\r\n") != _CSV_HEADER_BYTES[:-1]:

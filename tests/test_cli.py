@@ -60,11 +60,10 @@ def test_curve_writes_csv(tmp_path, capsys):
     assert s_before <= bc.s0() <= s_after
 
 
-def test_curve_oversized_sweep_is_usage_error(capsys):
-    assert main(["curve", "--class", "retro", "--points", "100000000000000"]) == 2
-    assert capsys.readouterr().err == (
-        "error: curve_sweep: a sweep of n = 100000000000000 points does not fit in memory\n"
-    )
+@pytest.mark.parametrize("points", ["100000000000000", "9223372036854775808"])
+def test_curve_oversized_sweep_is_usage_error(capsys, points):
+    assert main(["curve", "--class", "retro", "--points", points]) == 2
+    assert capsys.readouterr() == ("", f"error: curve_sweep: a sweep of n = {points} points does not fit in memory\n")
 
 
 def test_curve_stdout(capsys):
@@ -230,6 +229,13 @@ def test_sample_missing_model_file_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["sample", "--model", str(missing), "--n", "10"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_sample_deeply_nested_model_file_is_usage_error(tmp_path, capsys):
+    model_path = tmp_path / "deep.json"
+    model_path.write_text("[" * 100_000)
+    assert main(["sample", "--model", str(model_path), "--n", "10"]) == 2
+    assert capsys.readouterr().err == "error: model JSON is nested too deeply to parse\n"
 
 
 def test_sample_model_file_not_utf8_is_usage_error(tmp_path, capsys):

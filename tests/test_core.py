@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
+from bellcost import curves, oracle, simulate
+from bellcost.core import setting_index
 
 from conftest import P_Q, REF, S_Q, random_model
 
@@ -103,6 +105,39 @@ def test_hidden_state_validation():
         bc.HiddenState(1.5, d, (1, 1, 1, 1))
     st_ = bc.HiddenState(0.5, d, (1, -1, 1, -1))
     assert st_.a(1) == -1 and st_.b(0) == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 0.5, math.nan, None, "0", [0]], ids=repr)
+def test_a_response_at_a_setting_other_than_0_or_1_is_a_domain_error(bad):
+    st_ = bc.HiddenState(1.0, bc.SettingDist.uniform(), (1, -1, 1, -1))
+    with pytest.raises(bc.DomainError, match="setting x = .* is not 0 or 1"):
+        st_.a(bad)
+    with pytest.raises(bc.DomainError, match="setting y = .* is not 0 or 1"):
+        st_.b(bad)
+
+
+def test_a_setting_equal_to_0_or_1_reads_as_that_int():
+    st_ = bc.HiddenState(1.0, bc.SettingDist.joint([0.1, 0.2, 0.3, 0.4]), (1, -1, 1, -1))
+    for one in (1, 1.0, True, np.int64(1), np.float64(1.0)):
+        assert setting_index(one, one) == 3 and type(setting_index(one, 0)) is int
+        assert st_.a(one) == -1 and st_.b(one) == -1 and st_.dist.prob(one, 0) == 0.3
+
+
+@pytest.mark.parametrize("x, y", [(-1, 1), (-1, 0), (2, 0), (0, -1), (1, 2), (0.5, 0), (None, 1), (0, "1"), ([1], 0)])
+def test_a_setting_other_than_0_or_1_is_a_domain_error(x, y):
+    """A negative setting used to index from the end, and 2 past it: each raises DomainError instead."""
+    m = bc.table1_model(0.2)
+    table = bc.correlations_of(m)
+    lookups = [
+        lambda: setting_index(x, y),
+        lambda: bc.posterior_weights(m, x, y),
+        lambda: table.correlator(x, y),
+        lambda: table.prob(1, 1, x, y),
+        lambda: m.states[0].dist.prob(x, y),
+    ]
+    for lookup in lookups:
+        with pytest.raises(bc.DomainError, match="is not 0 or 1"):
+            lookup()
 
 
 _UNIFORM = bc.SettingDist.uniform()
@@ -486,6 +521,16 @@ def test_model_json_schema_field():
         bc.model_from_dict(doc)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000])
+def test_model_json_nested_too_deeply_is_an_invalid_model(tmp_path, text):
+    with pytest.raises(bc.InvalidModel, match="nested too deeply"):
+        bc.model_from_json(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(bc.InvalidModel, match="nested too deeply"):
+        bc.load_model(str(path))
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_model_json_rejects_non_finite_literals(literal):
     text = bc.model_to_json(bc.table1_model(0.2)).replace('"weight": 0.25', f'"weight": {literal}', 1)
@@ -504,3 +549,70 @@ def test_model_from_dict_rejects_malformed_documents():
                 "states": [{"weight": 1.0, "dist": {"type": "spline", "values": []}, "responses": [1, 1, 1, 1]}],
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# the allocation guard at each entry point that sizes arrays by a caller's count
+# ---------------------------------------------------------------------------
+
+_SIZE_ERRORS = [
+    MemoryError(),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum possible size."),
+    ValueError("Maximum allowed dimension exceeded"),
+    ValueError("Maximum allowed size exceeded"),
+]
+
+#: The count each entry point is called with; its allocation of that many rows or points fails.
+_COUNT = 12345
+
+
+def _failing_entry_point(entry, exc, tmp_path, monkeypatch):
+    """A call of the entry point whose allocation raises exc, and the request its DomainError names."""
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and shape[-1] == _COUNT:
+            raise exc
+        return real_empty(shape, *args, **kwargs)
+
+    if entry == "curve_sweep":
+        monkeypatch.setattr(curves, "_binary_entropies", fail)
+        return lambda: bc.curve_sweep(bc.CausalClass.RETROCAUSAL, 2, 4, _COUNT), f"n = {_COUNT} points"
+    if entry == "brute_force_min_info":
+        monkeypatch.setattr(oracle, "_retro_options", fail)
+        cfg = bc.SearchConfig(resolution=8, target_s=S_Q, causal_class=bc.CausalClass.RETROCAUSAL)
+        return lambda: bc.brute_force_min_info(cfg), "the N = 8 grid"
+    monkeypatch.setattr(np, "empty", empty)
+    if entry == "sample_rounds":
+        model = bc.table1_model(0.2)
+        return lambda: bc.sample_rounds(model, _COUNT, 0, bc.SampleOrder.SETTINGS_FIRST), f"n = {_COUNT} rounds"
+    path = tmp_path / "rounds.csv"
+    bc.rounds_to_csv(bc.sample_rounds(bc.table1_model(0.2), 3, 0, bc.SampleOrder.SETTINGS_FIRST), str(path))
+    monkeypatch.setattr(simulate, "_line_count", lambda _: _COUNT + 1)
+    return lambda: bc.rounds_from_csv(str(path)), f"up to {_COUNT} rounds"
+
+
+_ENTRY_POINTS = ["curve_sweep", "sample_rounds", "rounds_from_csv", "brute_force_min_info"]
+
+
+@pytest.mark.parametrize("exc", _SIZE_ERRORS, ids=["memory", "too-big", "max-dimension", "max-size"])
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_size_error_is_a_domain_error_naming_the_request(entry, exc, tmp_path, monkeypatch):
+    call, request = _failing_entry_point(entry, exc, tmp_path, monkeypatch)
+    with pytest.raises(bc.DomainError) as err:
+        call()
+    assert str(err.value).startswith(f"{entry}: ")
+    assert str(err.value).endswith(f"{request} does not fit in memory")
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_any_other_value_error_passes_through_the_guard(entry, tmp_path, monkeypatch):
+    exc = ValueError("not a size error")
+    call, _ = _failing_entry_point(entry, exc, tmp_path, monkeypatch)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.value is exc

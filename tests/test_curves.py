@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
 from bellcost import curves
-from bellcost.curves import _i_2_pairs
+from bellcost.curves import _i_2_solve
 
 from conftest import REF, S_Q
 
@@ -140,7 +140,7 @@ def test_i_2_pair_matches_a_bisection_through_f_of_p():
 
 
 def _assert_pairs_match_scalar(s_values):
-    p, p_star = _i_2_pairs(s_values)
+    p, p_star = _i_2_solve(s_values)[:2]
     for s, a, b in zip(s_values, p.tolist(), p_star.tolist()):
         pair = bc.i_2_pair(s)
         assert (a, b) == (pair.p, pair.p_star), s
@@ -154,7 +154,7 @@ def test_i_2_pairs_match_i_2_pair_bit_for_bit():
     uniform = np.random.default_rng(20240517).uniform(s0, 4.0, 20_000).tolist()
     for values in (edges, grid2001, uniform):
         _assert_pairs_match_scalar(values)
-    p, p_star = _i_2_pairs([])
+    p, p_star = _i_2_solve([])[:2]
     assert p.shape == p_star.shape == (0,)
     assert curves._i_2_solve([])[2:] == (0, 0)
 
@@ -174,7 +174,7 @@ def test_i_2_pairs_property(s_values):
 def test_i_2_pairs_rejects_points_off_the_open_branch():
     for bad in ([2.0], [3.0, 3.9], [3.9, 4.0], [bc.s0()], [math.nan]):
         with pytest.raises(bc.DomainError):
-            _i_2_pairs(bad)
+            _i_2_solve(bad)[:2]
 
 
 def _seeded_branch_points(rng, n):
@@ -198,7 +198,7 @@ def test_i_2_residual_error_is_within_a_tenth_of_its_bound():
     rng = np.random.default_rng(2311)
     s = _seeded_branch_points(rng, 10_100)
     target = (4.0 - s) / 8.0
-    _, p_star = _i_2_pairs(s)
+    _, p_star = _i_2_solve(s)[:2]
     p0 = bc.find_p0()
     # half of the points anywhere on [p0, 1/2], half next to the root, where the signs are decided
     q = np.where(
@@ -477,10 +477,11 @@ def test_curve_sweep_errors():
         bc.curve_sweep(bc.CausalClass.CAUSAL, 1.0, 3.0, 10)
 
 
-@pytest.mark.parametrize("n", [10**14, 10**19])
+@pytest.mark.parametrize("n", [10**14, 2**63 - 1, 2**63, 10**19, 2**64 - 1])
 def test_oversized_curve_sweep_is_a_domain_error(n):
-    """The grid of 10**14 points exceeds a 47-bit address space and that of 10**19 an array's byte
-    count, so each fails at the sweep's first allocation; the error names n instead."""
+    """The grid of 10**14 points exceeds a 47-bit address space and the larger ones an array's byte
+    count or dimension, so each fails at the sweep's first allocation; the error names n instead.
+    numpy's arange of 2**63 - 1 or 2**63 points is empty, so the sweep must not size its grid by it."""
     with pytest.raises(bc.DomainError, match=f"n = {n} points does not fit in memory"):
         bc.curve_sweep(bc.CausalClass.RETROCAUSAL, 2, 4, n)
 

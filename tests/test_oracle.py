@@ -660,6 +660,15 @@ def test_one_sided_search_memory_is_quadratic():
     assert peak <= 8 * (2 * n + 1) * (n + 1) * 8
 
 
+def test_grid_entropies_are_binary_entropy_bit_for_bit():
+    """The cached grid h(k/N) is one array pass with math.log, each entry binary_entropy(k / N) exactly."""
+    from bellcost.oracle import _grid_entropies
+
+    for n in range(1, 401):
+        want = [bc.binary_entropy(k / n).hex() for k in range(n + 1)]
+        assert [h.hex() for h in _grid_entropies(n).tolist()] == want, n
+
+
 @pytest.mark.parametrize("cls, n, target", OVERSIZED_GRIDS)
 def test_oversized_grid_is_a_domain_error(cls, n, target):
     with pytest.raises(bc.DomainError, match=f"N = {n} grid does not fit in memory"):
