@@ -34,8 +34,9 @@ def main():
     print("first rounds (settings-first order realizes the retro story):")
     rounds = bc.sample_rounds(model, 6, seed=7, order=bc.SampleOrder.SETTINGS_FIRST)
     print("  lam  x  y   a   b  pred_a  pred_b")
-    for r in rounds:
-        print(f"  {r.lambda_index:3d} {r.x:2d} {r.y:2d} {r.a:3d} {r.b:3d} {r.predicted_a:7d} {r.predicted_b:7d}")
+    columns = (rounds.lambda_index, rounds.x, rounds.y, rounds.a, rounds.b, rounds.predicted_a, rounds.predicted_b)
+    for lam, x, y, a, b, pred_a, pred_b in zip(*(col.tolist() for col in columns)):
+        print(f"  {lam:3d} {x:2d} {y:2d} {a:3d} {b:3d} {pred_a:7d} {pred_b:7d}")
     print()
     print("every prediction is correct: the 'random' outcomes were never random.")
 

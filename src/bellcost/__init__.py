@@ -82,7 +82,6 @@ from .simulate import (
     RNG_ALGORITHM,
     EmpiricalStats,
     RoundLog,
-    RoundRecord,
     SampleOrder,
     chsh_standard_error,
     empirical_stats,

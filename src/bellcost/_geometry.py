@@ -19,11 +19,13 @@ from .core import (
     HiddenState,
     Model,
     _DEFAULT_PERMUTATION,
-    _check_tol,
     chsh_value,
     derived_marginal,
     is_factorized_per_lambda,
 )
+
+#: Slack of verify_bound_chain's uniformity, bound and saturation tests.
+_CHAIN_TOL = 1e-9
 
 #: (mu, nu) classes in table row order.
 LAMBDA_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -133,12 +135,11 @@ class BoundChainReport:
     s_within_causal: bool | None
 
 
-def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
-    """Classify each state, evaluate the CHSH bound chain, and test saturation."""
-    tol = _check_tol(tol, "verify_bound_chain: tol")
+def verify_bound_chain(m: Model) -> BoundChainReport:
+    """Classify each state, evaluate the CHSH bound chain, and test saturation within _CHAIN_TOL."""
     classes = tuple(state_class(st) for st in m.states)
     s_value = chsh_value(m)
-    uniform = all(abs(p - 0.25) <= 1e-9 for p in derived_marginal(m).probs)
+    uniform = all(abs(p - 0.25) <= _CHAIN_TOL for p in derived_marginal(m).probs)
     factorized = is_factorized_per_lambda(m)
     p_min = min(min(st.dist.probs) for st in m.states if st.weight > 0.0)
     general = causal = 0.0
@@ -151,16 +152,16 @@ def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
         general += 4.0 * st.weight * abs(gap)
         # a state reaches 4 |gap| only if its overall outcome sign, A_0 B_0 / class_sign(0, 0), is the gap's
         a0, _, b0, _ = st.responses
-        if abs(gap) > tol and a0 * b0 != class_sign(mu, nu, 0, 0) * (1 if gap > 0 else -1):
+        if abs(gap) > _CHAIN_TOL and a0 * b0 != class_sign(mu, nu, 0, 0) * (1 if gap > 0 else -1):
             general_sat = False
-        if min(abs(special - p_min), abs(special - (1.0 - p_min))) > tol:
+        if min(abs(special - p_min), abs(special - (1.0 - p_min))) > _CHAIN_TOL:
             p_min_sat = False
         if factorized:
             px0, py0 = st.dist.px0(), st.dist.py0()
             pmin_x, pmin_y = min(px0, 1.0 - px0), min(py0, 1.0 - py0)
             causal += st.weight * (4.0 - 8.0 * pmin_x * pmin_y)
             p_xbar, p_ybar = flip_marginals(mu, nu, px0, py0)  # special-side masses
-            if abs(p_xbar - pmin_x) > tol or abs(p_ybar - pmin_y) > tol:
+            if abs(p_xbar - pmin_x) > _CHAIN_TOL or abs(p_ybar - pmin_y) > _CHAIN_TOL:
                 causal_sat = False
     p_min_bound = 4.0 - 8.0 * p_min
 
@@ -175,7 +176,7 @@ def verify_bound_chain(m: Model, tol: float = 1e-9) -> BoundChainReport:
         p_min_saturated=p_min_sat and general_sat,
         causal_bound=causal if factorized else None,
         causal_saturated=(causal_sat and general_sat) if factorized else None,
-        s_within_general=s_value <= general + tol,
-        s_within_p_min=s_value <= p_min_bound + tol,
-        s_within_causal=(s_value <= causal + tol) if factorized else None,
+        s_within_general=s_value <= general + _CHAIN_TOL,
+        s_within_p_min=s_value <= p_min_bound + _CHAIN_TOL,
+        s_within_causal=(s_value <= causal + _CHAIN_TOL) if factorized else None,
     )

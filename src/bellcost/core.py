@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, Iterator, Sequence
@@ -179,8 +180,8 @@ def _allocation_guard(request: str) -> Iterator[None]:
 def _check_tol(tol, what: str) -> float:
     """tol as a float; DomainError unless it is a finite real number >= 0.
 
-    A float passes on one chained comparison, as the checks that take a tol
-    run several times per model.
+    A float passes on one chained comparison, as is_nonsignaling runs
+    several times per model.
     """
     if type(tol) is float and 0.0 <= tol < math.inf:
         return tol
@@ -199,7 +200,7 @@ def _real(value, what: str) -> float:
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidModel(f"{what} {value!r} is not a real number")
+        raise InvalidModel(f"{what} {reprlib.repr(value)} is not a real number")
     return float(value)
 
 
@@ -270,12 +271,11 @@ class SettingDist:
     """Distribution over the four joint settings, optionally in factorized form.
 
     probs holds (p00, p01, p10, p11) in setting_index order.  A factorized
-    instance additionally records (P(x=0), P(y=0)) and its joint entries are
-    the exact products of those marginals.
+    instance additionally records (P(x=0), P(y=0)) in marginals, and its
+    joint entries are the exact products of those marginals.
     """
 
     probs: tuple[float, float, float, float]
-    kind: str = "joint"
     marginals: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -291,9 +291,7 @@ class SettingDist:
         total = sum(probs)
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidModel(f"setting probabilities sum to {total!r}, not 1")
-        if self.kind == "factorized":
-            if self.marginals is None:
-                raise InvalidModel("factorized SettingDist requires marginals")
+        if self.marginals is not None:
             px0, py0 = _reals(self.marginals, "setting marginal")
             object.__setattr__(self, "marginals", (px0, py0))
             if not (lo <= px0 <= hi and lo <= py0 <= hi):
@@ -307,26 +305,21 @@ class SettingDist:
                 or abs(p11 - px1 * py1) > STRUCT_TOL
             ):
                 raise InvalidModel("factorized entries do not match marginal products")
-        elif self.kind == "joint":
-            if self.marginals is not None:
-                raise InvalidModel("joint SettingDist must not carry marginals")
-        else:
-            raise InvalidModel(f"unknown SettingDist kind {self.kind!r}")
 
     @classmethod
     def joint(cls, probs: Iterable[float]) -> "SettingDist":
-        return cls(tuple(probs), "joint", None)
+        return cls(tuple(probs))
 
     @classmethod
     def factorized(cls, px0: float, py0: float) -> "SettingDist":
         px0 = _real(px0, "setting marginal")
         py0 = _real(py0, "setting marginal")
         probs = (px0 * py0, px0 * (1 - py0), (1 - px0) * py0, (1 - px0) * (1 - py0))
-        return cls(probs, "factorized", (px0, py0))
+        return cls(probs, (px0, py0))
 
     @classmethod
     def uniform(cls) -> "SettingDist":
-        return cls((0.25, 0.25, 0.25, 0.25), "joint", None)
+        return cls((0.25, 0.25, 0.25, 0.25))
 
     def prob(self, x: int, y: int) -> float:
         return self.probs[setting_index(x, y)]
@@ -355,7 +348,7 @@ class SettingDist:
 def _check_sign(value: float, what: str) -> int:
     """value as the int +1 or -1 it equals; anything else raises InvalidModel."""
     if value not in (-1, 1):
-        raise InvalidModel(f"{what} must be exactly +1 or -1, got {value!r}")
+        raise InvalidModel(f"{what} must be exactly +1 or -1, got {reprlib.repr(value)}")
     return 1 if value == 1 else -1
 
 
@@ -558,12 +551,11 @@ def mutual_information(m: Model) -> float:
     return m._marginal.entropy() - cond
 
 
-def is_factorized_per_lambda(m: Model, tol: float = STRUCT_TOL) -> bool:
-    """True iff every p(x,y|lambda) factorizes: |p00*p11 - p01*p10| <= tol per state."""
-    tol = _check_tol(tol, "is_factorized_per_lambda: tol")
+def is_factorized_per_lambda(m: Model) -> bool:
+    """True iff every p(x,y|lambda) factorizes: |p00*p11 - p01*p10| <= STRUCT_TOL per state."""
     for st in m.states:
         p = st.dist.probs
-        if abs(p[0] * p[3] - p[1] * p[2]) > tol:
+        if abs(p[0] * p[3] - p[1] * p[2]) > STRUCT_TOL:
             return False
     return True
 
@@ -589,13 +581,13 @@ def is_nonsignaling(c: Correlations, tol: float = SUM_TOL) -> bool:
     """
     tol = _check_tol(tol, "is_nonsignaling: tol")
     t = c.table
-    for x in (0, 1):
-        k, j = 4 * setting_index(x, 0), 4 * setting_index(x, 1)
+    for k in (0, 8):  # the rows of (x, 0) and (x, 1) start at 8x and 8x + 4
+        j = k + 4
         for a in (0, 2):  # a = +1, -1
             if abs((t[k + a] + t[k + a + 1]) - (t[j + a] + t[j + a + 1])) > tol:
                 return False
-    for y in (0, 1):
-        k, j = 4 * setting_index(0, y), 4 * setting_index(1, y)
+    for k in (0, 4):  # the rows of (0, y) and (1, y) start at 4y and 4y + 8
+        j = k + 8
         for b in (0, 1):  # b = +1, -1
             if abs((t[k + b] + t[k + b + 2]) - (t[j + b] + t[j + b + 2])) > tol:
                 return False
@@ -610,7 +602,7 @@ def is_nonsignaling(c: Correlations, tol: float = SUM_TOL) -> bool:
 def model_to_dict(m: Model) -> dict:
     states = []
     for st in m.states:
-        if st.dist.kind == "factorized":
+        if st.dist.marginals is not None:
             dist = {"type": "factorized", "values": list(st.dist.marginals)}
         else:
             dist = {"type": "joint", "values": list(st.dist.probs)}
@@ -619,8 +611,11 @@ def model_to_dict(m: Model) -> dict:
 
 
 def model_from_dict(doc: dict) -> Model:
-    if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
-        raise InvalidModel(f"unsupported model schema {doc.get('schema') if isinstance(doc, dict) else doc!r}")
+    """A model from its JSON document; errors quote a bad value abridged by reprlib."""
+    if not isinstance(doc, dict):
+        raise InvalidModel(f"model document must be a JSON object, not {type(doc).__name__} {reprlib.repr(doc)}")
+    if doc.get("schema") != MODEL_SCHEMA:
+        raise InvalidModel(f"unsupported model schema {reprlib.repr(doc.get('schema'))}")
     states = []
     try:
         for raw in doc["states"]:
@@ -630,7 +625,7 @@ def model_from_dict(doc: dict) -> Model:
             elif dist_doc["type"] == "joint":
                 dist = SettingDist.joint(dist_doc["values"])
             else:
-                raise InvalidModel(f"unknown dist type {dist_doc['type']!r}")
+                raise InvalidModel(f"unknown dist type {reprlib.repr(dist_doc['type'])}")
             states.append(HiddenState(raw["weight"], dist, tuple(raw["responses"])))
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidModel(f"malformed model document: {exc!r}") from exc

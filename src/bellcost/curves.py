@@ -200,26 +200,16 @@ def _check_s(s: float, lo: float = 2.0) -> float:
     return min(max(s, lo), 4.0)
 
 
-# Each curve has a public function, which checks s with _check_s, and a
-# private kernel, which takes an s that has passed it.
-
-
 def i_R(s: float) -> float:
     """Retrocausal minimum: 2 - h((4-s)/8) - ((4+s)/8) log2 3."""
-    return _i_R(_check_s(s))
-
-
-def _i_R(s: float) -> float:
+    s = _check_s(s)
     value = 2.0 - binary_entropy((4.0 - s) / 8.0) - (4.0 + s) / 8.0 * _LOG2_3
     return max(0.0, value)  # the closed form leaves -2e-16 at s = 2
 
 
 def i_1(s: float) -> float:
     """Equal-pair causal branch: 2 - 2 h(sqrt((4-s)/8))."""
-    return _i_1(_check_s(s))
-
-
-def _i_1(s: float) -> float:
+    s = _check_s(s)
     return 2.0 - 2.0 * binary_entropy(math.sqrt((4.0 - s) / 8.0))
 
 
@@ -231,10 +221,7 @@ def i_2_pair(s: float) -> ConjugatePair:
     the sign changes once because p p*(p) is monotone on [0, p0].  The product
     constraint holds by construction.
     """
-    return _i_2_pair(_check_s(s, lo=s0()))
-
-
-def _i_2_pair(s: float) -> ConjugatePair:
+    s = _check_s(s, lo=s0())
     p0 = find_p0()
     if s == 4.0:
         return ConjugatePair(0.0, 0.5)
@@ -386,32 +373,21 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 def i_2(s: float) -> float:
     """Conjugate-pair causal branch on [S0, 4]: 2 - h(p) - h(p*)."""
-    return _i_2(_check_s(s, lo=s0()))
-
-
-def _i_2(s: float) -> float:
-    pair = _i_2_pair(s)
-    return _pair_info(pair.p, pair.p_star)
-
-
-def _pair_info(p: float, p_star: float) -> float:
-    return 2.0 - binary_entropy(p) - binary_entropy(p_star)
+    pair = i_2_pair(s)
+    return 2.0 - binary_entropy(pair.p) - binary_entropy(pair.p_star)
 
 
 def i_C(s: float) -> CurvePoint:
     """Causal minimum: i_1 below S0, i_2 above, with the branch tag."""
     s = _check_s(s)
     if s <= s0():
-        return CurvePoint(s, _i_1(s), Branch.I1)
-    return CurvePoint(s, _i_2(s), Branch.I2)
+        return CurvePoint(s, i_1(s), Branch.I1)
+    return CurvePoint(s, i_2(s), Branch.I2)
 
 
 def i_OS(s: float) -> float:
     """One-sided minimum: 1 - h(s/4)."""
-    return _i_OS(_check_s(s))
-
-
-def _i_OS(s: float) -> float:
+    s = _check_s(s)
     return 1.0 - binary_entropy(s / 4.0)
 
 
@@ -431,11 +407,9 @@ def curve_point(causal_class: CausalClass, s: float) -> CurvePoint:
     if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
         return i_C(s)
     if causal_class is CausalClass.RETROCAUSAL:
-        s = _check_s(s)
-        return CurvePoint(s, _i_R(s))
+        return CurvePoint(_check_s(s), i_R(s))
     if causal_class is CausalClass.ONE_SIDED:
-        s = _check_s(s)
-        return CurvePoint(s, _i_OS(s))
+        return CurvePoint(_check_s(s), i_OS(s))
     if causal_class is CausalClass.SUPERDETERMINISTIC:
         return CurvePoint(_check_s(s), i_SD(s))
     raise DomainError(f"unknown causal class {causal_class!r}")  # pragma: no cover
@@ -463,7 +437,7 @@ def curve_sweep(
         if causal_class is CausalClass.CAUSAL or causal_class is CausalClass.ZIGZAG:
             upper = s > s0()
             info = 2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s) / 8.0))
-            info[upper] = [_i_2(v) for v in s[upper].tolist()]
+            info[upper] = [i_2(v) for v in s[upper].tolist()]
             branches = map(_BRANCH_OF_UPPER.__getitem__, upper.tolist())
             return list(map(CurvePoint, s.tolist(), info.tolist(), branches))
         if causal_class is CausalClass.RETROCAUSAL:

@@ -25,9 +25,10 @@ reused (N+1)^3 buffer, whose finite cells are read out as rows.  The two
 causal halves are one set of ordered state pairs within the special-product
 budget, enumerated once and read under two class maps; each half is keyed by
 its summed raw marginals.  The one-sided search needs no join: its marginal
-constraint gives both state pairs the same total t, so one split table of
-pair entropies over (t, first state), (2N+1)(N+1) cells, bounds every point,
-and only the points within 1e-12 of that bound are summed exactly.
+constraint gives both state pairs the same total t <= T = budget // 2, so
+one split table of pair entropies over (t, first state), (T+1)(min(T, N)+1)
+cells, bounds every point, and only the points within 1e-12 of that bound
+are summed exactly.
 Equal-value ties resolve to the first hit in lexicographic grid order, so
 results are reproducible.
 
@@ -77,6 +78,7 @@ from .core import (
     _LOG2,
     _allocation_guard,
     _binary_entropies,
+    _exact_log,
     _require_int,
     mutual_information,
 )
@@ -190,12 +192,18 @@ def _grid_entropies(n: int) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=8)
+def _entropy_terms(n: int) -> np.ndarray:
+    """-p ln p at p = k/n for k = 0..n, 0 at k = 0, with math.log, read-only."""
+    p = np.arange(1, n + 1) / n
+    terms = np.concatenate(([0.0], -p * _exact_log(p)))
+    terms.flags.writeable = False
+    return terms
+
+
 def _row_entropies(counts: np.ndarray, n: int) -> np.ndarray:
     """Entropy (bits) of each row of grid counts; every count must lie in 0..n (-1 reads the n term)."""
-    probs = np.arange(n + 1) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0, -probs * np.log(probs), 0.0)
-    return terms[counts].sum(axis=1) / _LOG2
+    return _entropy_terms(n)[counts].sum(axis=1) / _LOG2
 
 
 def _floor_budget(cfg: SearchConfig, slack: float, cap: int) -> int:
@@ -585,16 +593,18 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     """
     n = cfg.resolution
     budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
-    # the split table (t <= budget // 2 <= 2n) and the padded h in one block, allocated first, so an
-    # oversized grid fails here, even where a small budget leaves the table one row of n + 1 cells
-    size = (budget // 2 + 1) * (n + 1)
-    block = np.empty(size + 3 * n + 1)
-    split, padded = block[:size].reshape(budget // 2 + 1, n + 1), block[size:]
-    h_grid = _grid_entropies(n)
-    # h padded with n cells of -inf on each side; view[t, a] = padded[n + t - a] = h(t - a) for a <= n
-    padded[:n] = padded[2 * n + 1 :] = -np.inf
-    padded[n : 2 * n + 1] = h_grid
-    view = np.lib.stride_tricks.as_strided(padded[n:], split.shape, (8, -8), writeable=False)
+    # a feasible point's pairs hold t <= top units and its states a <= k: the split table over those and
+    # the padded h share one block, allocated before any entropy or index array, so it fails here at once
+    top = budget // 2
+    k = min(top, n)
+    size = (top + 1) * (k + 1)
+    block = np.empty(size + top + k + 1)
+    split, padded = block[:size].reshape(top + 1, k + 1), block[size:]
+    h_grid = _binary_entropies(np.arange(k + 1) / n)
+    # h padded with k cells of -inf before it and top - k after; view[t, a] = padded[k + t - a] = h(t - a)
+    padded[:k] = padded[2 * k + 1 :] = -np.inf
+    padded[k : 2 * k + 1] = h_grid
+    view = np.lib.stride_tricks.as_strided(padded[k:], split.shape, (8, -8), writeable=False)
     np.add(h_grid, view, out=split)
     pair_best = split.max(axis=1)
     cutoff = 2.0 * pair_best.max() - 1e-12

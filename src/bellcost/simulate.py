@@ -22,10 +22,9 @@ lack its ending.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum, unique
 from typing import BinaryIO
 
@@ -50,7 +49,6 @@ from .core import (
 __all__ = [
     "RNG_ALGORITHM",
     "SampleOrder",
-    "RoundRecord",
     "RoundLog",
     "EmpiricalStats",
     "sample_rounds",
@@ -85,20 +83,7 @@ class SampleOrder(Enum):
     SETTINGS_FIRST = "settings-first"
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One experiment round, including the adversary's outcome predictions."""
-
-    lambda_index: int
-    x: int
-    y: int
-    a: int
-    b: int
-    predicted_a: int
-    predicted_b: int
-
-
-_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+_COLUMNS = ("lambda_index", "x", "y", "a", "b", "predicted_a", "predicted_b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +92,7 @@ class RoundLog:
 
     Construction validates every round: lambda >= 0, settings x, y in {0, 1},
     outcomes and predictions in {-1, +1}; anything else raises DomainError.
-    Iterating yields one RoundRecord per round, and two logs are equal when
-    their columns are.
+    Two logs are equal when their columns are.
     """
 
     lambda_index: np.ndarray
@@ -141,9 +125,6 @@ class RoundLog:
 
     def __len__(self) -> int:
         return len(self.lambda_index)
-
-    def __iter__(self):
-        return itertools.starmap(RoundRecord, zip(*(col.tolist() for col in self._columns())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoundLog):

@@ -81,14 +81,14 @@ def test_setting_dist_validation():
     with pytest.raises(bc.InvalidModel):
         bc.SettingDist.joint([0.5, 0.5, 0.5, 0.5])
     with pytest.raises(bc.InvalidModel):
-        bc.SettingDist((0.3, 0.3, 0.2, 0.2), "factorized", (0.5, 0.5))
+        bc.SettingDist((0.3, 0.3, 0.2, 0.2), (0.5, 0.5))
     u = bc.SettingDist.uniform()
-    assert u.prob(1, 0) == 0.25 and u.kind == "joint"
+    assert u.prob(1, 0) == 0.25 and u.marginals is None
 
 
 def test_setting_dist_factorized():
     d = bc.SettingDist.factorized(0.7, 0.2)
-    assert d.kind == "factorized"
+    assert d.marginals == (0.7, 0.2)
     assert d.prob(0, 0) == pytest.approx(0.14, abs=1e-15)
     assert d.px0() == 0.7 and d.py0() == 0.2
     j = bc.SettingDist.joint(d.probs)
@@ -147,7 +147,7 @@ _VALIDATED = [
     ("joint", [0.25] * 4, bc.SettingDist.joint),
     ("joint-edge", [0.5, 0.5, 0.0, 0.0], bc.SettingDist.joint),
     ("factorized", [0.5, 0.5], lambda v: bc.SettingDist.factorized(*v)),
-    ("marginals", [0.5, 0.5], lambda v: bc.SettingDist((0.25,) * 4, "factorized", tuple(v))),
+    ("marginals", [0.5, 0.5], lambda v: bc.SettingDist((0.25,) * 4, tuple(v))),
     ("weight", [0.5], lambda v: bc.HiddenState(v[0], _UNIFORM, (1, 1, 1, 1))),
     ("responses", [1, -1, 1, -1], lambda v: bc.HiddenState(0.5, _UNIFORM, tuple(v))),
     ("correlations", [0.25] * 16, lambda v: bc.Correlations(tuple(v))),
@@ -414,26 +414,21 @@ def test_nonsignaling_reads_the_marginals_of_the_table():
     assert verdicts == {True, False}
 
 
-def _tolerance_checks():
-    m = bc.table1_model(0.1)  # signaling, and not factorized per state
-    return (
-        (bc.is_nonsignaling, bc.correlations_of(m)),
-        (bc.is_factorized_per_lambda, m),
-        (bc.verify_bound_chain, m),
-    )
+def _signaling_table():
+    return bc.correlations_of(bc.table1_model(0.1))
 
 
 def test_tolerance_must_be_a_finite_real_at_least_zero():
+    c = _signaling_table()
     for tol in (math.nan, math.inf, -math.inf, -1e-9, -1, 10**400, np.float64("nan"), True, "1e-9", None):
-        for check, arg in _tolerance_checks():
-            with pytest.raises(bc.DomainError):
-                check(arg, tol)
+        with pytest.raises(bc.DomainError):
+            bc.is_nonsignaling(c, tol)
 
 
 def test_tolerance_of_any_real_type_gives_the_float_verdict():
-    for check, arg in _tolerance_checks():
-        for tol in (0, 1, np.float32(0.25), np.float64(1e-12)):
-            assert check(arg, tol) == check(arg, float(tol)), (check.__name__, tol)
+    c = _signaling_table()
+    for tol in (0, 1, np.float32(0.25), np.float64(1e-12)):
+        assert bc.is_nonsignaling(c, tol) == bc.is_nonsignaling(c, float(tol)), tol
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +491,7 @@ def test_model_json_roundtrip(tmp_path):
     for a, b in zip(back.states, m.states):
         assert a.weight == b.weight
         assert a.dist.probs == b.dist.probs
-        assert a.dist.kind == b.dist.kind
+        assert a.dist.marginals == b.dist.marginals
         assert a.responses == b.responses
     path = tmp_path / "model.json"
     bc.save_model(m, str(path))
