@@ -68,6 +68,9 @@ _APPENDIX_GRID_POINTS = 400
 #: E = 2**-48 = 32 ulp(1/2): a bound on the rounding error of i_2_pair's residual (see _i_2_solve).
 _RESIDUAL_ERROR = 2.0**-48
 
+#: _i_2_solve solves the s below S0 + this apart: its convexity certificate fails up to ~6e-8 above S0.
+_UNCERTIFIED_NEAR_S0 = 1e-7
+
 
 @unique
 class Branch(Enum):
@@ -308,8 +311,10 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
     * One g^(p0), at the least s of the call, certifies every s.  4 - s and
       /8 are exact and a rounded division is monotone, so a larger s has a
       t and an r(p0) no larger; f increases on [0, p0], so its g(p0) is no
-      larger either, and below -E.  When that certificate fails (within
-      ~1e-8 of S0), no side of any s is certified.
+      larger either, and below -E.  That certificate fails within ~6e-8 of
+      S0, where no side is certified, so the s below S0 +
+      _UNCERTIFIED_NEAR_S0 are solved as a call of their own and leave the
+      others certified.
 
     The np.log roots x^ of _approximate_roots place a and b about 2.25 E/g'
     either side of x^, where |g| ~ 2.25 E.  Only a midpoint strictly between a
@@ -326,6 +331,15 @@ def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
         raise DomainError("_i_2_solve needs every s strictly inside (S0, 4)")
     if s.size == 0:
         return s.copy(), s.copy(), 0, 0
+    near = s < s0() + _UNCERTIFIED_NEAR_S0
+    if near.any() and not near.all():
+        p, p_star = np.empty_like(s), np.empty_like(s)
+        exact = uncertified = 0
+        for part in (near, ~near):
+            p[part], p_star[part], part_exact, part_uncertified = _i_2_solve(s[part])
+            exact += part_exact
+            uncertified += part_uncertified
+        return p, p_star, exact, uncertified
     p0 = find_p0()
     target = (4.0 - s) / 8.0
     root, slope = _approximate_roots(target, p0)

@@ -184,10 +184,10 @@ def _compositions4(total: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_entropies(n: int) -> np.ndarray:
-    """h(k/n) for k = 0..n, each binary_entropy(k / n) bit for bit, read-only."""
-    h = _binary_entropies(np.arange(n + 1) / n)
+@functools.lru_cache(maxsize=64)
+def _grid_entropies(n: int, k: int | None = None) -> np.ndarray:
+    """h(j/n) for j = 0..k (all of 0..n by default), each binary_entropy(j / n) bit for bit, read-only."""
+    h = _binary_entropies(np.arange((n if k is None else k) + 1) / n)
     h.flags.writeable = False
     return h
 
@@ -600,7 +600,7 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     size = (top + 1) * (k + 1)
     block = np.empty(size + top + k + 1)
     split, padded = block[:size].reshape(top + 1, k + 1), block[size:]
-    h_grid = _binary_entropies(np.arange(k + 1) / n)
+    h_grid = _grid_entropies(n, k)
     # h padded with k cells of -inf before it and top - k after; view[t, a] = padded[k + t - a] = h(t - a)
     padded[:k] = padded[2 * k + 1 :] = -np.inf
     padded[k : 2 * k + 1] = h_grid

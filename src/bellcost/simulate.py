@@ -8,7 +8,10 @@ posterior.  Both induce the same joint law on (lambda, x, y, a, b).
 The round stream comes from numpy's Philox counter-based generator (algorithm
 identifier recorded in RNG_ALGORITHM), so identical (model, n, seed, order)
 always reproduce the same rounds.  A round log is held as columns
-(RoundLog), and every statistic is computed from counts over those columns.
+(RoundLog): lambda as int64 and the settings, outcomes and predictions as
+int8, 12 bytes a sampled round and 14 a round read back; widen a column with
+.astype(np.int64) before arithmetic that can leave the int8 range.  Every
+statistic is computed from counts over those columns.
 Sampling, counting and writing run in blocks of _BLOCK rounds, and reading in
 chunks of about _CHUNK bytes, so their temporaries are bounded by the block or
 chunk, not by the number of rounds.
@@ -88,11 +91,15 @@ _COLUMNS = ("lambda_index", "x", "y", "a", "b", "predicted_a", "predicted_b")
 
 @dataclass(frozen=True, eq=False)
 class RoundLog:
-    """Experiment rounds as seven equal-length, read-only int64 columns.
+    """Experiment rounds as seven equal-length, read-only columns.
 
-    Construction validates every round: lambda >= 0, settings x, y in {0, 1},
-    outcomes and predictions in {-1, +1}; anything else raises DomainError.
-    Two logs are equal when their columns are.
+    lambda_index is int64; the settings x, y, the outcomes a, b and the
+    predictions are int8.  Construction validates every round before it
+    narrows a column: lambda >= 0, settings x, y in {0, 1}, outcomes and
+    predictions in {-1, +1}; anything else raises DomainError, so no value
+    wraps into a valid one.  An array passed as two columns of one kind, as
+    sample_rounds passes a and b again as the predictions, is stored as one
+    array.  Two logs are equal when their columns are.
     """
 
     lambda_index: np.ndarray
@@ -104,21 +111,23 @@ class RoundLog:
     predicted_b: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in _COLUMNS:
-            col = np.asarray(getattr(self, name))
+        given = [np.asarray(getattr(self, name)) for name in _COLUMNS]
+        for name, col in zip(_COLUMNS, given):
             if col.ndim != 1 or col.dtype.kind not in "iu":
                 raise DomainError(f"round-log column {name} must be a 1-D integer array")
-            col = col.astype(np.int64, copy=False).view()
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
-        n = len(self.lambda_index)
-        if any(len(col) != n for col in self._columns()):
+        if any(len(col) != len(given[0]) for col in given):
             raise DomainError("round-log columns differ in length")
-        _check_column("lambda_index", self.lambda_index >= 0, "a hidden-state index >= 0")
-        for name in ("x", "y"):
-            _check_column(name, (getattr(self, name) >> 1) == 0, "a setting 0 or 1")
-        for name in ("a", "b", "predicted_a", "predicted_b"):
-            _check_column(name, np.abs(getattr(self, name)) == 1, "an outcome -1 or +1")
+        stored = {}  # (id of a given array, its column kind) -> the stored column; given keeps the ids alive
+        for name, col in zip(_COLUMNS, given):
+            key = (id(col), _KINDS[name])
+            if key not in stored:
+                if name == "lambda_index":
+                    col = col.astype(np.int64, copy=False)  # a uint64 index >= 2**63 wraps below 0 and fails
+                _check_column(name, col)
+                col = col.astype(_KINDS[name][0], copy=False).view()
+                col.flags.writeable = False
+                stored[key] = col
+            object.__setattr__(self, name, stored[key])
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
@@ -132,10 +141,31 @@ class RoundLog:
         return all(map(np.array_equal, self._columns(), other._columns()))
 
 
-def _check_column(name: str, ok: np.ndarray, expected: str) -> None:
+_SETTING = (np.int8, "a setting 0 or 1")
+_OUTCOME = (np.int8, "an outcome -1 or +1")
+#: Each column's stored dtype and what its values must be.
+_KINDS = {
+    "lambda_index": (np.int64, "a hidden-state index >= 0"),
+    "x": _SETTING,
+    "y": _SETTING,
+    "a": _OUTCOME,
+    "b": _OUTCOME,
+    "predicted_a": _OUTCOME,
+    "predicted_b": _OUTCOME,
+}
+
+
+def _check_column(name: str, col: np.ndarray, first: int = 0) -> None:
+    """Raise DomainError at col's first value that column name may not hold, naming it round first + row."""
+    kind = _KINDS[name]
+    if kind is _SETTING:
+        ok = (col >> 1) == 0
+    elif kind is _OUTCOME:
+        ok = np.abs(col) == 1
+    else:
+        ok = col >= 0
     if not ok.all():
-        row = int(np.argmin(ok))
-        raise DomainError(f"round {row}: {name} is not {expected}")
+        raise DomainError(f"round {first + int(np.argmin(ok))}: {name} is not {kind[1]}")
 
 
 @dataclass(frozen=True)
@@ -170,10 +200,11 @@ def _round_blocks(
 ) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
     """Check the arguments of sample_rounds, then return its rounds block by block.
 
-    The iterator yields (rows, (lambda, x, y, a, b)) per block of _blocks(n); the
-    adversary's predictions are a and b.  Each block draws its uniforms as one
-    (rows, k) array, and Philox fills consecutive blocks with consecutive rows of
-    the single (n, k) draw, so the rounds do not depend on the block size.
+    The iterator yields (rows, (lambda, x, y, a, b)) per block of _blocks(n),
+    lambda as int64 and the rest as int8; the adversary's predictions are a
+    and b.  Each block draws its uniforms as one (rows, k) array, and Philox
+    fills consecutive blocks with consecutive rows of the single (n, k) draw,
+    so the rounds do not depend on the block size.
     """
     _require_int(n, 1, f"sample_rounds needs an integer n >= 1, not {n!r}")
     rng = _generator(seed)
@@ -192,8 +223,8 @@ def _round_blocks(
         def draw(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             lam = np.searchsorted(cum_w, u[:, 0], side="right")
             lam = np.minimum(lam, n_states - 1)
-            xs = (u[:, 1] >= px0[lam]).astype(np.int64)
-            ys = (u[:, 2] >= py0[lam]).astype(np.int64)
+            xs = (u[:, 1] >= px0[lam]).view(np.int8)
+            ys = (u[:, 2] >= py0[lam]).view(np.int8)
             return lam, xs, ys
 
     elif order is SampleOrder.SETTINGS_FIRST:
@@ -212,13 +243,13 @@ def _round_blocks(
             sidx = np.minimum(sidx, 3)
             lam = (u[:, 1, None] > cum_post[sidx]).sum(axis=1)
             lam = np.minimum(lam, n_states - 1)
-            return lam, sidx // 2, sidx % 2
+            return lam, (sidx >> 1).astype(np.int8), (sidx & 1).astype(np.int8)
 
     else:  # pragma: no cover
         raise DomainError(f"unknown sample order {order!r}")
 
-    resp_a = np.array([st.responses[:2] for st in m.states])
-    resp_b = np.array([st.responses[2:] for st in m.states])
+    resp_a = np.array([st.responses[:2] for st in m.states], np.int8)
+    resp_b = np.array([st.responses[2:] for st in m.states], np.int8)
 
     def blocks():
         for rows in _blocks(n):
@@ -241,10 +272,13 @@ def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
     """
     blocks = _round_blocks(m, n, seed, order)
     with _allocation_guard(f"sample_rounds: a log of n = {n} rounds"):
-        columns = np.empty((5, n), np.int64)
-    for rows, block in blocks:
-        columns[:, rows] = block
-    lam, xs, ys, avals, bvals = columns
+        lam = np.empty(n, np.int64)
+        narrow = np.empty((4, n), np.int8)
+    for rows, (lam_rows, *rest) in blocks:
+        lam[rows] = lam_rows
+        for col, values in zip(narrow, rest):
+            col[rows] = values
+    xs, ys, avals, bvals = narrow
     return RoundLog(lam, xs, ys, avals, bvals, avals, bvals)
 
 
@@ -504,7 +538,7 @@ def _plain_rows(buf: bytes) -> np.ndarray | None:
             total += tens
         values[longer] = total
     values *= 1 - 2 * negative.astype(np.int8)  # -1 on a negative field, else 1
-    return values.reshape(rows, width).T
+    return np.ascontiguousarray(values.reshape(rows, width).T)  # each field a contiguous row to check and store
 
 
 def _chunks(fh: BinaryIO) -> Iterator[bytes]:
@@ -555,13 +589,17 @@ def _normalized_rows(buf: bytes, first: int) -> tuple[np.ndarray, np.ndarray, in
     return fields, lines, len(sizes)
 
 
-def _store(columns: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
+def _store(lam: np.ndarray, narrow: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
     """Check that a block's (8, rows) fields are rounds n, n+1, ..., store them and return the next n.
 
-    line_of(row) is the file line of the block's row, for the error message.
+    The lambda field goes to the int64 column lam, and the other six, once
+    RoundLog's checks pass on them, to the (6, rows) int8 block narrow.  A
+    value a round may not hold raises RoundLog's DomainError, naming the
+    log's round; line_of(row) is the file line of the block's row, for the
+    round-column error.
     """
     rows = slice(n, n + fields.shape[1])
-    if rows.stop > columns.shape[1]:
+    if rows.stop > len(lam):
         raise DomainError("round log grew while it was read")
     gaps = np.flatnonzero(fields[0] != np.arange(rows.start, rows.stop))
     if gaps.size:
@@ -569,7 +607,10 @@ def _store(columns: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
         raise DomainError(
             f"line {line_of(row)}: round column holds {fields[0, row]}, not {rows.start + row}"
         )
-    columns[:, rows] = fields[1:]
+    for name, col in zip(_COLUMNS, fields[1:]):
+        _check_column(name, col, n)
+    lam[rows] = fields[1]
+    narrow[:, rows] = fields[2:]
     return rows.stop
 
 
@@ -585,11 +626,14 @@ def rounds_from_csv(path: str) -> RoundLog:
     numpy tokenizer; a chunk with CRs goes straight to normalizing, and one
     with blank lines or a missing final LF is normalized after the tokenizer
     rejects it; either is then parsed as LF-ended lines.  A file with more lines
-    than the columns can hold in memory raises DomainError.
+    than the columns can hold in memory raises DomainError.  The columns are
+    stored as RoundLog stores them, each chunk's values checked before they
+    are narrowed.
     """
     rows = max(_line_count(path) - 1, 0)
     with _allocation_guard(f"rounds_from_csv: a log of up to {rows} rounds"):
-        columns = np.empty((len(_COLUMNS), rows), np.int64)
+        lam = np.empty(rows, np.int64)
+        narrow = np.empty((len(_COLUMNS) - 1, rows), np.int8)
     with open(path, "rb") as fh:
         head = fh.readline(len(_CSV_HEADER_BYTES))
         if head.rstrip(b"\r\n") != _CSV_HEADER_BYTES[:-1]:
@@ -602,10 +646,10 @@ def rounds_from_csv(path: str) -> RoundLog:
         for buf in _chunks(fh):
             fields = None if b"\r" in buf else _plain_rows(buf)  # a CR always fails the plain form
             if fields is not None:
-                n = _store(columns, n, fields, lambda row: first + row)
+                n = _store(lam, narrow, n, fields, lambda row: first + row)
                 first += fields.shape[1]
             else:
                 fields, lines, count = _normalized_rows(buf, first)
-                n = _store(columns, n, fields, lines.__getitem__)
+                n = _store(lam, narrow, n, fields, lines.__getitem__)
                 first += count
-    return RoundLog(*columns[:, :n])
+    return RoundLog(lam[:n], *narrow[:, :n])

@@ -159,6 +159,19 @@ def test_i_2_pairs_match_i_2_pair_bit_for_bit():
     assert curves._i_2_solve([])[2:] == (0, 0)
 
 
+def test_i_2_batch_solves_points_near_s0_apart():
+    """s within 1e-8 of S0 fail the convexity certificate; the far points of the same call keep theirs."""
+    s0 = bc.s0()
+    far = np.linspace(s0 + 1e-4, 4.0 - 1e-4, 2050)
+    near = s0 + np.linspace(1e-10, 1e-8, 50)
+    s_values = np.random.default_rng(30).permutation(np.concatenate((far, near)))
+    _assert_pairs_match_scalar(s_values.tolist())
+    assert _i_2_solve(far)[3] == 0
+    exact, uncertified = _i_2_solve(s_values)[2:]
+    assert uncertified <= 100
+    assert exact == _i_2_solve(far)[2] + _i_2_solve(near)[2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

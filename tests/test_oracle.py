@@ -669,6 +669,20 @@ def test_grid_entropies_are_binary_entropy_bit_for_bit():
         assert [h.hex() for h in _grid_entropies(n).tolist()] == want, n
 
 
+def test_one_sided_search_reads_a_cached_entropy_prefix():
+    """The one-sided search reads h(j/N), j <= k, from a per-(N, k) cache, each entry binary_entropy(j / N)."""
+    from bellcost.oracle import _grid_entropies
+
+    run(40, S_Q, ONE_SIDED)
+    hits = _grid_entropies.cache_info().hits
+    run(40, S_Q, ONE_SIDED)
+    assert _grid_entropies.cache_info().hits == hits + 1
+    for n, k in ((40, 0), (40, 11), (40, 40), (10**9, 3)):
+        want = [bc.binary_entropy(j / n).hex() for j in range(k + 1)]
+        assert [h.hex() for h in _grid_entropies(n, k).tolist()] == want, (n, k)
+        assert not _grid_entropies(n, k).flags.writeable
+
+
 @pytest.mark.parametrize("cls, n, target", OVERSIZED_GRIDS)
 def test_oversized_grid_is_a_domain_error(cls, n, target):
     with pytest.raises(bc.DomainError, match=f"N = {n} grid does not fit in memory"):

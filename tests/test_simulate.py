@@ -341,6 +341,59 @@ def test_round_log_names_the_column_and_round_at_fault():
         bc.RoundLog(lam, x, y, a, b, a, np.array([3, 1]))
 
 
+def _valid_columns(n: int) -> dict:
+    k = np.arange(n, dtype=np.int64)
+    a, b = 1 - 2 * (k % 2), 1 - 2 * (k // 4 % 2)
+    return dict(zip(simulate._COLUMNS, (k % 3, k % 2, k // 2 % 2, a, b, a.copy(), b.copy())))
+
+
+@pytest.mark.parametrize("name, value", [("x", 257), ("y", 2**40 + 1), ("a", 255), ("predicted_b", -257)])
+def test_narrowing_never_wraps_into_a_setting_or_outcome(tmp_path, monkeypatch, name, value):
+    """Each value wraps to a valid int8 (257 -> 1, 255 -> -1, ...); it is refused before it is narrowed."""
+    n, row = 3000, 2500
+    columns = _valid_columns(n)
+    lines = bc.rounds_to_csv(bc.RoundLog(**columns)).splitlines()
+    columns[name][row] = value
+    message = f"^round {row}: {name} is not "
+    with pytest.raises(bc.DomainError, match=message):
+        bc.RoundLog(**columns)
+    # the same value read back, in chunks small enough that it lies in a later one
+    fields = lines[1 + row].split(",")
+    fields[1 + simulate._COLUMNS.index(name)] = str(value)
+    lines[1 + row] = ",".join(fields)
+    path = tmp_path / "rounds.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(simulate, "_CHUNK", 4096)
+    assert sum(len(line) + 1 for line in lines[: 1 + row]) > 4 * simulate._CHUNK
+    with pytest.raises(bc.DomainError, match=message):
+        bc.rounds_from_csv(str(path))
+
+
+def _held_bytes(rounds: bc.RoundLog) -> int:
+    """Bytes of a log's columns, each distinct array counted once."""
+    distinct = {id(col): col for col in (getattr(rounds, name) for name in simulate._COLUMNS)}
+    return sum(col.nbytes for col in distinct.values())
+
+
+@pytest.mark.parametrize("order", [SOURCE, SETTINGS_FIRST])
+def test_round_log_columns_are_narrow(tmp_path, order):
+    """int64 lambda and int8 for the rest: 12 bytes a sampled round, 14 a round read back."""
+    n = 10**4
+    model = bc.flip_lift(bc.table2_model(0.2) if order is SOURCE else bc.table1_model(0.1))
+    rounds = bc.sample_rounds(model, n, seed=11, order=order)
+    path = str(tmp_path / "rounds.csv")
+    bc.rounds_to_csv(rounds, path)
+    back = bc.rounds_from_csv(path)
+    for log in (rounds, back):
+        columns = [getattr(log, name) for name in simulate._COLUMNS]
+        assert [col.dtype for col in columns] == [np.dtype(np.int64)] + [np.dtype(np.int8)] * 6
+        assert not any(col.flags.writeable for col in columns)
+    assert rounds.predicted_a is rounds.a and rounds.predicted_b is rounds.b
+    assert _held_bytes(rounds) == 12 * n
+    assert _held_bytes(back) == 14 * n
+    assert back == rounds
+
+
 @pytest.mark.parametrize("block", [1, 7, 2000])
 @pytest.mark.parametrize("order", [SOURCE, SETTINGS_FIRST])
 def test_golden_round_log_is_independent_of_block_size(tmp_path, monkeypatch, order, block):
