@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BellcostError, OSError, json.JSONDecodeError) as exc:
+    except (BellcostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

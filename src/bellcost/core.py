@@ -177,6 +177,14 @@ def _allocation_guard(request: str) -> Iterator[None]:
         raise DomainError(f"{request} does not fit in memory") from None
 
 
+def _as_float(value) -> float:
+    """float(value) for a real number; an int beyond the float range reads as +-inf, not OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_tol(tol, what: str) -> float:
     """tol as a float; DomainError unless it is a finite real number >= 0.
 
@@ -186,10 +194,7 @@ def _check_tol(tol, what: str) -> float:
     if type(tol) is float and 0.0 <= tol < math.inf:
         return tol
     _require_real(tol, what)
-    try:
-        value = float(tol)
-    except OverflowError:  # an int past the largest float
-        value = math.inf
+    value = _as_float(tol)
     if not 0.0 <= value < math.inf:  # a NaN fails this test too
         raise DomainError(f"{what}={tol!r} is not a finite number >= 0")
     return value
@@ -201,7 +206,7 @@ def _real(value, what: str) -> float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidModel(f"{what} {reprlib.repr(value)} is not a real number")
-    return float(value)
+    return _as_float(value)
 
 
 def _reals(values, what: str) -> tuple[float, ...]:
@@ -641,11 +646,13 @@ def _reject_constant(name: str) -> float:
 
 
 def model_from_json(text: str) -> Model:
-    """A model from its JSON form; JSON nested too deeply to parse raises InvalidModel."""
+    """A model from its JSON form; text that is not JSON, or nested too deeply to parse, raises InvalidModel."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
         raise InvalidModel("model JSON is nested too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidModel(f"model JSON does not parse: {exc}") from None
     return model_from_dict(doc)
 
 

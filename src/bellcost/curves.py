@@ -23,6 +23,7 @@ curve_point at the same grid value, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
@@ -31,8 +32,8 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .core import (
-    CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _binary_entropies, _exact_log,
-    _require_int, _require_real, binary_entropy,
+    CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _as_float, _binary_entropies,
+    _exact_log, _require_int, _require_real, binary_entropy,
 )
 
 __all__ = [
@@ -61,6 +62,10 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-12
+
+#: The least normal float.  Below it (1 - p) / p overflows to inf, so f and
+#: its slope take log(1 - p) - log(p) there.
+_TINY = sys.float_info.min
 
 #: Interior points of each second-derivative grid in appendix_checks.
 _APPENDIX_GRID_POINTS = 400
@@ -127,11 +132,15 @@ def f_of_p(p: float) -> float:
         raise DomainError(f"f_of_p: p={p!r} outside [0, 1/2]")
     if p <= 0.0:
         return 0.0
+    if p < _TINY:
+        return p * (math.log(1.0 - p) - math.log(p)) / _LOG2
     return p * math.log((1.0 - p) / p) / _LOG2
 
 
 def _h_slope(p: float) -> float:
     """h'(p) = log2((1-p)/p), for p in (0, 1)."""
+    if p < _TINY:
+        return (math.log(1.0 - p) - math.log(p)) / _LOG2
     return math.log((1.0 - p) / p) / _LOG2
 
 
@@ -197,7 +206,7 @@ def conjugate(p: float) -> ConjugatePair:
 def _check_s(s: float, lo: float = 2.0) -> float:
     if type(s) is not float:
         _require_real(s, "CHSH value s")
-        s = float(s)  # a numpy scalar would keep the curves in its own precision
+        s = _as_float(s)  # a numpy scalar would keep the curves in its own precision
     if not lo - 1e-9 <= s <= 4.0 + 1e-9:
         raise DomainError(f"CHSH value s={s!r} outside [{lo}, 4]")
     return min(max(s, lo), 4.0)

@@ -28,6 +28,7 @@ from .core import (
     SETTINGS,
     SettingDist,
     _LOG2_3,
+    _as_float,
     _require_real,
     binary_entropy,
     posterior_weights,
@@ -89,7 +90,7 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     (1-p)/3 on the other three.  CHSH value 4 - 8p for p in [0, 1/4].
     """
     _require_real(p, "table1_model: p")
-    p = float(p)  # a numpy scalar would keep (1 - p) / 3 in its own precision
+    p = _as_float(p)  # a numpy scalar would keep (1 - p) / 3 in its own precision
     if not -1e-12 <= p <= 0.25 + 1e-12:
         raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
@@ -195,7 +196,7 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
     settings occur.
     """
     _require_real(q, "extreme_bias_example: q")
-    q = float(q)  # a numpy scalar would keep the weights in its own precision
+    q = _as_float(q)  # a numpy scalar would keep the weights in its own precision
     if not 0.0 < q < 1.0:
         raise DomainError(f"extreme_bias_example: q={q!r} outside (0, 1)")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, 0.0, 0.0)) for mu, nu in LAMBDA_CLASSES]

@@ -16,10 +16,17 @@ Sampling, counting and writing run in blocks of _BLOCK rounds, and reading in
 chunks of about _CHUNK bytes, so their temporaries are bounded by the block or
 chunk, not by the number of rounds.
 
-A round log on disk is CSV with one grammar, read by one numpy tokenizer:
-after the header, lines of 8 comma-separated fields -?[0-9]{1,19} within
-int64, ended by LF, CRLF or CR; blank lines are skipped and the last line may
-lack its ending.
+Each hidden state, and settings-first each setting, is drawn as the number of
+cumulative weights its uniform passes, counted with one numpy comparison per
+weight.
+
+A round log on disk is CSV with one grammar: after the header, lines of 8
+comma-separated fields -?[0-9]{1,19} within int64, ended by LF, CRLF or CR;
+blank lines are skipped and the last line may lack its ending.  Two numpy
+tokenizers read it.  The canonical one reads the rows rounds_to_csv writes,
+walking each line back from its LF; a chunk it cannot account for byte by
+byte goes to the plain one, which reads the whole grammar once CRs, blank
+lines and a missing final LF are normalized away.
 """
 
 from __future__ import annotations
@@ -210,53 +217,72 @@ def _round_blocks(
     rng = _generator(seed)
     n_states = len(m.states)
 
+    # Each index is drawn as the number of ascending cumulative weights its
+    # uniform passes.  Only the first len - 1 weights are thresholds, so a
+    # uniform past every weight (the cumsum may round below 1) takes the last
+    # index: the counts are np.searchsorted's capped at len - 1.
     if order is SampleOrder.SOURCE_FIRST:
         if not is_factorized_per_lambda(m):
             raise OrderUnavailable(
                 "source-first sampling needs p(x,y|lambda) = p(x|lambda) p(y|lambda)"
             )
-        cum_w = np.cumsum([st.weight for st in m.states])
+        cum_w = np.cumsum([st.weight for st in m.states])[:-1]
         px0 = np.array([st.dist.px0() for st in m.states])
         py0 = np.array([st.dist.py0() for st in m.states])
         width = 3
 
         def draw(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            lam = np.searchsorted(cum_w, u[:, 0], side="right")
-            lam = np.minimum(lam, n_states - 1)
-            xs = (u[:, 1] >= px0[lam]).view(np.int8)
-            ys = (u[:, 2] >= py0[lam]).view(np.int8)
+            lam = _passed(cum_w, u[0]).astype(np.intp)
+            xs = (u[1] >= px0.take(lam)).view(np.int8)
+            ys = (u[2] >= py0.take(lam)).view(np.int8)
             return lam, xs, ys
 
     elif order is SampleOrder.SETTINGS_FIRST:
         marg = derived_marginal(m)
-        cum_s = np.cumsum(marg.probs)
-        cum_post = np.zeros((4, n_states))
+        cum_s = np.cumsum(marg.probs)[:-1]
+        # the posterior's cumulative weights, one contiguous column of 4 settings per threshold
+        cum_post = np.ones((n_states - 1, 4))  # a setting never drawn keeps 1.0
         for k, (x, y) in enumerate(SETTINGS):
             if marg.probs[k] > 0.0:
-                cum_post[k] = np.cumsum(posterior_weights(m, x, y))
-            else:
-                cum_post[k] = 1.0  # never drawn
+                cum_post[:, k] = np.cumsum(posterior_weights(m, x, y))[:-1]
         width = 2
 
         def draw(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            sidx = np.searchsorted(cum_s, u[:, 0], side="right")
-            sidx = np.minimum(sidx, 3)
-            lam = (u[:, 1, None] > cum_post[sidx]).sum(axis=1)
-            lam = np.minimum(lam, n_states - 1)
-            return lam, (sidx >> 1).astype(np.int8), (sidx & 1).astype(np.int8)
+            sidx = _passed(cum_s, u[0])
+            wide = sidx.astype(np.intp)
+            # the posterior's strict `>`: a uniform equal to a weight stays below it
+            lam = np.zeros(len(wide), np.min_scalar_type(-len(cum_post)))
+            for col in cum_post:
+                lam += u[1] > col.take(wide)
+            return lam.astype(np.intp), sidx >> 1, sidx & 1
 
     else:  # pragma: no cover
         raise DomainError(f"unknown sample order {order!r}")
 
-    resp_a = np.array([st.responses[:2] for st in m.states], np.int8)
-    resp_b = np.array([st.responses[2:] for st in m.states], np.int8)
+    # each state's responses at 2 lambda + setting
+    resp_a = np.array([st.responses[:2] for st in m.states], np.int8).ravel()
+    resp_b = np.array([st.responses[2:] for st in m.states], np.int8).ravel()
 
     def blocks():
         for rows in _blocks(n):
-            lam, xs, ys = draw(rng.random((rows.stop - rows.start, width)))
-            yield rows, (lam, xs, ys, resp_a[lam, xs], resp_b[lam, ys])
+            u = rng.random((rows.stop - rows.start, width)).T.copy()  # each uniform a contiguous row
+            lam, xs, ys = draw(u)
+            twice = lam + lam
+            yield rows, (lam, xs, ys, resp_a.take(twice + xs), resp_b.take(twice + ys))
 
     return blocks()
+
+
+def _passed(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each u, how many of the ascending thresholds t hold t <= u, as the narrowest signed type.
+
+    That is np.searchsorted(thresholds, u, side="right"), counted with one
+    comparison per threshold.
+    """
+    count = np.zeros(len(u), np.min_scalar_type(-len(thresholds)))  # the narrowest signed type to hold them
+    for t in thresholds:
+        count += u >= t
+    return count
 
 
 def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
@@ -527,18 +553,102 @@ def _plain_rows(buf: bytes) -> np.ndarray | None:
         return None
     if longest > 1:  # the fields with more digits, mostly the round column
         longer = np.flatnonzero(digits > 1)
-        last, count, total = ends[longer], digits[longer], values[longer]
-        for place in range(1, longest):
-            # a field shorter than place + 1 digits reads a byte before it (or byte 0) as 0
-            tens = digit.take(last - place, mode="clip")
-            tens[count <= place] = 0
-            tens = np.multiply(tens, 10**place, dtype=np.int64)  # uint8 digits, int64 products
-            if place == 18 and (total > np.int64(2**63 - 1) - tens).any():
-                return None
-            total += tens
+        total = _digits_value(digit, ends[longer], digits[longer])
+        if total is None:
+            return None
         values[longer] = total
     values *= 1 - 2 * negative.astype(np.int8)  # -1 on a negative field, else 1
     return np.ascontiguousarray(values.reshape(rows, width).T)  # each field a contiguous row to check and store
+
+
+def _canonical_rows(buf: bytes, n: int, lam: np.ndarray, narrow: np.ndarray) -> int | None:
+    """Store a chunk of canonical rows, rounds n, n+1, ..., and return how many, or None if it is not one.
+
+    buf is an LF sentinel followed by LF-ended lines.  A canonical row is one
+    rounds_to_csv writes: the round in its canonical digits, lambda in 1 to 18
+    digits with no leading zero, x and y each 0 or 1, and a, b and the
+    predictions each 1 or -1.  Each line is read back from its LF through the
+    six fixed-alphabet fields, and from its start through the round's digits;
+    lambda is what lies between.  Every comma and `-` found on the way is
+    checked in place, so the chunk is canonical only if its digit bytes are all
+    the rest.  The lambda values go to the start of the int64 column lam and
+    the other six to the start of the (6, rows) int8 block narrow; a chunk
+    that is not canonical, or has more rows than they hold, stores nothing.
+    """
+    lf, comma, minus, one = b"\n,-1"
+    b = np.frombuffer(buf, np.uint8)
+    if len(b) < 2 or b[0] != lf or b[-1] != lf:
+        return None
+    ends = np.flatnonzero(b == lf)  # the sentinel, then each line's LF
+    rows = len(ends) - 1
+    stop = n + rows
+    if not rows or rows > len(lam) or stop > 10**18 or np.diff(ends).min() < 16:
+        return None  # 16: the bytes of the shortest row with its LF, so the walk stays in the line
+    ok = np.ones(rows, bool)
+    block = np.empty((6, rows), np.int8)
+    minuses = 0
+    at = ends[1:]  # each line's LF, then the comma before each field walked
+    for k in (5, 4, 3, 2):  # pred_b, pred_a, b, a: `1` or `-1`
+        ok &= b.take(at - 1) == one
+        negative = b.take(at - 2) == minus
+        minuses += np.count_nonzero(negative)
+        at = at - 2 - negative
+        ok &= b.take(at) == comma
+        np.subtract(1, negative.view(np.int8) << 1, out=block[k])
+    digit = b - np.uint8(ord("0"))  # wraps, so only a digit byte reads below 10
+    for k in (1, 0):  # y, x: `0` or `1`
+        block[k] = digit.take(at - 1)
+        at = at - 2
+        ok &= b.take(at) == comma
+    # the round's canonical digits: every row of the chunk has width of them, or one more past each power of ten
+    width = np.full(rows, len(str(n)))
+    power = 10 ** len(str(n))
+    while power < stop:
+        width[power - n :] += 1
+        power *= 10
+    starts = ends[:-1] + 1
+    ok &= b.take(starts + width) == comma
+    size = at - starts - width - 1  # lambda's digits
+    ok &= (size >= 1) & (size <= 18)
+    # the commas and `-` found are bytes no other check counted, and the rest must be digits
+    if (
+        not ok.all()
+        or not (block[:2].view(np.uint8) < 2).all()
+        or np.count_nonzero(digit < 10) != len(b) - 8 * rows - 1 - minuses
+    ):
+        return None
+    rounds = _digits_value(digit, starts + width - 1, width)  # at most 18 digits each, so neither is None
+    values = _digits_value(digit, at - 1, size)
+    if not np.array_equal(rounds, np.arange(n, stop)) or (values < _LEAST.take(size - 1)).any():
+        return None  # a round out of sequence, or a lambda with a leading zero
+    lam[:rows] = values
+    narrow[:, :rows] = block
+    return rows
+
+
+#: The least value of a k + 1 digit number with no leading zero, for k = 0..17.
+_LEAST = np.array([0] + [10**k for k in range(1, 18)], np.int64)
+
+
+def _digits_value(digit: np.ndarray, last: np.ndarray, size: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the fields of 1 to 19 digits whose last digit is at last and that have size digits.
+
+    digit holds each byte's value less ord("0"), wrapped to uint8.  None if a
+    19-digit value is 2**63 or more; it is bounded before its leading digit is
+    added, so no value wraps.
+    """
+    value = digit.take(last).astype(np.int64)
+    shortest = int(size.min())
+    for place in range(1, int(size.max())):
+        # a field shorter than place + 1 digits reads a byte before it (or byte 0) as 0
+        tens = digit.take(last - place, mode="clip")
+        if place >= shortest:
+            tens[size <= place] = 0
+        tens = np.multiply(tens, 10**place, dtype=np.int64)  # uint8 digits, int64 products
+        if place == 18 and (value > np.int64(2**63 - 1) - tens).any():
+            return None
+        value += tens
+    return value
 
 
 def _chunks(fh: BinaryIO) -> Iterator[bytes]:
@@ -622,13 +732,13 @@ def rounds_from_csv(path: str) -> RoundLog:
     magnitude of 2**63 or more is an error.  Lines may end in LF, CRLF or CR,
     the last one may lack its ending, and blank lines are skipped.  The
     columns are allocated once, and an error names the file line at fault.
-    The file is read as bytes in chunks of about 128 KiB, each parsed by a
-    numpy tokenizer; a chunk with CRs goes straight to normalizing, and one
-    with blank lines or a missing final LF is normalized after the tokenizer
-    rejects it; either is then parsed as LF-ended lines.  A file with more lines
-    than the columns can hold in memory raises DomainError.  The columns are
-    stored as RoundLog stores them, each chunk's values checked before they
-    are narrowed.
+    The file is read as bytes in chunks of about 128 KiB.  A chunk of the rows
+    rounds_to_csv writes is read by the canonical tokenizer; any other chunk
+    without a CR goes to the plain tokenizer, and a chunk with CRs, blank
+    lines or a missing final LF is normalized and then parsed as LF-ended
+    lines by the plain one.  A file with more lines than the columns can hold
+    in memory raises DomainError.  The columns are stored as RoundLog stores
+    them, each chunk's values checked before they are narrowed.
     """
     rows = max(_line_count(path) - 1, 0)
     with _allocation_guard(f"rounds_from_csv: a log of up to {rows} rounds"):
@@ -644,7 +754,13 @@ def rounds_from_csv(path: str) -> RoundLog:
             fh.read(1)  # the LF of a CRLF
         n, first = 0, 2  # first: the file line of the chunk's first line
         for buf in _chunks(fh):
-            fields = None if b"\r" in buf else _plain_rows(buf)  # a CR always fails the plain form
+            plain = b"\r" not in buf  # a CR is in neither the canonical nor the plain form
+            stored = _canonical_rows(buf, n, lam[n:], narrow[:, n:]) if plain else None
+            if stored is not None:
+                n += stored
+                first += stored
+                continue
+            fields = _plain_rows(buf) if plain else None
             if fields is not None:
                 n = _store(lam, narrow, n, fields, lambda row: first + row)
                 first += fields.shape[1]

@@ -231,6 +231,14 @@ def test_sample_missing_model_file_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{", "", "[1,"], ids=["open-brace", "empty", "open-list"])
+def test_sample_model_file_that_does_not_parse_is_usage_error(tmp_path, capsys, text):
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(text)
+    assert main(["sample", "--model", str(model_path), "--n", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: model JSON does not parse: ")
+
+
 def test_sample_deeply_nested_model_file_is_usage_error(tmp_path, capsys):
     model_path = tmp_path / "deep.json"
     model_path.write_text("[" * 100_000)

@@ -526,6 +526,23 @@ def test_model_json_nested_too_deeply_is_an_invalid_model(tmp_path, text):
         bc.load_model(str(path))
 
 
+@pytest.mark.parametrize("text", ["{", "", "[1,"], ids=["open-brace", "empty", "open-list"])
+def test_model_json_that_does_not_parse_is_an_invalid_model(tmp_path, text):
+    with pytest.raises(bc.InvalidModel, match="^model JSON does not parse: "):
+        bc.model_from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(bc.InvalidModel, match="^model JSON does not parse: "):
+        bc.load_model(str(path))
+
+
+def test_model_weight_beyond_float_range_is_an_invalid_model():
+    doc = json.loads(bc.model_to_json(bc.table1_model(0.2)))
+    doc["states"][0]["weight"] = 10**400
+    with pytest.raises(bc.InvalidModel, match="weight inf"):
+        bc.model_from_dict(doc)
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_model_json_rejects_non_finite_literals(literal):
     text = bc.model_to_json(bc.table1_model(0.2)).replace('"weight": 0.25', f'"weight": {literal}', 1)

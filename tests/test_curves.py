@@ -1,6 +1,7 @@
 """Curve values, root solvers, orderings, and the branch-geometry checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,22 @@ def test_f_of_p_values():
         bc.f_of_p(0.51)
     with pytest.raises(bc.DomainError):
         bc.f_of_p(-0.01)
+
+
+def test_f_and_its_slope_below_the_least_normal_float():
+    # (1 - p) / p overflows below sys.float_info.min, so these once read inf
+    p = 1e-320
+    assert bc.f_of_p(p) == pytest.approx(1.063005e-317, rel=1e-6)
+    assert bc.f_of_p(p) == pytest.approx(-p * math.log2(p), rel=1e-12)
+    assert curves.f_slope(p) == pytest.approx(1061.574311, rel=1e-9)
+    assert curves.f_slope(p) == pytest.approx(-math.log2(p) - 1.0 / math.log(2.0), rel=1e-12)
+    assert math.isfinite(bc.f_of_p(5e-324)) and math.isfinite(curves.f_slope(5e-324))
+    pair = bc.conjugate(p)
+    assert pair.p == p and pair.p_star == pytest.approx(0.5, abs=1e-12)
+    # from the least normal float up, f and its slope keep the quotient's formula, bit for bit
+    for q in (sys.float_info.min, 1e-300, 0.1, 0.25):
+        assert bc.f_of_p(q) == q * math.log((1.0 - q) / q) / math.log(2.0)
+        assert curves.f_slope(q) == math.log((1.0 - q) / q) / math.log(2.0) - 1.0 / ((1.0 - q) * math.log(2.0))
 
 
 def test_find_p0():
@@ -75,6 +92,25 @@ def test_conjugate_residuals():
         pair = bc.conjugate(float(p))
         assert abs(bc.f_of_p(pair.p) - bc.f_of_p(pair.p_star)) < 1e-10
         assert pair.p <= bc.find_p0() + 1e-12 <= pair.p_star + 2e-12
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["plus", "minus"])
+def test_an_int_beyond_float_range_is_a_domain_error(value):
+    for fn in (bc.i_R, bc.i_1, bc.i_2, bc.i_C, bc.i_OS, bc.i_Z, bc.i_SD, bc.i_1_curvature):
+        with pytest.raises(bc.DomainError):
+            fn(value)
+    for cls in bc.CausalClass:
+        with pytest.raises(bc.DomainError):
+            bc.curve_point(cls, value)
+        with pytest.raises(bc.DomainError):
+            bc.curve_sweep(cls, value, 3.0, 5)
+        with pytest.raises(bc.DomainError):
+            bc.curve_sweep(cls, 2.0, value, 5)
+    for build in (bc.table1_model, bc.extreme_bias_example):
+        with pytest.raises(bc.DomainError):
+            build(value)
+    with pytest.raises(bc.DomainError):
+        bc.biased_info(bc.CausalClass.RETROCAUSAL, bc.Bias(0.0, 0.0), s=value)
 
 
 def test_conjugate_domain():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -187,6 +188,69 @@ def test_golden_round_log(order):
     se = bc.chsh_standard_error(rounds)
     assert (digest, stats.s_hat.hex(), stats.info_hat.hex(), se.hex()) == GOLDEN[order]
     assert stats.s_standard_error.hex() == GOLDEN[order][3]
+
+
+def _flip_superdeterministic():
+    """The 32-state flip lift of the superdeterministic model of flip_lift(table1_model(0.1))'s correlations."""
+    corr = bc.correlations_of(bc.flip_lift(bc.table1_model(0.1)))
+    return bc.flip_lift(bc.superdeterministic_model(corr, bc.SettingDist.uniform()))
+
+
+def _many_states():
+    """200 equally weighted states: more cumulative weights than an int8 count holds."""
+    dist = bc.SettingDist.factorized(0.3, 0.55)
+    return bc.Model(
+        tuple(
+            bc.HiddenState(1 / 200, dist, tuple(1 - 2 * (i >> bit & 1) for bit in range(4))) for i in range(200)
+        )
+    )
+
+
+# sha256 of the round CSV of n=2000, seed=7 for models of 8, 32 and 200 states, where the sampler
+# counts the cumulative weights each uniform passes; table1 has joint conditionals, so its 8-state
+# source-first pin is the factorized table2's
+SAMPLER_MODELS = {
+    "flip-table1": lambda: bc.flip_lift(bc.table1_model(0.1)),
+    "flip-table2": lambda: bc.flip_lift(bc.table2_model(0.1)),
+    "flip-superdeterministic": _flip_superdeterministic,
+    "many-states": _many_states,
+}
+SAMPLER_GOLDEN = {
+    ("flip-table1", SETTINGS_FIRST): "e82fcd8e88f057f03c56b8fdfa51f4a89adf7697715eedb4941915403d0dc894",
+    ("flip-table2", SOURCE): "753954f41e4a35d7bc9c4839d6399c8097c0f03c901e5f3eb17490a9492ce823",
+    ("flip-table2", SETTINGS_FIRST): "8529af578a9966d123c2f182f0881c4567b966d17354f1e8af49c175df5d4b15",
+    ("flip-superdeterministic", SOURCE): "1a25ee471b4765d320ffdd49741693445035a1873ee9f96249a3ba0c4827a0ca",
+    ("flip-superdeterministic", SETTINGS_FIRST): "e34b6dd43f6b77bb82a87c34092e17bac14e112f355cbef85414a50451395c5c",
+    ("many-states", SOURCE): "5a5dde7084caa1ffc96403d8e84027074398696abf042dbac8bb6781c158050c",
+    ("many-states", SETTINGS_FIRST): "bbec681ec24ff87eb892f123c5ed9a1cc51c282b14906561e4caad6e1fb55cf3",
+}
+
+
+@pytest.mark.parametrize("name, order", list(SAMPLER_GOLDEN), ids=lambda v: getattr(v, "value", v))
+def test_golden_round_logs_of_many_state_models(name, order):
+    m = SAMPLER_MODELS[name]()
+    rounds = bc.sample_rounds(m, 2000, seed=7, order=order)
+    assert hashlib.sha256(bc.rounds_to_csv(rounds).encode()).hexdigest() == SAMPLER_GOLDEN[name, order]
+
+
+# sha256 of the round CSV of n=5000, seed=3 for a model whose zero-weight states repeat a
+# cumulative weight, and whose settings with y = 1 are never drawn
+ZERO_WEIGHT_GOLDEN = {
+    SOURCE: "08b39f5a5fb7cbf95736ab0b9727fa4263b60408317af16416f4e29cbd51c15c",
+    SETTINGS_FIRST: "3821f698d0e57464bc94b6f2e726a2a5c99a9d2b4383c1910bae68332a9a3856",
+}
+
+
+@pytest.mark.parametrize("order", list(ZERO_WEIGHT_GOLDEN), ids=lambda v: v.value)
+def test_zero_weight_states_and_settings_are_never_drawn(order):
+    dist = bc.SettingDist.factorized(0.6, 1.0)
+    states = tuple(
+        bc.HiddenState(w, dist, (1, -1, 1 - 2 * (i % 2), 1)) for i, w in enumerate([0.25, 0.0, 0.0, 0.5, 0.25, 0.0])
+    )
+    rounds = bc.sample_rounds(bc.Model(states), 5000, seed=3, order=order)
+    assert set(rounds.lambda_index.tolist()) == {0, 3, 4}
+    assert not rounds.y.any()
+    assert hashlib.sha256(bc.rounds_to_csv(rounds).encode()).hexdigest() == ZERO_WEIGHT_GOLDEN[order]
 
 
 def test_stats_are_python_floats():
@@ -673,19 +737,36 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
 
 
 def test_chunks_with_a_cr_skip_the_plain_pass(tmp_path, monkeypatch):
-    # a CR is never in the plain form, so such a chunk is normalized without a failed first pass
+    # a CR is in neither the canonical nor the plain form, so such a chunk is normalized without
+    # a failed first pass; the normalized text goes to the plain tokenizer
     k = np.arange(40)
     rounds = bc.RoundLog(k % 3, k % 2, k // 2 % 2, 1 - 2 * (k % 2), 1 - 2 * (k // 4 % 2), *([np.ones(40, np.int64)] * 2))
     text = bc.rounds_to_csv(rounds).encode()
     path = tmp_path / "rounds.csv"
     path.write_bytes(text[:300] + text[300:].replace(b"\n", b"\r\n"))  # LF rows, then CRLF rows
-    parsed = []
-    plain_rows = simulate._plain_rows
-    monkeypatch.setattr(simulate, "_plain_rows", lambda buf: parsed.append(buf) or plain_rows(buf))
+    parsed = []  # (tokenizer, chunk, rows it parsed) per call of either tokenizer
+    canonical_rows, plain_rows = simulate._canonical_rows, simulate._plain_rows
+
+    def canonical_spy(buf, n, lam, narrow):
+        rows = canonical_rows(buf, n, lam, narrow)
+        parsed.append(("canonical", buf, rows or 0))
+        return rows
+
+    def plain_spy(buf):
+        fields = plain_rows(buf)
+        parsed.append(("plain", buf, 0 if fields is None else fields.shape[1]))
+        return fields
+
+    monkeypatch.setattr(simulate, "_canonical_rows", canonical_spy)
+    monkeypatch.setattr(simulate, "_plain_rows", plain_spy)
     monkeypatch.setattr(simulate, "_CHUNK", 64)
     assert bc.rounds_from_csv(str(path)) == rounds
-    assert not any(b"\r" in buf for buf in parsed)
-    assert sum(buf.count(b"\n") - 1 for buf in parsed) == len(rounds)  # each row parsed once
+    assert not any(b"\r" in buf for _, buf, _ in parsed)
+    assert sum(rows for _, _, rows in parsed) == len(rounds)  # each row parsed by exactly one of them
+    assert {name for name, _, rows in parsed if rows} == {"canonical", "plain"}
+    # and no chunk had a failed plain pass: every line given to the plain tokenizer was a row it parsed
+    offered = sum(buf.count(b"\n") - 1 for name, buf, _ in parsed if name == "plain")
+    assert offered + sum(rows for name, _, rows in parsed if name == "canonical") == len(rounds)
 
 
 def test_cr_ended_lines_are_cut_into_chunks(monkeypatch):
@@ -741,3 +822,135 @@ def test_line_count_matches_universal_newlines(tmp_path):
         path.write_bytes(head + b"\r\n" + rest + tail)  # a CRLF split between two chunks
         with open(path, newline="") as fh:
             assert simulate._line_count(str(path)) == sum(1 for _ in fh)
+
+
+_FIELD = re.compile(rb"-?[0-9]{1,19}")
+
+
+def _grammar_log(data: bytes):
+    """The log the README's round CSV grammar reads from data, in plain Python, or None if data is not one."""
+    lines = data.splitlines()  # bytes split at LF, CRLF and CR alone
+    if not lines or lines[0] != _HEADER[:-1].encode():
+        return None
+    rows = []
+    for line in lines[1:]:
+        if not line:
+            continue  # a blank line
+        fields = line.split(b",")
+        if len(fields) != 8 or not all(_FIELD.fullmatch(field) for field in fields):
+            return None
+        values = [int(field) for field in fields]
+        if any(abs(v) >= 2**63 for v in values):
+            return None
+        index, lam, x, y, *outcomes = values
+        if index != len(rows) or lam < 0 or {x, y} - {0, 1} or set(outcomes) - {-1, 1}:
+            return None
+        rows.append(values[1:])
+    return bc.RoundLog(*np.array(rows, np.int64).reshape(-1, 7).T)
+
+
+def _read_or_none(path):
+    try:
+        return bc.rounds_from_csv(str(path))
+    except bc.DomainError:
+        return None
+
+
+def _assert_reads_as_the_grammar(path, data):
+    path.write_bytes(data)
+    expected, got = _grammar_log(data), _read_or_none(path)
+    assert (got is None) == (expected is None), data
+    assert got is None or got == expected, data
+
+
+def _canonical_log(lam):
+    k = np.arange(len(lam))
+    return bc.RoundLog(np.array(lam, np.int64), k % 2, k // 2 % 2, 1 - 2 * (k // 3 % 2), 1 - 2 * (k // 5 % 2),
+                       1 - 2 * (k // 7 % 2), np.ones(len(lam), np.int64))
+
+
+_CANONICAL = bc.rounds_to_csv(_canonical_log([0, 7, 10**18 - 1, 12, 3, 0, 1, 99, 5, 2, 4, 6])).encode()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"\n10,", b"\n010,"),  # a round with a leading zero
+        (b"\n4,3,", b"\n4,03,"),  # a lambda with a leading zero
+        (b"\n5,0,1,0,-1,-1,1,1\n", b"\n5,0,1,0,-1,-0,1,1\n"),  # an outcome -0
+        (b"\n5,0,", b"\n5,-0,"),  # a lambda -0
+        (b"\n2,999999999999999999,", b"\n2,9223372036854775807,"),  # a 19-digit lambda
+        (b"\n2,999999999999999999,", b"\n2,9223372036854775808,"),  # a 19-digit lambda past int64
+        (b"\n4,3,", b"\n43,"),  # a round and lambda run together
+        (b"\n4,3,", b"\n45,3,"),  # a digit where the round's comma should be
+        (b"\n4,3,0,0,", b"\n4,3,2,0,"),  # x = 2
+        # a separator or `-` traded for a digit, and one in lambda to make up the count
+        (b"\n4,3,0,0,", b"\n4,3,,000,"),
+        (b"\n4,3,0,0,-1,1,1,1\n", b"\n4,3,,,,0,0,1111111\n"),
+        (b"\n4,3,0,0,-1,", b"\n4,-3,0,0,51,"),
+        (b"\n4,", b"\n\n4,"),  # a blank line
+        (b"\n11,", b"\n11,\n"),  # a row split in two
+        (_CANONICAL[-10:], _CANONICAL[-10:-1]),  # no final LF
+        (b"\n", b"\r\n"),  # CRLF endings
+        (b"\n", b"\r"),  # CR endings
+    ],
+    ids=["round-leading-zero", "lambda-leading-zero", "outcome-minus-zero", "lambda-minus-zero",
+         "lambda-19-digits", "lambda-2**63", "round-and-lambda-joined", "round-extra-digit", "x=2", "setting-comma-moved",
+         "outcome-commas-moved", "minus-moved", "blank-line", "split-row", "no-final-lf", "crlf", "cr"],
+)
+def test_only_the_plain_path_reads_a_log_that_is_not_canonical(tmp_path, old, new):
+    data = _CANONICAL[: len(_HEADER) - 1] + _CANONICAL[len(_HEADER) - 1 :].replace(old, new)
+    assert data != _CANONICAL
+    lam, narrow = np.zeros(20, np.int64), np.zeros((6, 20), np.int8)
+    assert simulate._canonical_rows(b"\n" + data[len(_HEADER) :], 0, lam, narrow) is None
+    assert not lam.any() and not narrow.any()  # a chunk that is not canonical stores nothing
+    _assert_reads_as_the_grammar(tmp_path / "rounds.csv", data)
+
+
+@pytest.mark.parametrize("first", [0, 5, 95, 881, 99_990, 10**17 - 7], ids=lambda n: f"from-{n}")
+def test_canonical_rows_match_the_plain_tokenizer(first):
+    # rounds that cross one or more powers of ten, up to 18 digits; from 881 the last round is 1000
+    rounds = _canonical_log([0, 7, 10**18 - 1, 12, 3, 0, 1, 99, 5, 2, 4, 6] * 10)
+    text = bc.rounds_to_csv(rounds).encode()[len(_HEADER) - 1 :]
+    lines = text[1:].split(b"\n")[:-1]
+    buf = b"\n" + b"".join(b"%d%s\n" % (first + i, line[line.index(b",") :]) for i, line in enumerate(lines))
+    lam, narrow = np.zeros(len(rounds) + 3, np.int64), np.zeros((6, len(rounds) + 3), np.int8)
+    assert simulate._canonical_rows(buf, first, lam, narrow) == len(rounds)
+    fields = simulate._plain_rows(buf)
+    assert np.array_equal(fields[0], np.arange(first, first + len(rounds)))
+    assert np.array_equal(lam[: len(rounds)], fields[1]) and np.array_equal(narrow[:, : len(rounds)], fields[2:])
+    assert not lam[len(rounds) :].any()
+    # the rounds must run from first, and the columns must hold every row
+    assert simulate._canonical_rows(buf, first + 1, lam, narrow) is None
+    assert simulate._canonical_rows(buf, first, lam[: len(rounds) - 1], narrow[:, : len(rounds) - 1]) is None
+
+
+_EDIT_BYTES = st.one_of(st.sampled_from(b"0123456789,-\n\r +"), st.integers(0, 255))
+
+
+@given(
+    lam=st.lists(st.one_of(st.integers(0, 12), st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63 - 1])),
+                 min_size=1, max_size=30),
+    edits=st.lists(st.tuples(st.floats(0, 1), st.sampled_from("idr"), _EDIT_BYTES), max_size=3),
+    end=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    final_end=st.booleans(),
+    chunk=st.one_of(st.integers(1, 64), st.sampled_from([1 << 10, 1 << 17])),
+)
+@settings(max_examples=300, deadline=None)
+def test_round_log_reader_matches_the_grammar_on_edited_logs(tmp_path_factory, lam, edits, end, final_end, chunk):
+    # a canonical log with up to 3 byte edits (insert, delete, replace), each line ending and any
+    # chunk size: rounds_from_csv gives the grammar's log, or DomainError where the grammar has none
+    data = bytearray(bc.rounds_to_csv(_canonical_log(lam)).encode().replace(b"\n", end))
+    if not final_end:
+        del data[-len(end) :]
+    for where, op, byte in edits:
+        i = min(int(where * len(data)), len(data) - 1)
+        if op == "i":
+            data[i:i] = bytes([byte])
+        elif op == "d":
+            del data[i]
+        else:
+            data[i] = byte
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK", chunk)
+        _assert_reads_as_the_grammar(tmp_path_factory.mktemp("log") / "rounds.csv", bytes(data))
