@@ -94,7 +94,7 @@ def _bit(value, what: str) -> int:
     try:
         return _BITS[value]
     except (KeyError, TypeError):  # TypeError: an unhashable value
-        raise DomainError(f"setting {what} = {value!r} is not 0 or 1") from None
+        raise DomainError(f"setting {what} = {_quote(value)} is not 0 or 1") from None
 
 
 def setting_index(x: int, y: int) -> int:
@@ -145,6 +145,13 @@ class CausalClass(Enum):
     SUPERDETERMINISTIC = "superdet"
 
 
+def _quote(value) -> str:
+    """repr(value), but an int wider than 64 bits by its width: Python turns no int of over 4 300 digits into text."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int>"
+    return repr(value)
+
+
 def _require_real(value, what: str) -> None:
     """Raise DomainError unless value is a real number (int, float, numpy scalar), not a bool.
 
@@ -156,9 +163,9 @@ def _require_real(value, what: str) -> None:
 
 
 def _require_int(value, lo: int, message: str) -> None:
-    """Raise DomainError(message) unless value is an integer (numbers.Integral, not a bool) >= lo."""
+    """Raise DomainError(message), value quoted at its {}, unless value is an integer (not a bool) >= lo."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
-        raise DomainError(message)
+        raise DomainError(message.format(_quote(value)))
 
 
 @contextlib.contextmanager
@@ -196,7 +203,7 @@ def _check_tol(tol, what: str) -> float:
     _require_real(tol, what)
     value = _as_float(tol)
     if not 0.0 <= value < math.inf:  # a NaN fails this test too
-        raise DomainError(f"{what}={tol!r} is not a finite number >= 0")
+        raise DomainError(f"{what}={_quote(tol)} is not a finite number >= 0")
     return value
 
 
@@ -228,7 +235,7 @@ def binary_entropy(p: float) -> float:
     if type(p) is not float:
         _require_real(p, "binary_entropy: p")
     if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
-        raise DomainError(f"binary_entropy: p={p!r} outside [0, 1]")
+        raise DomainError(f"binary_entropy: p={_quote(p)} outside [0, 1]")
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p)) / _LOG2
@@ -255,12 +262,14 @@ def shannon_entropy(dist: Sequence[float]) -> float:
     try:
         for p in dist:
             if not p >= -STRUCT_TOL:  # a NaN fails this test too
-                raise DomainError(f"shannon_entropy: negative or NaN entry {p!r}")
+                raise DomainError(f"shannon_entropy: negative or NaN entry {_quote(p)}")
             total += p
             if p > 0.0:
                 acc -= p * math.log(p)
     except TypeError as exc:  # a string, None or complex entry fails the comparison
         raise DomainError(f"shannon_entropy: entries must be real numbers ({exc})") from None
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"shannon_entropy: entry {_quote(p)} outside [0, 1]") from None
     if not abs(total - 1.0) <= SUM_TOL:
         raise DomainError(f"shannon_entropy: entries sum to {total!r}, not 1")
     return acc / _LOG2

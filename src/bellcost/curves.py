@@ -33,7 +33,7 @@ import numpy as np
 from ._util import atomic_write_text
 from .core import (
     CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _as_float, _binary_entropies,
-    _exact_log, _require_int, _require_real, binary_entropy,
+    _exact_log, _quote, _require_int, _require_real, binary_entropy,
 )
 
 __all__ = [
@@ -100,9 +100,9 @@ class CurvePoint:
 
     def __post_init__(self) -> None:
         if not 2.0 - 1e-9 <= self.s <= 4.0 + 1e-9:
-            raise DomainError(f"CurvePoint s={self.s!r} outside [2, 4]")
+            raise DomainError(f"CurvePoint s={_quote(self.s)} outside [2, 4]")
         if self.info < -1e-12:
-            raise DomainError(f"CurvePoint info={self.info!r} negative")
+            raise DomainError(f"CurvePoint info={_quote(self.info)} negative")
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,9 @@ class ConjugatePair:
         _require_real(self.p_star, "conjugate p_star")
         p0 = find_p0()
         if not -_EDGE_TOL <= self.p <= p0 + 1e-9:
-            raise DomainError(f"conjugate p={self.p!r} outside [0, p0]")
+            raise DomainError(f"conjugate p={_quote(self.p)} outside [0, p0]")
         if not p0 - 1e-9 <= self.p_star <= 0.5 + _EDGE_TOL:
-            raise DomainError(f"conjugate p_star={self.p_star!r} outside [p0, 1/2]")
+            raise DomainError(f"conjugate p_star={_quote(self.p_star)} outside [p0, 1/2]")
         if abs(f_of_p(self.p) - f_of_p(self.p_star)) > 1e-10:
             raise DomainError("conjugate pair residual |f(p) - f(p*)| exceeds 1e-10")
 
@@ -129,7 +129,7 @@ def f_of_p(p: float) -> float:
     if type(p) is not float:
         _require_real(p, "f_of_p: p")
     if not -_EDGE_TOL <= p <= 0.5 + _EDGE_TOL:
-        raise DomainError(f"f_of_p: p={p!r} outside [0, 1/2]")
+        raise DomainError(f"f_of_p: p={_quote(p)} outside [0, 1/2]")
     if p <= 0.0:
         return 0.0
     if p < _TINY:
@@ -148,7 +148,7 @@ def f_slope(p: float) -> float:
     """df/dp = log2((1-p)/p) - 1/((1-p) ln 2), for p in (0, 1/2]."""
     _require_real(p, "f_slope: p")
     if not 0.0 < p <= 0.5 + _EDGE_TOL:
-        raise DomainError(f"f_slope: p={p!r} outside (0, 1/2]")
+        raise DomainError(f"f_slope: p={_quote(p)} outside (0, 1/2]")
     return _h_slope(p) - 1.0 / ((1.0 - p) * _LOG2)
 
 
@@ -191,7 +191,7 @@ def conjugate(p: float) -> ConjugatePair:
     _require_real(p, "conjugate: p")
     p0 = find_p0()
     if not -_EDGE_TOL <= p <= p0 + _EDGE_TOL:
-        raise DomainError(f"conjugate: p={p!r} outside [0, p0]")
+        raise DomainError(f"conjugate: p={_quote(p)} outside [0, p0]")
     p = min(max(p, 0.0), p0)
     if p == 0.0:
         return ConjugatePair(0.0, 0.5)
@@ -448,12 +448,12 @@ def curve_sweep(
     points above S0 take the scalar i_2 solve.  A sweep whose arrays or
     points cannot be allocated, n = 2**63 - 1 and beyond included, raises DomainError.
     """
-    _require_int(n, 2, f"curve_sweep needs an integer n >= 2, not {n!r}")
+    _require_int(n, 2, "curve_sweep needs an integer n >= 2, not {}")
     s_min = _check_s(s_min)
     s_max = _check_s(s_max)
     if s_min > s_max:
         raise DomainError("curve_sweep needs s_min <= s_max")
-    with _allocation_guard(f"curve_sweep: a sweep of n = {n} points"):
+    with _allocation_guard(f"curve_sweep: a sweep of n = {_quote(int(n))} points"):
         # np.indices, not np.arange: numpy's arange of 2**63 - 1 or more points is empty, not too big;
         # each grid value passes _check_s, which clamps one that rounds past 4
         s = np.minimum(np.maximum(s_min + (s_max - s_min) * np.indices((n,))[0] / (n - 1), 2.0), 4.0)

@@ -29,6 +29,7 @@ from .core import (
     SettingDist,
     _LOG2_3,
     _as_float,
+    _quote,
     _require_real,
     binary_entropy,
     posterior_weights,
@@ -65,7 +66,7 @@ class Bias:
         for name, eps in (("eps_x", self.eps_x), ("eps_y", self.eps_y)):
             _require_real(eps, name)
             if not abs(eps) <= 1.0 + 1e-12:
-                raise DomainError(f"{name}={eps!r} outside [-1, 1]")
+                raise DomainError(f"{name}={_quote(eps)} outside [-1, 1]")
 
     def px0(self) -> float:
         return (1.0 + self.eps_x) / 2.0
@@ -103,7 +104,7 @@ def _flip_probability(v: float, what: str) -> float:
     """A flip probability of the causal family, clamped to [0, 1/2]; one outside it raises DomainError."""
     _require_real(v, what)
     if not -1e-12 <= v <= 0.5 + 1e-12:
-        raise DomainError(f"{what}={v!r} outside [0, 1/2]")
+        raise DomainError(f"{what}={_quote(v)} outside [0, 1/2]")
     return min(max(v, 0.0), 0.5)
 
 
@@ -137,13 +138,13 @@ def table2_model(
     else:  # pragma: no cover
         raise DomainError(f"unknown branch {branch!r}")
     return causal_pair_model(
-        p, ptilde, signs, label=f"causal-optimal(p={p!r}, branch={branch.value})"
+        p, ptilde, signs, label=f"causal-optimal(p={_quote(p)}, branch={branch.value})"
     )
 
 
 def one_sided_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     """One-sided optimum: the causal family with an unbiased Y side (ptilde = 1/2)."""
-    return causal_pair_model(p, 0.5, signs, label=f"one-sided(p={p!r})")
+    return causal_pair_model(p, 0.5, signs, label=f"one-sided(p={_quote(p)})")
 
 
 #: The point mass at each joint setting, in setting_index order.
@@ -312,7 +313,7 @@ def biased_info(
             if p is None:
                 raise DomainError("retrocausal biased_info needs s or p")
             _require_real(p, "biased_info: p")
-            s = 4.0 - 8.0 * p
+            s = 4.0 - 8.0 * _as_float(p)
         s = _check_s(s)
         outcomes = [
             (4.0 + s) / 24.0 + (1 + sx * ex) / 2.0 * (1 + sy * ey) / 2.0 * (2.0 - s) / 6.0
@@ -341,7 +342,7 @@ def biased_info(
             if p is None:
                 raise DomainError("one-sided biased_info needs s or p")
             _require_real(p, "biased_info: p")
-            s = 4.0 - 4.0 * p
+            s = 4.0 - 4.0 * _as_float(p)
         s = _check_s(s)
         return binary_entropy((1.0 + ex * (s / 2.0 - 1.0)) / 2.0) - binary_entropy(s / 4.0)
     raise DomainError(f"no biased_info for base {base!r}")

@@ -77,8 +77,10 @@ from .core import (
     SettingDist,
     _LOG2,
     _allocation_guard,
+    _as_float,
     _binary_entropies,
     _exact_log,
+    _quote,
     _require_int,
     mutual_information,
 )
@@ -106,11 +108,11 @@ class SearchConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        _require_int(self.resolution, 4, f"SearchConfig: resolution must be an int >= 4, got {self.resolution!r}")
+        _require_int(self.resolution, 4, "SearchConfig: resolution must be an int >= 4, got {}")
         for name in ("target_s", "tolerance"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise DomainError(f"SearchConfig: {name} must be a finite number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(_as_float(value)):
+                raise DomainError(f"SearchConfig: {name} must be a finite number, got {_quote(value)}")
         if self.tolerance <= 0.0:
             raise DomainError("SearchConfig: tolerance must be positive")
 
@@ -148,7 +150,7 @@ def brute_force_min_info(cfg: SearchConfig) -> SearchResult:
         raise DomainError(
             "brute_force_min_info supports the retrocausal, causal and one-sided classes"
         )
-    with _allocation_guard(f"brute_force_min_info: the N = {cfg.resolution} grid"):
+    with _allocation_guard(f"brute_force_min_info: the N = {_quote(int(cfg.resolution))} grid"):
         return search(cfg)
 
 
@@ -219,7 +221,7 @@ def _floor_budget(cfg: SearchConfig, slack: float, cap: int) -> int:
 
 def _special_budget(cfg: SearchConfig, scale: int) -> int:
     """Largest allowed total special-cell mass (in grid units of 1/scale per state)."""
-    return _floor_budget(cfg, scale * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
+    return _floor_budget(cfg, _as_float(scale) * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
 
 
 def _entropy_hull(masses: np.ndarray, entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -592,7 +594,7 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     first hit of a scan over the whole grid.
     """
     n = cfg.resolution
-    budget = _floor_budget(cfg, n * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
+    budget = _floor_budget(cfg, _as_float(n) * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
     # a feasible point's pairs hold t <= top units and its states a <= k: the split table over those and
     # the padded h share one block, allocated before any entropy or index array, so it fails here at once
     top = budget // 2

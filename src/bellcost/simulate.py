@@ -22,17 +22,18 @@ weight.
 
 A round log on disk is CSV with one grammar: after the header, lines of 8
 comma-separated fields -?[0-9]{1,19} within int64, ended by LF, CRLF or CR;
-blank lines are skipped and the last line may lack its ending.  Two numpy
-tokenizers read it.  The canonical one reads the rows rounds_to_csv writes,
-walking each line back from its LF; a chunk it cannot account for byte by
-byte goes to the plain one, which reads the whole grammar once CRs, blank
-lines and a missing final LF are normalized away.
+blank lines are skipped and the last line may lack its ending.  _chunks alone
+reads line endings, and hands on LF-ended lines to two numpy tokenizers: the
+canonical one reads the rows rounds_to_csv writes, walking each line back
+from its LF, and a chunk it cannot account for byte by byte goes to the plain
+one, which reads the whole grammar once blank lines are dropped.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -49,6 +50,7 @@ from .core import (
     SETTINGS,
     _LOG2,
     _allocation_guard,
+    _quote,
     _require_int,
     derived_marginal,
     is_factorized_per_lambda,
@@ -75,12 +77,12 @@ _CSV_HEADER = ["round", "lambda", "x", "y", "a", "b", "pred_a", "pred_b"]
 _CSV_HEADER_LINE = ",".join(_CSV_HEADER) + "\n"
 _CSV_HEADER_BYTES = _CSV_HEADER_LINE.encode()
 
-#: Philox keys are 128-bit.
-_SEED_LIMIT = 2**128
-
 #: Rows per block of the round pipeline.  Sampling, counting and writing hold
 #: temporaries for one block of rounds, never for all n.
 _BLOCK = 1 << 16
+
+#: Bytes of the shortest round line: 8 one-digit fields, 7 commas and its ending.
+_ROW_BYTES = 16
 
 #: Bytes per read of rounds_from_csv.  The tokenizer's temporaries
 #: for a chunk this size stay in a 2 MiB L2 cache; 1 MiB chunks tokenize slower.
@@ -190,10 +192,10 @@ class EmpiricalStats:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    message = f"seed must be an integer in [0, 2**128), not {seed!r}"
+    message = "seed must be an integer in [0, 2**128), not {}"  # Philox keys are 128-bit
     _require_int(seed, 0, message)
-    if seed >= _SEED_LIMIT:
-        raise DomainError(message)
+    if seed >= 2**128:
+        raise DomainError(message.format(_quote(seed)))
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -213,7 +215,7 @@ def _round_blocks(
     fills consecutive blocks with consecutive rows of the single (n, k) draw,
     so the rounds do not depend on the block size.
     """
-    _require_int(n, 1, f"sample_rounds needs an integer n >= 1, not {n!r}")
+    _require_int(n, 1, "sample_rounds needs an integer n >= 1, not {}")
     rng = _generator(seed)
     n_states = len(m.states)
 
@@ -297,7 +299,7 @@ def sample_rounds(m: Model, n: int, seed: int, order: SampleOrder) -> RoundLog:
     sampling holds one block of rounds.
     """
     blocks = _round_blocks(m, n, seed, order)
-    with _allocation_guard(f"sample_rounds: a log of n = {n} rounds"):
+    with _allocation_guard(f"sample_rounds: a log of n = {_quote(int(n))} rounds"):
         lam = np.empty(n, np.int64)
         narrow = np.empty((4, n), np.int8)
     for rows, (lam_rows, *rest) in blocks:
@@ -495,31 +497,17 @@ def rounds_to_csv(rounds: RoundLog, path: str | None = None) -> str:
     return "".join(pieces)
 
 
-def _line_count(path: str) -> int:
-    """Lines in a file, ended by LF, CRLF or CR as Python's universal newlines split them."""
-    lines, last = 0, b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            buf = np.frombuffer(last + chunk, np.uint8)  # a CRLF may straddle two chunks
-            new = buf[len(last):]
-            crs = np.count_nonzero(new == ord("\r"))
-            lines += np.count_nonzero(new == ord("\n")) + crs
-            if crs or last == b"\r":
-                lines -= np.count_nonzero((buf[:-1] == ord("\r")) & (buf[1:] == ord("\n")))
-            last = chunk[-1:]
-    return int(lines) + (last not in (b"", b"\n", b"\r"))
-
-
 def _plain_rows(buf: bytes) -> np.ndarray | None:
     """The (8, rows) int64 fields of a chunk in the plain form, or None if it is not in it.
 
     buf is an LF, as a sentinel, followed by LF-ended lines.  The plain form is
-    lines of 8 comma-separated fields -?[0-9]{1,19} of magnitude below 2**63,
-    the form rounds_to_csv writes.  The checks count: every byte is a digit, a
-    separator or a `-`, every `-` directly follows a separator, every field
-    ends in a digit and has at most 19 of them, and the LFs are exactly every
-    eighth separator.  A 19-digit field is bounded before its leading digit is
-    added, so no value wraps.
+    the round-log grammar without blank lines: lines of 8 comma-separated
+    fields -?[0-9]{1,19} of magnitude below 2**63, of which the rows
+    rounds_to_csv writes are one case.  The checks count: every byte is a
+    digit, a separator or a `-`, every `-` directly follows a separator, every
+    field ends in a digit and has at most 19 of them, and the LFs are exactly
+    every eighth separator.  A 19-digit field is bounded before its leading
+    digit is added, so no value wraps.
     """
     lf, comma, minus = b"\n,-"
     width = len(_CSV_HEADER)
@@ -582,8 +570,8 @@ def _canonical_rows(buf: bytes, n: int, lam: np.ndarray, narrow: np.ndarray) -> 
     ends = np.flatnonzero(b == lf)  # the sentinel, then each line's LF
     rows = len(ends) - 1
     stop = n + rows
-    if not rows or rows > len(lam) or stop > 10**18 or np.diff(ends).min() < 16:
-        return None  # 16: the bytes of the shortest row with its LF, so the walk stays in the line
+    if not rows or rows > len(lam) or stop > 10**18 or np.diff(ends).min() < _ROW_BYTES:
+        return None  # a line shorter than any row, so the walk stays in the line
     ok = np.ones(rows, bool)
     block = np.empty((6, rows), np.int8)
     minuses = 0
@@ -652,61 +640,58 @@ def _digits_value(digit: np.ndarray, last: np.ndarray, size: np.ndarray) -> np.n
 
 
 def _chunks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of fh in chunks of about _CHUNK bytes, each an LF sentinel and the lines after it.
+    """The rest of fh in chunks of about _CHUNK bytes, each an LF sentinel followed by LF-ended lines.
 
-    Every chunk but the file's last is cut after the last LF of a read, or in a
-    read with no LF after its last CR but one (the CR that ends a read may start
-    a CRLF), so CR-ended lines are cut too; a line longer than a read is joined
-    from several reads.
+    The only reader of line endings.  A chunk is cut after the last LF of a
+    read, or in a read with no LF after its last CR but one (the CR that ends
+    a read may start a CRLF), so no CRLF is split; a line longer than a read
+    is joined from several reads.  Then CRLFs and CRs become LFs, and the last
+    line gets one if it has no ending, so a chunk holds the file's lines one for one.
     """
+
+    def lf_lines(*parts: bytes) -> bytes:
+        buf = b"".join(parts)
+        return buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
+
     head = [b"\n"]
     while data := fh.read(_CHUNK):
         cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
         if cut:
-            yield b"".join([*head, data[:cut]])
+            yield lf_lines(*head, data[:cut])
             head = [b"\n"]
         head.append(data[cut:])
     if any(head[1:]):
-        yield b"".join(head)
+        yield lf_lines(*head, b"\n")  # the last line holds no LF; a CR that ends it makes a CRLF
 
 
 def _normalized_rows(buf: bytes, first: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse a chunk that _plain_rows rejects, whose first line is file line `first`.
+    """Parse a chunk that _plain_rows rejects, whose first line is file line `first`, less its blank lines.
 
-    CRLF and CR become LF, a missing final LF is added and blank lines are
-    dropped, and _plain_rows parses the result.  Returns the (8, rows) fields,
-    each row's file line and the number of lines in the chunk; if the chunk
-    still fails, its first line that is not a round raises DomainError.
+    Returns the (8, rows) fields, each row's file line and the number of lines
+    in the chunk; if the rest still fails, its first line that is not a round
+    raises DomainError.
     """
-    text = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not text.endswith(b"\n"):
-        text += b"\n"
-    b = np.frombuffer(text, np.uint8)
+    b = np.frombuffer(buf, np.uint8)
     ends = np.flatnonzero(b == ord("\n"))  # the sentinel, then each line's LF
     sizes = np.diff(ends)  # each line's length with its LF; a blank line's is 1
     lines = first + np.flatnonzero(sizes > 1)  # the file lines that are not blank
     if not len(lines):
         return np.zeros((len(_CSV_HEADER), 0), np.int64), lines, len(sizes)
-    if len(lines) < len(sizes):
-        text = np.delete(b, ends[:-1][sizes == 1]).tobytes()  # the LF before each blank line
-    fields = _plain_rows(text)
+    # without the LF before each blank line; a chunk with none already failed
+    fields = _plain_rows(np.delete(b, ends[:-1][sizes == 1]).tobytes()) if len(lines) < len(sizes) else None
     if fields is None:
-        rows = zip(lines, text[1:-1].split(b"\n"))
-        line, row = next((line, row) for line, row in rows if _plain_rows(b"\n%s\n" % row) is None)
-        raise DomainError(
-            f"line {line}: {row.decode(errors='replace')!r} is not a round of {len(_CSV_HEADER)} integer fields"
-        )
+        rows = enumerate(buf[1:-1].split(b"\n"), first)
+        line, row = next((line, row) for line, row in rows if row and _plain_rows(b"\n%s\n" % row) is None)
+        raise DomainError(f"line {line}: {row.decode(errors='replace')!r} is not a round of 8 integer fields")
     return fields, lines, len(sizes)
 
 
-def _store(lam: np.ndarray, narrow: np.ndarray, n: int, fields: np.ndarray, line_of) -> int:
+def _store(lam: np.ndarray, narrow: np.ndarray, n: int, fields: np.ndarray, lines: Sequence[int]) -> int:
     """Check that a block's (8, rows) fields are rounds n, n+1, ..., store them and return the next n.
 
-    The lambda field goes to the int64 column lam, and the other six, once
-    RoundLog's checks pass on them, to the (6, rows) int8 block narrow.  A
-    value a round may not hold raises RoundLog's DomainError, naming the
-    log's round; line_of(row) is the file line of the block's row, for the
-    round-column error.
+    lambda goes to the int64 column lam and the other six, once RoundLog's
+    checks pass on them (naming the log's round), to the (6, rows) int8 block
+    narrow; lines[row] is the file line of the block's row, for the round-column error.
     """
     rows = slice(n, n + fields.shape[1])
     if rows.stop > len(lam):
@@ -715,7 +700,7 @@ def _store(lam: np.ndarray, narrow: np.ndarray, n: int, fields: np.ndarray, line
     if gaps.size:
         row = int(gaps[0])
         raise DomainError(
-            f"line {line_of(row)}: round column holds {fields[0, row]}, not {rows.start + row}"
+            f"line {lines[row]}: round column holds {fields[0, row]}, not {rows.start + row}"
         )
     for name, col in zip(_COLUMNS, fields[1:]):
         _check_column(name, col, n)
@@ -724,27 +709,31 @@ def _store(lam: np.ndarray, narrow: np.ndarray, n: int, fields: np.ndarray, line
     return rows.stop
 
 
+def _row_bound(fh: BinaryIO) -> int:
+    """The most rounds fh's file holds after its header: _ROW_BYTES a line, less the last one's ending."""
+    return max(os.fstat(fh.fileno()).st_size - len(_CSV_HEADER_BYTES) + 1, 0) // _ROW_BYTES
+
+
 def rounds_from_csv(path: str) -> RoundLog:
     """Read a round log written by rounds_to_csv; a malformed log raises DomainError.
 
     After the header line, every line is a round of 8 comma-separated fields
     -?[0-9]{1,19} within int64, so a `+`, a space, a tab, a 20th digit or a
     magnitude of 2**63 or more is an error.  Lines may end in LF, CRLF or CR,
-    the last one may lack its ending, and blank lines are skipped.  The
-    columns are allocated once, and an error names the file line at fault.
-    The file is read as bytes in chunks of about 128 KiB.  A chunk of the rows
-    rounds_to_csv writes is read by the canonical tokenizer; any other chunk
-    without a CR goes to the plain tokenizer, and a chunk with CRs, blank
-    lines or a missing final LF is normalized and then parsed as LF-ended
-    lines by the plain one.  A file with more lines than the columns can hold
-    in memory raises DomainError.  The columns are stored as RoundLog stores
-    them, each chunk's values checked before they are narrowed.
+    the last one may lack its ending, and blank lines are skipped; an error
+    names its file line.  The file is read once, in chunks of about 128 KiB,
+    into columns allocated once and sized by its byte count (a round line
+    takes at least 16 bytes), so a file too large for them to fit in memory
+    raises DomainError.  Chunks of the rows rounds_to_csv writes, whatever
+    their endings, take the canonical tokenizer, and the plain one takes the
+    rest.  Each chunk's values are checked, as RoundLog checks them, before
+    they are narrowed.
     """
-    rows = max(_line_count(path) - 1, 0)
-    with _allocation_guard(f"rounds_from_csv: a log of up to {rows} rounds"):
-        lam = np.empty(rows, np.int64)
-        narrow = np.empty((len(_COLUMNS) - 1, rows), np.int8)
     with open(path, "rb") as fh:
+        bound = _row_bound(fh)
+        with _allocation_guard(f"rounds_from_csv: a log of up to {bound} rounds"):
+            lam = np.empty(bound, np.int64)
+            narrow = np.empty((len(_COLUMNS) - 1, bound), np.int8)
         head = fh.readline(len(_CSV_HEADER_BYTES))
         if head.rstrip(b"\r\n") != _CSV_HEADER_BYTES[:-1]:
             line = (head + fh.readline(256)).splitlines() or [b""]
@@ -754,18 +743,17 @@ def rounds_from_csv(path: str) -> RoundLog:
             fh.read(1)  # the LF of a CRLF
         n, first = 0, 2  # first: the file line of the chunk's first line
         for buf in _chunks(fh):
-            plain = b"\r" not in buf  # a CR is in neither the canonical nor the plain form
-            stored = _canonical_rows(buf, n, lam[n:], narrow[:, n:]) if plain else None
-            if stored is not None:
+            stored = _canonical_rows(buf, n, lam[n:], narrow[:, n:])
+            if stored is None:  # plain rows, else rows among blank lines, else an error
+                fields = _plain_rows(buf)
+                if fields is None:
+                    fields, lines, count = _normalized_rows(buf, first)
+                else:
+                    lines = range(first, first + fields.shape[1])
+                    count = len(lines)
+                n = _store(lam, narrow, n, fields, lines)
+                first += count
+            else:
                 n += stored
                 first += stored
-                continue
-            fields = _plain_rows(buf) if plain else None
-            if fields is not None:
-                n = _store(lam, narrow, n, fields, lambda row: first + row)
-                first += fields.shape[1]
-            else:
-                fields, lines, count = _normalized_rows(buf, first)
-                n = _store(lam, narrow, n, fields, lines.__getitem__)
-                first += count
     return RoundLog(lam[:n], *narrow[:, :n])

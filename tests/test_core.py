@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
-from bellcost import curves, oracle, simulate
+from bellcost import curves, oracle
 from bellcost.core import setting_index
 
 from conftest import P_Q, REF, S_Q, random_model
@@ -603,8 +603,8 @@ def _failing_entry_point(entry, exc, tmp_path, monkeypatch):
         model = bc.table1_model(0.2)
         return lambda: bc.sample_rounds(model, _COUNT, 0, bc.SampleOrder.SETTINGS_FIRST), f"n = {_COUNT} rounds"
     path = tmp_path / "rounds.csv"
-    bc.rounds_to_csv(bc.sample_rounds(bc.table1_model(0.2), 3, 0, bc.SampleOrder.SETTINGS_FIRST), str(path))
-    monkeypatch.setattr(simulate, "_line_count", lambda _: _COUNT + 1)
+    # a header and blank lines whose byte count bounds the log at _COUNT rounds of 16 bytes
+    path.write_bytes(b"round,lambda,x,y,a,b,pred_a,pred_b\n" + b"\n" * (16 * _COUNT - 1))
     return lambda: bc.rounds_from_csv(str(path)), f"up to {_COUNT} rounds"
 
 
@@ -628,3 +628,54 @@ def test_any_other_value_error_passes_through_the_guard(entry, tmp_path, monkeyp
     with pytest.raises(ValueError) as err:
         call()
     assert err.value is exc
+
+
+# ---------------------------------------------------------------------------
+# an int beyond the float range, or too long for Python to turn into text
+# ---------------------------------------------------------------------------
+
+_CAUSAL, _RETRO, _ONE_SIDED = bc.CausalClass.CAUSAL, bc.CausalClass.RETROCAUSAL, bc.CausalClass.ONE_SIDED
+
+#: Every argument that once let a huge int escape as ValueError or OverflowError, by site.
+_HUGE_INT_SITES = {
+    "sample_rounds-n": lambda v: bc.sample_rounds(bc.table1_model(0.1), v, 0, bc.SampleOrder.SETTINGS_FIRST),
+    "sample_rounds-seed": lambda v: bc.sample_rounds(bc.table1_model(0.1), 10, v, bc.SampleOrder.SETTINGS_FIRST),
+    "Bias-eps_x": lambda v: bc.Bias(v, 0.0),
+    "Bias-eps_y": lambda v: bc.Bias(0.0, v),
+    "causal_pair_model-p": lambda v: bc.causal_pair_model(v, 0.1),
+    "causal_pair_model-ptilde": lambda v: bc.causal_pair_model(0.1, v),
+    "one_sided_model": bc.one_sided_model,
+    "table2_model-same": bc.table2_model,
+    "table2_model-conjugate": lambda v: bc.table2_model(v, bc.Table2Branch.CONJUGATE),
+    "biased_info-retro": lambda v: bc.biased_info(_RETRO, bc.Bias(0.1, 0.1), p=v),
+    "biased_info-causal": lambda v: bc.biased_info(_CAUSAL, bc.Bias(0.1, 0.1), p=v, ptilde=0.1),
+    "biased_info-onesided": lambda v: bc.biased_info(_ONE_SIDED, bc.Bias(0.1, 0.1), p=v),
+    "biased_lift": lambda v: bc.biased_lift(_CAUSAL, bc.Bias(0.1, 0.1), p=v),
+    "is_nonsignaling-tol": lambda v: bc.is_nonsignaling(bc.correlations_of(bc.table1_model(0.1)), v),
+    # a negative N fails in SearchConfig, and a positive one at the search's first allocation
+    "brute_force_min_info-retro": lambda v: bc.brute_force_min_info(bc.SearchConfig(v, 2.5, _RETRO)),
+    "brute_force_min_info-causal": lambda v: bc.brute_force_min_info(bc.SearchConfig(v, 2.5, _CAUSAL)),
+    "brute_force_min_info-onesided": lambda v: bc.brute_force_min_info(bc.SearchConfig(v, 2.5, _ONE_SIDED)),
+    "SearchConfig-target_s": lambda v: bc.SearchConfig(16, v, _RETRO),
+    "SearchConfig-tolerance": lambda v: bc.SearchConfig(16, 2.5, _RETRO, v),
+    "curve_sweep-n": lambda v: bc.curve_sweep(_CAUSAL, 2.0, 4.0, v),
+    "CurvePoint-s": lambda v: bc.CurvePoint(v, 0.0),
+    "CurvePoint-info": lambda v: bc.CurvePoint(3.0, -abs(v)),  # any info >= 0 is one
+    "ConjugatePair-p": lambda v: bc.ConjugatePair(v, 0.3),
+    "ConjugatePair-p_star": lambda v: bc.ConjugatePair(0.1, v),
+    "f_of_p": bc.f_of_p,
+    "f_slope": curves.f_slope,
+    "conjugate": bc.conjugate,
+    "binary_entropy": bc.binary_entropy,
+    "shannon_entropy": lambda v: bc.shannon_entropy([v, 0.0]),
+    "posterior_weights-x": lambda v: bc.posterior_weights(bc.table1_model(0.1), v, 0),
+}
+
+
+@pytest.mark.parametrize("value", [10**5000, -(10**5000), 10**400, -(10**400)], ids=["1e5000", "-1e5000", "1e400", "-1e400"])
+@pytest.mark.parametrize("site", sorted(_HUGE_INT_SITES))
+def test_a_huge_int_is_a_domain_error_with_a_short_message(site, value):
+    # 10**5000 is past the 4 300 digits Python turns into text, and 10**400 past the float range
+    with pytest.raises(bc.DomainError) as err:
+        _HUGE_INT_SITES[site](value)
+    assert len(str(err.value)) < 100, str(err.value)

@@ -737,13 +737,14 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
 
 
 def test_chunks_with_a_cr_skip_the_plain_pass(tmp_path, monkeypatch):
-    # a CR is in neither the canonical nor the plain form, so such a chunk is normalized without
-    # a failed first pass; the normalized text goes to the plain tokenizer
+    # _chunks hands on CRLF and CR lines as LF-ended ones, so the rows rounds_to_csv writes take the
+    # canonical tokenizer whatever their endings, and no chunk is offered to the plain one
     k = np.arange(40)
     rounds = bc.RoundLog(k % 3, k % 2, k // 2 % 2, 1 - 2 * (k % 2), 1 - 2 * (k // 4 % 2), *([np.ones(40, np.int64)] * 2))
     text = bc.rounds_to_csv(rounds).encode()
     path = tmp_path / "rounds.csv"
-    path.write_bytes(text[:300] + text[300:].replace(b"\n", b"\r\n"))  # LF rows, then CRLF rows
+    # LF rows, then CRLF rows, then CR rows
+    path.write_bytes(text[:300] + text[300:600].replace(b"\n", b"\r\n") + text[600:].replace(b"\n", b"\r"))
     parsed = []  # (tokenizer, chunk, rows it parsed) per call of either tokenizer
     canonical_rows, plain_rows = simulate._canonical_rows, simulate._plain_rows
 
@@ -762,11 +763,9 @@ def test_chunks_with_a_cr_skip_the_plain_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", 64)
     assert bc.rounds_from_csv(str(path)) == rounds
     assert not any(b"\r" in buf for _, buf, _ in parsed)
-    assert sum(rows for _, _, rows in parsed) == len(rounds)  # each row parsed by exactly one of them
-    assert {name for name, _, rows in parsed if rows} == {"canonical", "plain"}
-    # and no chunk had a failed plain pass: every line given to the plain tokenizer was a row it parsed
-    offered = sum(buf.count(b"\n") - 1 for name, buf, _ in parsed if name == "plain")
-    assert offered + sum(rows for name, _, rows in parsed if name == "canonical") == len(rounds)
+    assert sum(rows for name, _, rows in parsed if name == "canonical") == len(rounds)
+    # and no line was offered to the plain tokenizer, parsed or not
+    assert sum(buf.count(b"\n") - 1 for name, buf, _ in parsed if name == "plain") == 0
 
 
 def test_cr_ended_lines_are_cut_into_chunks(monkeypatch):
@@ -775,7 +774,28 @@ def test_cr_ended_lines_are_cut_into_chunks(monkeypatch):
     body = b"".join(b"%d,0,0,0,1,1,1,1\r" % i for i in range(1000))
     chunks = list(simulate._chunks(io.BytesIO(body)))
     assert max(map(len, chunks)) <= 1 + 64 + 20  # the sentinel, one read and the rest of a line
-    assert b"".join(c[1:] for c in chunks) == body
+    assert b"".join(c[1:] for c in chunks) == body.replace(b"\r", b"\n")  # each line LF-ended
+
+
+@given(
+    lines=st.lists(st.tuples(st.sampled_from([b"", b"7", b"12,0,1,0,-1,1,1,-1"]), st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                   max_size=60),
+    final_end=st.booleans(),
+    chunk=st.one_of(st.integers(1, 64), st.integers(1, 1 << 17)),
+)
+@settings(max_examples=300, deadline=None)
+def test_chunks_hand_on_the_lines_of_any_ending_lf_ended(lines, final_end, chunk):
+    # LF, CRLF and CR endings, blank lines and a missing final ending, read in any size
+    body = b"".join(line + end for line, end in lines)
+    if lines and not final_end:
+        body = body[: -len(lines[-1][1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK", chunk)
+        chunks = list(simulate._chunks(io.BytesIO(body)))
+    for c in chunks:
+        assert c.startswith(b"\n") and c.endswith(b"\n") and b"\r" not in c and len(c) > 1
+    # bytes.splitlines splits at LF, CRLF and CR alone, as the grammar does
+    assert b"".join(c[1:] for c in chunks) == b"".join(line + b"\n" for line in body.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -800,28 +820,26 @@ def test_round_log_header_names_the_header_line(tmp_path, header, end):
     assert str(err.value) == f"unexpected round-log header {header.split(',')!r}"
 
 
-@pytest.mark.parametrize("lines", [2**62, 2**45], ids=["beyond-intp", "beyond-memory"])
-def test_oversized_round_log_raises_domain_error(tmp_path, monkeypatch, lines):
+@pytest.mark.parametrize("rows", [2**62, 2**45], ids=["beyond-intp", "beyond-memory"])
+def test_oversized_round_log_raises_domain_error(tmp_path, monkeypatch, rows):
     # columns for 2**62 rounds overflow an array's byte count, and for 2**45 rounds a 47-bit
     # address space, so either request fails before anything is allocated
     path = tmp_path / "rounds.csv"
     path.write_text(_HEADER + _GOOD_ROWS)
-    monkeypatch.setattr(simulate, "_line_count", lambda _: lines)
-    with pytest.raises(bc.DomainError, match="does not fit in memory"):
+    monkeypatch.setattr(simulate, "_row_bound", lambda _: rows)
+    with pytest.raises(bc.DomainError, match=f"up to {rows} rounds does not fit in memory"):
         bc.rounds_from_csv(str(path))
 
 
-def test_line_count_matches_universal_newlines(tmp_path):
-    # rounds_from_csv sizes its columns by this count; it reads the file in 1 MiB chunks
-    rng = np.random.default_rng(5)
-    ends = np.frombuffer(b"a\r\n", np.uint8)
-    head = rng.choice(ends, size=(1 << 20) - 1, p=[0.9, 0.05, 0.05]).tobytes()
-    rest = rng.choice(ends[[0, 2]], size=5000, p=[0.9, 0.1]).tobytes()  # no CR
-    path = tmp_path / "lines.txt"
-    for tail in (b"", b"\r", b"a"):
-        path.write_bytes(head + b"\r\n" + rest + tail)  # a CRLF split between two chunks
-        with open(path, newline="") as fh:
-            assert simulate._line_count(str(path)) == sum(1 for _ in fh)
+def test_round_log_bound_holds_the_shortest_rows(tmp_path):
+    # ten 15-byte rows, CR-ended, the last with no ending: the byte count bounds the log at exactly ten
+    rows = [b"%d,0,0,0,1,1,1,1" % i for i in range(10)]
+    path = tmp_path / "rounds.csv"
+    path.write_bytes(b"\r".join([_HEADER[:-1].encode(), *rows]))
+    with open(path, "rb") as fh:
+        assert simulate._row_bound(fh) == 10
+    zero, one = np.zeros(10, np.int64), np.ones(10, np.int64)
+    assert bc.rounds_from_csv(str(path)) == bc.RoundLog(zero, zero, zero, one, one, one, one)
 
 
 _FIELD = re.compile(rb"-?[0-9]{1,19}")
