@@ -146,20 +146,30 @@ class CausalClass(Enum):
 
 
 def _quote(value) -> str:
-    """repr(value), but an int wider than 64 bits by its width: Python turns no int of over 4 300 digits into text."""
+    """value as an error quotes it: abridged by reprlib, and an int wider than 64 bits by its width.
+
+    Python turns no int of over 4 300 digits into text.
+    """
     if isinstance(value, int) and value.bit_length() > 64:
         return f"<a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int>"
-    return repr(value)
+    return reprlib.repr(value)
 
 
-def _require_real(value, what: str) -> None:
-    """Raise DomainError unless value is a real number (int, float, numpy scalar), not a bool.
+def _real(value, what: str, error: type[BellcostError] = DomainError) -> float:
+    """value as the Python float it equals; a bool or anything but a real number raises error.
 
-    A float passes before the numbers.Real check, which costs ~1 us per call;
-    the hottest callers test type(value) is float themselves, to skip the call.
+    An int beyond the float range reads as +-inf.  A float is returned before
+    the numbers.Real check, which costs ~1 us per call; the hottest callers
+    test type(value) is float themselves, to skip the call.
     """
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise DomainError(f"{what}={value!r} is not a real number")
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what}={_quote(value)} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_int(value, lo: int, message: str) -> None:
@@ -184,44 +194,12 @@ def _allocation_guard(request: str) -> Iterator[None]:
         raise DomainError(f"{request} does not fit in memory") from None
 
 
-def _as_float(value) -> float:
-    """float(value) for a real number; an int beyond the float range reads as +-inf, not OverflowError."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _check_tol(tol, what: str) -> float:
-    """tol as a float; DomainError unless it is a finite real number >= 0.
-
-    A float passes on one chained comparison, as is_nonsignaling runs
-    several times per model.
-    """
-    if type(tol) is float and 0.0 <= tol < math.inf:
-        return tol
-    _require_real(tol, what)
-    value = _as_float(tol)
-    if not 0.0 <= value < math.inf:  # a NaN fails this test too
-        raise DomainError(f"{what}={_quote(tol)} is not a finite number >= 0")
-    return value
-
-
-def _real(value, what: str) -> float:
-    """value as a float; anything but a real number (a bool included) raises InvalidModel."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidModel(f"{what} {reprlib.repr(value)} is not a real number")
-    return _as_float(value)
-
-
 def _reals(values, what: str) -> tuple[float, ...]:
-    """values as a tuple of floats, each read by _real; a tuple of floats is returned as it is."""
+    """values as a tuple of floats, each read by _real (InvalidModel); a tuple of floats is returned as it is."""
     reals = tuple(values)
     for v in reals:
         if type(v) is not float:
-            return tuple(_real(v, what) for v in reals)
+            return tuple(_real(v, what, InvalidModel) for v in reals)
     return reals
 
 
@@ -233,7 +211,7 @@ def _reals(values, what: str) -> tuple[float, ...]:
 def binary_entropy(p: float) -> float:
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), in bits."""
     if type(p) is not float:
-        _require_real(p, "binary_entropy: p")
+        p = _real(p, "binary_entropy: p")
     if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
         raise DomainError(f"binary_entropy: p={_quote(p)} outside [0, 1]")
     if p <= 0.0 or p >= 1.0:
@@ -259,17 +237,14 @@ def shannon_entropy(dist: Sequence[float]) -> float:
     """Entropy in bits of a probability vector (entries >= 0, summing to 1)."""
     total = 0.0
     acc = 0.0
-    try:
-        for p in dist:
-            if not p >= -STRUCT_TOL:  # a NaN fails this test too
-                raise DomainError(f"shannon_entropy: negative or NaN entry {_quote(p)}")
-            total += p
-            if p > 0.0:
-                acc -= p * math.log(p)
-    except TypeError as exc:  # a string, None or complex entry fails the comparison
-        raise DomainError(f"shannon_entropy: entries must be real numbers ({exc})") from None
-    except OverflowError:  # an int beyond the float range
-        raise DomainError(f"shannon_entropy: entry {_quote(p)} outside [0, 1]") from None
+    for p in dist:
+        if type(p) is not float:
+            p = _real(p, "shannon_entropy: entry")
+        if not p >= -STRUCT_TOL:  # a NaN fails this test too
+            raise DomainError(f"shannon_entropy: negative or NaN entry {_quote(p)}")
+        total += p
+        if p > 0.0:
+            acc -= p * math.log(p)
     if not abs(total - 1.0) <= SUM_TOL:
         raise DomainError(f"shannon_entropy: entries sum to {total!r}, not 1")
     return acc / _LOG2
@@ -326,8 +301,8 @@ class SettingDist:
 
     @classmethod
     def factorized(cls, px0: float, py0: float) -> "SettingDist":
-        px0 = _real(px0, "setting marginal")
-        py0 = _real(py0, "setting marginal")
+        px0 = _real(px0, "setting marginal", InvalidModel)
+        py0 = _real(py0, "setting marginal", InvalidModel)
         probs = (px0 * py0, px0 * (1 - py0), (1 - px0) * py0, (1 - px0) * (1 - py0))
         return cls(probs, (px0, py0))
 
@@ -362,7 +337,7 @@ class SettingDist:
 def _check_sign(value: float, what: str) -> int:
     """value as the int +1 or -1 it equals; anything else raises InvalidModel."""
     if value not in (-1, 1):
-        raise InvalidModel(f"{what} must be exactly +1 or -1, got {reprlib.repr(value)}")
+        raise InvalidModel(f"{what} must be exactly +1 or -1, got {_quote(value)}")
     return 1 if value == 1 else -1
 
 
@@ -394,7 +369,7 @@ class HiddenState:
     responses: tuple[int, int, int, int]  # (A0, A1, B0, B1)
 
     def __post_init__(self) -> None:
-        w = _real(self.weight, "state weight")
+        w = _real(self.weight, "state weight", InvalidModel)
         object.__setattr__(self, "weight", w)
         if not -STRUCT_TOL <= w <= 1.0 + STRUCT_TOL:
             raise InvalidModel(f"state weight {w!r} outside [0, 1]")
@@ -593,7 +568,9 @@ def is_nonsignaling(c: Correlations, tol: float = SUM_TOL) -> bool:
 
     The marginals are summed from the table as alice_marginal and bob_marginal sum them.
     """
-    tol = _check_tol(tol, "is_nonsignaling: tol")
+    tol = _real(tol, "is_nonsignaling: tol")
+    if not 0.0 <= tol < math.inf:  # a NaN fails this test too
+        raise DomainError(f"is_nonsignaling: tol={_quote(tol)} is not a finite number >= 0")
     t = c.table
     for k in (0, 8):  # the rows of (x, 0) and (x, 1) start at 8x and 8x + 4
         j = k + 4
@@ -625,11 +602,11 @@ def model_to_dict(m: Model) -> dict:
 
 
 def model_from_dict(doc: dict) -> Model:
-    """A model from its JSON document; errors quote a bad value abridged by reprlib."""
+    """A model from its JSON document; errors quote a bad value as _quote does."""
     if not isinstance(doc, dict):
-        raise InvalidModel(f"model document must be a JSON object, not {type(doc).__name__} {reprlib.repr(doc)}")
+        raise InvalidModel(f"model document must be a JSON object, not {type(doc).__name__} {_quote(doc)}")
     if doc.get("schema") != MODEL_SCHEMA:
-        raise InvalidModel(f"unsupported model schema {reprlib.repr(doc.get('schema'))}")
+        raise InvalidModel(f"unsupported model schema {_quote(doc.get('schema'))}")
     states = []
     try:
         for raw in doc["states"]:
@@ -639,7 +616,7 @@ def model_from_dict(doc: dict) -> Model:
             elif dist_doc["type"] == "joint":
                 dist = SettingDist.joint(dist_doc["values"])
             else:
-                raise InvalidModel(f"unknown dist type {reprlib.repr(dist_doc['type'])}")
+                raise InvalidModel(f"unknown dist type {_quote(dist_doc['type'])}")
             states.append(HiddenState(raw["weight"], dist, tuple(raw["responses"])))
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidModel(f"malformed model document: {exc!r}") from exc

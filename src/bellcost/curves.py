@@ -32,8 +32,8 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .core import (
-    CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _as_float, _binary_entropies,
-    _exact_log, _quote, _require_int, _require_real, binary_entropy,
+    CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _binary_entropies,
+    _exact_log, _quote, _real, _require_int, binary_entropy,
 )
 
 __all__ = [
@@ -92,42 +92,51 @@ _BRANCH_OF_UPPER = (Branch.I1, Branch.I2)
 
 @dataclass(frozen=True, slots=True)
 class CurvePoint:
-    """A point (s, info) on a minimal-information curve, with the causal branch tag."""
+    """A point (s, info) on a minimal-information curve, stored as floats, with the causal branch tag."""
 
     s: float
     info: float
     branch: Branch | None = None
 
     def __post_init__(self) -> None:
-        if not 2.0 - 1e-9 <= self.s <= 4.0 + 1e-9:
-            raise DomainError(f"CurvePoint s={_quote(self.s)} outside [2, 4]")
-        if self.info < -1e-12:
-            raise DomainError(f"CurvePoint info={_quote(self.info)} negative")
+        s, info = self.s, self.info
+        if type(s) is not float:  # curve_sweep builds its points from floats
+            s = _real(s, "CurvePoint s")
+            object.__setattr__(self, "s", s)
+        if type(info) is not float:
+            info = _real(info, "CurvePoint info")
+            object.__setattr__(self, "info", info)
+        if not 2.0 - 1e-9 <= s <= 4.0 + 1e-9:
+            raise DomainError(f"CurvePoint s={_quote(s)} outside [2, 4]")
+        if not -1e-12 <= info < math.inf:  # a NaN fails this test too
+            raise DomainError(f"CurvePoint info={_quote(info)} negative or not finite")
 
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """Probabilities p <= p0 <= p_star with f(p) = f(p_star)."""
+    """Probabilities p <= p0 <= p_star with f(p) = f(p_star), stored as floats."""
 
     p: float
     p_star: float
 
     def __post_init__(self) -> None:
-        _require_real(self.p, "conjugate p")
-        _require_real(self.p_star, "conjugate p_star")
+        p = _real(self.p, "conjugate p")
+        p_star = _real(self.p_star, "conjugate p_star")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p_star", p_star)
         p0 = find_p0()
-        if not -_EDGE_TOL <= self.p <= p0 + 1e-9:
-            raise DomainError(f"conjugate p={_quote(self.p)} outside [0, p0]")
-        if not p0 - 1e-9 <= self.p_star <= 0.5 + _EDGE_TOL:
-            raise DomainError(f"conjugate p_star={_quote(self.p_star)} outside [p0, 1/2]")
-        if abs(f_of_p(self.p) - f_of_p(self.p_star)) > 1e-10:
+        if not -_EDGE_TOL <= p <= p0 + 1e-9:
+            raise DomainError(f"conjugate p={_quote(p)} outside [0, p0]")
+        if not p0 - 1e-9 <= p_star <= 0.5 + _EDGE_TOL:
+            raise DomainError(f"conjugate p_star={_quote(p_star)} outside [p0, 1/2]")
+        if abs(f_of_p(p) - f_of_p(p_star)) > 1e-10:
             raise DomainError("conjugate pair residual |f(p) - f(p*)| exceeds 1e-10")
 
 
 def f_of_p(p: float) -> float:
     """f(p) = p log2((1-p)/p) on [0, 1/2], with f(0) = 0 by continuity."""
     if type(p) is not float:
-        _require_real(p, "f_of_p: p")
+        p = _real(p, "f_of_p: p")
     if not -_EDGE_TOL <= p <= 0.5 + _EDGE_TOL:
         raise DomainError(f"f_of_p: p={_quote(p)} outside [0, 1/2]")
     if p <= 0.0:
@@ -146,7 +155,7 @@ def _h_slope(p: float) -> float:
 
 def f_slope(p: float) -> float:
     """df/dp = log2((1-p)/p) - 1/((1-p) ln 2), for p in (0, 1/2]."""
-    _require_real(p, "f_slope: p")
+    p = _real(p, "f_slope: p")
     if not 0.0 < p <= 0.5 + _EDGE_TOL:
         raise DomainError(f"f_slope: p={_quote(p)} outside (0, 1/2]")
     return _h_slope(p) - 1.0 / ((1.0 - p) * _LOG2)
@@ -188,7 +197,7 @@ def s0() -> float:
 
 def conjugate(p: float) -> ConjugatePair:
     """The pair (p, p*) with f(p*) = f(p) and p* on the decreasing branch [p0, 1/2]."""
-    _require_real(p, "conjugate: p")
+    p = _real(p, "conjugate: p")
     p0 = find_p0()
     if not -_EDGE_TOL <= p <= p0 + _EDGE_TOL:
         raise DomainError(f"conjugate: p={_quote(p)} outside [0, p0]")
@@ -205,8 +214,7 @@ def conjugate(p: float) -> ConjugatePair:
 
 def _check_s(s: float, lo: float = 2.0) -> float:
     if type(s) is not float:
-        _require_real(s, "CHSH value s")
-        s = _as_float(s)  # a numpy scalar would keep the curves in its own precision
+        s = _real(s, "CHSH value s")
     if not lo - 1e-9 <= s <= 4.0 + 1e-9:
         raise DomainError(f"CHSH value s={s!r} outside [{lo}, 4]")
     return min(max(s, lo), 4.0)

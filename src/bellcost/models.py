@@ -28,9 +28,8 @@ from .core import (
     SETTINGS,
     SettingDist,
     _LOG2_3,
-    _as_float,
     _quote,
-    _require_real,
+    _real,
     binary_entropy,
     posterior_weights,
     setting_index,
@@ -57,14 +56,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bias:
-    """Setting biases eps = P(0) - P(1) per side; P(x=0) = (1 + eps_x)/2."""
+    """Setting biases eps = P(0) - P(1) per side, stored as floats; P(x=0) = (1 + eps_x)/2."""
 
     eps_x: float = 0.0
     eps_y: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, eps in (("eps_x", self.eps_x), ("eps_y", self.eps_y)):
-            _require_real(eps, name)
+        for name in ("eps_x", "eps_y"):
+            eps = _real(getattr(self, name), name)
+            object.__setattr__(self, name, eps)
             if not abs(eps) <= 1.0 + 1e-12:
                 raise DomainError(f"{name}={_quote(eps)} outside [-1, 1]")
 
@@ -90,8 +90,7 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     State (mu, nu) puts probability p on the setting (1-nu, 1-mu) and
     (1-p)/3 on the other three.  CHSH value 4 - 8p for p in [0, 1/4].
     """
-    _require_real(p, "table1_model: p")
-    p = _as_float(p)  # a numpy scalar would keep (1 - p) / 3 in its own precision
+    p = _real(p, "table1_model: p")
     if not -1e-12 <= p <= 0.25 + 1e-12:
         raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
@@ -102,7 +101,7 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
 
 def _flip_probability(v: float, what: str) -> float:
     """A flip probability of the causal family, clamped to [0, 1/2]; one outside it raises DomainError."""
-    _require_real(v, what)
+    v = _real(v, what)
     if not -1e-12 <= v <= 0.5 + 1e-12:
         raise DomainError(f"{what}={_quote(v)} outside [0, 1/2]")
     return min(max(v, 0.0), 0.5)
@@ -128,7 +127,7 @@ def table2_model(
     signs: OutcomeSigns | None = None,
 ) -> Model:
     """Causal optimum: ptilde = p on the Same branch, ptilde = p* on the Conjugate branch."""
-    _require_real(p, "table2_model: p")
+    p = _real(p, "table2_model: p")
     if branch is Table2Branch.SAME:
         ptilde = p
     elif branch is Table2Branch.CONJUGATE:
@@ -138,13 +137,14 @@ def table2_model(
     else:  # pragma: no cover
         raise DomainError(f"unknown branch {branch!r}")
     return causal_pair_model(
-        p, ptilde, signs, label=f"causal-optimal(p={_quote(p)}, branch={branch.value})"
+        p, ptilde, signs, label=f"causal-optimal(p={p!r}, branch={branch.value})"
     )
 
 
 def one_sided_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     """One-sided optimum: the causal family with an unbiased Y side (ptilde = 1/2)."""
-    return causal_pair_model(p, 0.5, signs, label=f"one-sided(p={_quote(p)})")
+    p = _real(p, "one_sided_model: p")
+    return causal_pair_model(p, 0.5, signs, label=f"one-sided(p={p!r})")
 
 
 #: The point mass at each joint setting, in setting_index order.
@@ -196,8 +196,7 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
     arbitrarily small as q approaches 0 or 1.  Needs 0 < q < 1 so that all
     settings occur.
     """
-    _require_real(q, "extreme_bias_example: q")
-    q = _as_float(q)  # a numpy scalar would keep the weights in its own precision
+    q = _real(q, "extreme_bias_example: q")
     if not 0.0 < q < 1.0:
         raise DomainError(f"extreme_bias_example: q={q!r} outside (0, 1)")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, 0.0, 0.0)) for mu, nu in LAMBDA_CLASSES]
@@ -312,8 +311,7 @@ def biased_info(
         if s is None:
             if p is None:
                 raise DomainError("retrocausal biased_info needs s or p")
-            _require_real(p, "biased_info: p")
-            s = 4.0 - 8.0 * _as_float(p)
+            s = 4.0 - 8.0 * _real(p, "biased_info: p")
         s = _check_s(s)
         outcomes = [
             (4.0 + s) / 24.0 + (1 + sx * ex) / 2.0 * (1 + sy * ey) / 2.0 * (2.0 - s) / 6.0
@@ -341,8 +339,7 @@ def biased_info(
         if s is None:
             if p is None:
                 raise DomainError("one-sided biased_info needs s or p")
-            _require_real(p, "biased_info: p")
-            s = 4.0 - 4.0 * _as_float(p)
+            s = 4.0 - 4.0 * _real(p, "biased_info: p")
         s = _check_s(s)
         return binary_entropy((1.0 + ex * (s / 2.0 - 1.0)) / 2.0) - binary_entropy(s / 4.0)
     raise DomainError(f"no biased_info for base {base!r}")

@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +76,10 @@ from .core import (
     SettingDist,
     _LOG2,
     _allocation_guard,
-    _as_float,
     _binary_entropies,
     _exact_log,
     _quote,
+    _real,
     _require_int,
     mutual_information,
 )
@@ -110,9 +109,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         _require_int(self.resolution, 4, "SearchConfig: resolution must be an int >= 4, got {}")
         for name in ("target_s", "tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(_as_float(value)):
+            value = _real(getattr(self, name), f"SearchConfig: {name}")
+            if not math.isfinite(value):
                 raise DomainError(f"SearchConfig: {name} must be a finite number, got {_quote(value)}")
+            object.__setattr__(self, name, value)
         if self.tolerance <= 0.0:
             raise DomainError("SearchConfig: tolerance must be positive")
 
@@ -221,7 +221,7 @@ def _floor_budget(cfg: SearchConfig, slack: float, cap: int) -> int:
 
 def _special_budget(cfg: SearchConfig, scale: int) -> int:
     """Largest allowed total special-cell mass (in grid units of 1/scale per state)."""
-    return _floor_budget(cfg, _as_float(scale) * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
+    return _floor_budget(cfg, _real(scale, "grid scale") * (4.0 - cfg.target_s + cfg.tolerance) / 2.0, 4 * scale)
 
 
 def _entropy_hull(masses: np.ndarray, entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -594,7 +594,7 @@ def _search_one_sided(cfg: SearchConfig) -> SearchResult:
     first hit of a scan over the whole grid.
     """
     n = cfg.resolution
-    budget = _floor_budget(cfg, _as_float(n) * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
+    budget = _floor_budget(cfg, _real(n, "resolution") * (4.0 - cfg.target_s + cfg.tolerance), 4 * n)
     # a feasible point's pairs hold t <= top units and its states a <= k: the split table over those and
     # the padded h share one block, allocated before any entropy or index array, so it fails here at once
     top = budget // 2

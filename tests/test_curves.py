@@ -94,6 +94,12 @@ def test_conjugate_residuals():
         assert pair.p <= bc.find_p0() + 1e-12 <= pair.p_star + 2e-12
 
 
+@pytest.mark.parametrize("info", [math.nan, math.inf, 10**400])
+def test_a_curve_point_needs_a_finite_info(info):
+    with pytest.raises(bc.DomainError, match="negative or not finite"):
+        bc.CurvePoint(3.0, info)
+
+
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["plus", "minus"])
 def test_an_int_beyond_float_range_is_a_domain_error(value):
     for fn in (bc.i_R, bc.i_1, bc.i_2, bc.i_C, bc.i_OS, bc.i_Z, bc.i_SD, bc.i_1_curvature):

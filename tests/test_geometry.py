@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_special_cells_make_a_latin_square():
 
 def test_oracle_imports_only_core_and_geometry():
     """The oracle must not read the models or the analytic curves it verifies."""
-    tree = ast.parse(open(bellcost.oracle.__file__, encoding="utf-8").read())
+    tree = ast.parse(pathlib.Path(bellcost.oracle.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -1,5 +1,7 @@
 """Model constructors, lifts, and their closed-form information values."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -412,14 +414,23 @@ def test_causal_biased_info_takes_the_flip_probabilities_of_causal_pair_model(ba
 
 C = bc.CausalClass
 
-# every public entry point that takes a probability or bias, one argument at a time
+_SIGNALING_TABLE = bc.correlations_of(bc.table1_model(0.1))
+
+# every public entry point that takes a probability, CHSH value, bias or tolerance, one argument at a time
 REAL_ARGUMENT_ENTRY_POINTS = {
     "binary_entropy": bc.binary_entropy,
+    "shannon_entropy": lambda v: bc.shannon_entropy([v, 0.75]),
+    "is_nonsignaling.tol": lambda v: bc.is_nonsignaling(_SIGNALING_TABLE, v),
     "f_of_p": bc.f_of_p,
     "f_slope": bc.curves.f_slope,
     "conjugate": bc.conjugate,
-    "ConjugatePair.p": lambda v: bc.ConjugatePair(v, 0.3),
-    "ConjugatePair.p_star": lambda v: bc.ConjugatePair(0.1, v),
+    "ConjugatePair.p": lambda v: bc.ConjugatePair(v, 0.5),  # f(0) = f(1/2) = 0
+    "ConjugatePair.p_star": lambda v: bc.ConjugatePair(0.0, v),
+    **{f"curve_point.{c.value}": functools.partial(bc.curve_point, c) for c in C},
+    "CurvePoint.s": lambda v: bc.CurvePoint(v, 0.1),
+    "CurvePoint.info": lambda v: bc.CurvePoint(3.0, v),
+    "SearchConfig.target_s": lambda v: bc.SearchConfig(16, v, C.RETROCAUSAL),
+    "SearchConfig.tolerance": lambda v: bc.SearchConfig(16, 2.5, C.RETROCAUSAL, v),
     "Bias.eps_x": lambda v: bc.Bias(v, 0.0),
     "Bias.eps_y": lambda v: bc.Bias(0.0, v),
     "table1_model": bc.table1_model,
@@ -456,14 +467,48 @@ def test_entry_points_reject_a_non_real_argument(entry, value):
         REAL_ARGUMENT_ENTRY_POINTS[entry](value)
 
 
+def _bits(result):
+    """A result as its type and bits: a model by its CHSH value, information and label."""
+    if isinstance(result, bc.Model):
+        return "model", _bits(bc.chsh_value(result)), _bits(bc.mutual_information(result)), result.label
+    if dataclasses.is_dataclass(result):
+        return type(result), tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, float):
+        return type(result), result.hex()
+    return type(result), repr(result)
+
+
+def _reading(fn, value):
+    """What fn(value) gives: ("value", its bits), or ("error", the error's type and message)."""
+    try:
+        return "value", _bits(fn(value))
+    except bc.DomainError as exc:
+        return "error", type(exc), str(exc)
+
+
+_NUMPY_ARGUMENTS = [
+    kind(v)
+    for v in (0, 0.1, 0.25, 0.3, 0.5, 3, 3.7)
+    for kind in (np.float64, np.float32, np.int64, int)
+    if kind in (np.float64, np.float32) or v == int(v)
+]
+
+
 @pytest.mark.parametrize("entry", sorted(REAL_ARGUMENT_ENTRY_POINTS))
 def test_entry_points_take_numpy_scalars_and_ints(entry):
-    # each is read as the float it equals; np.float32 once kept table1_model's
-    # (1 - p) / 3, and the retrocausal biased_info, in single precision
-    for value in (np.float64(0.1), np.float32(0.1), np.int64(0), 0):
-        try:
-            REAL_ARGUMENT_ENTRY_POINTS[entry](value)
-        except bc.DomainError as exc:  # outside the domain, but read as a number
-            assert "not a real number" not in str(exc)
-            with pytest.raises(bc.DomainError):
-                REAL_ARGUMENT_ENTRY_POINTS[entry](float(value))
+    # each gives the bits and type of the call with float(value), in its result or its error, so no
+    # computation runs in the argument's own precision; np.float32 once kept f_of_p, the causal
+    # models and a Bias in single precision
+    fn = REAL_ARGUMENT_ENTRY_POINTS[entry]
+    readings = [(_reading(fn, value), _reading(fn, float(value))) for value in _NUMPY_ARGUMENTS]
+    for value, (got, expected) in zip(_NUMPY_ARGUMENTS, readings):
+        assert got == expected, repr(value)
+    assert any(got[0] == "value" for got, _ in readings)  # at least one argument lies in the domain
+
+
+@pytest.mark.parametrize("p", [0.05, 0.15, 0.2])
+def test_a_float32_p_reads_as_its_float_on_the_conjugate_branch(p):
+    # f(p) in single precision once left the pair's residual above 1e-10, so both raised DomainError
+    p32 = np.float32(p)
+    assert bc.conjugate(p32) == bc.conjugate(float(p32))
+    assert bc.table2_model(p32, bc.Table2Branch.CONJUGATE) == bc.table2_model(float(p32), bc.Table2Branch.CONJUGATE)

@@ -908,13 +908,10 @@ _CANONICAL = bc.rounds_to_csv(_canonical_log([0, 7, 10**18 - 1, 12, 3, 0, 1, 99,
         (b"\n4,3,0,0,-1,", b"\n4,-3,0,0,51,"),
         (b"\n4,", b"\n\n4,"),  # a blank line
         (b"\n11,", b"\n11,\n"),  # a row split in two
-        (_CANONICAL[-10:], _CANONICAL[-10:-1]),  # no final LF
-        (b"\n", b"\r\n"),  # CRLF endings
-        (b"\n", b"\r"),  # CR endings
     ],
     ids=["round-leading-zero", "lambda-leading-zero", "outcome-minus-zero", "lambda-minus-zero",
          "lambda-19-digits", "lambda-2**63", "round-and-lambda-joined", "round-extra-digit", "x=2", "setting-comma-moved",
-         "outcome-commas-moved", "minus-moved", "blank-line", "split-row", "no-final-lf", "crlf", "cr"],
+         "outcome-commas-moved", "minus-moved", "blank-line", "split-row"],
 )
 def test_only_the_plain_path_reads_a_log_that_is_not_canonical(tmp_path, old, new):
     data = _CANONICAL[: len(_HEADER) - 1] + _CANONICAL[len(_HEADER) - 1 :].replace(old, new)
@@ -922,6 +919,22 @@ def test_only_the_plain_path_reads_a_log_that_is_not_canonical(tmp_path, old, ne
     lam, narrow = np.zeros(20, np.int64), np.zeros((6, 20), np.int8)
     assert simulate._canonical_rows(b"\n" + data[len(_HEADER) :], 0, lam, narrow) is None
     assert not lam.any() and not narrow.any()  # a chunk that is not canonical stores nothing
+    _assert_reads_as_the_grammar(tmp_path / "rounds.csv", data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [_CANONICAL[:-1], _CANONICAL.replace(b"\n", b"\r\n"), _CANONICAL.replace(b"\n", b"\r")],
+    ids=["no-final-lf", "crlf", "cr"],
+)
+def test_a_canonical_log_with_other_line_endings_skips_the_plain_pass(tmp_path, monkeypatch, data):
+    # _chunks hands on these lines LF-ended, so the canonical tokenizer reads every row
+    assert _grammar_log(data) == _grammar_log(_CANONICAL)
+
+    def no_plain_pass(buf):
+        raise AssertionError("a chunk of a canonical log was offered to the plain tokenizer")
+
+    monkeypatch.setattr(simulate, "_plain_rows", no_plain_pass)
     _assert_reads_as_the_grammar(tmp_path / "rounds.csv", data)
 
 
