@@ -90,9 +90,14 @@ def table1_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     State (mu, nu) puts probability p on the setting (1-nu, 1-mu) and
     (1-p)/3 on the other three.  CHSH value 4 - 8p for p in [0, 1/4].
     """
-    p = _real(p, "table1_model: p")
+    return _retro_optimal(p, signs, "table1_model")
+
+
+def _retro_optimal(p: float, signs: OutcomeSigns | None, caller: str) -> Model:
+    """table1_model(p, signs), with errors that name caller, the function the user called."""
+    p = _real(p, f"{caller}: p")
     if not -1e-12 <= p <= 0.25 + 1e-12:
-        raise DomainError(f"table1_model: p={p!r} outside [0, 1/4]")
+        raise DomainError(f"{caller}: p={p!r} outside [0, 1/4]")
     p = min(max(p, 0.0), 0.25)
     rest = (1.0 - p) / 3.0
     dists = [SettingDist.joint([p if k == special else rest for k in range(4)]) for special in SPECIAL]
@@ -115,8 +120,15 @@ def causal_pair_model(
     State (mu, nu) has P(x=0) = 1-p for nu=0 (else p) and P(y=0) = 1-ptilde
     for mu=0 (else ptilde).  CHSH value 4 - 8 p ptilde.
     """
-    p = _flip_probability(p, "causal_pair_model: p")
-    ptilde = _flip_probability(ptilde, "causal_pair_model: ptilde")
+    return _causal_pair(p, ptilde, signs, label, "causal_pair_model")
+
+
+def _causal_pair(
+    p: float, ptilde: float, signs: OutcomeSigns | None, label: str | None, caller: str
+) -> Model:
+    """causal_pair_model(p, ptilde, signs, label), with errors that name caller."""
+    p = _flip_probability(p, f"{caller}: p")
+    ptilde = _flip_probability(ptilde, f"{caller}: ptilde")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, p, ptilde)) for mu, nu in LAMBDA_CLASSES]
     return class_model(dists, label or f"causal-pair(p={p!r}, ptilde={ptilde!r})", signs)
 
@@ -136,15 +148,19 @@ def table2_model(
         ptilde = conjugate(p).p_star
     else:  # pragma: no cover
         raise DomainError(f"unknown branch {branch!r}")
-    return causal_pair_model(
-        p, ptilde, signs, label=f"causal-optimal(p={p!r}, branch={branch.value})"
-    )
+    label = f"causal-optimal(p={p!r}, branch={branch.value})"
+    return _causal_pair(p, ptilde, signs, label, "table2_model")
 
 
 def one_sided_model(p: float, signs: OutcomeSigns | None = None) -> Model:
     """One-sided optimum: the causal family with an unbiased Y side (ptilde = 1/2)."""
-    p = _real(p, "one_sided_model: p")
-    return causal_pair_model(p, 0.5, signs, label=f"one-sided(p={p!r})")
+    return _one_sided(p, signs, "one_sided_model")
+
+
+def _one_sided(p: float, signs: OutcomeSigns | None, caller: str) -> Model:
+    """one_sided_model(p, signs), with errors that name caller."""
+    p = _real(p, f"{caller}: p")
+    return _causal_pair(p, 0.5, signs, f"one-sided(p={p!r})", caller)
 
 
 #: The point mass at each joint setting, in setting_index order.
@@ -217,13 +233,13 @@ def _base_model(
     if base is CausalClass.RETROCAUSAL:
         if ptilde is not None:
             raise DomainError("retrocausal base takes no ptilde")
-        return table1_model(p, signs)
+        return _retro_optimal(p, signs, "biased_lift")
     if base in (CausalClass.CAUSAL, CausalClass.ZIGZAG):
-        return causal_pair_model(p, p if ptilde is None else ptilde, signs)
+        return _causal_pair(p, p if ptilde is None else ptilde, signs, None, "biased_lift")
     if base is CausalClass.ONE_SIDED:
         if ptilde is not None:
             raise DomainError("one-sided base takes no ptilde")
-        return one_sided_model(p, signs)
+        return _one_sided(p, signs, "biased_lift")
     raise DomainError(f"no bias lift for base {base!r}")
 
 

@@ -23,10 +23,12 @@ weight.
 A round log on disk is CSV with one grammar: after the header, lines of 8
 comma-separated fields -?[0-9]{1,19} within int64, ended by LF, CRLF or CR;
 blank lines are skipped and the last line may lack its ending.  _chunks alone
-reads line endings, and hands on LF-ended lines to two numpy tokenizers: the
-canonical one reads the rows rounds_to_csv writes, walking each line back
-from its LF, and a chunk it cannot account for byte by byte goes to the plain
-one, which reads the whole grammar once blank lines are dropped.
+reads line endings, and hands on LF-ended lines to one numpy tokenizer, which
+reads the rows rounds_to_csv writes, walking each line back from its LF.  A
+chunk it declines is offered to it again without its blank lines, and if
+that fails too, it is read line by line in plain Python against the grammar:
+some 30 times the tokenizer's time per row, and 11 times what a numpy
+tokenizer of the whole grammar would take.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -497,58 +500,6 @@ def rounds_to_csv(rounds: RoundLog, path: str | None = None) -> str:
     return "".join(pieces)
 
 
-def _plain_rows(buf: bytes) -> np.ndarray | None:
-    """The (8, rows) int64 fields of a chunk in the plain form, or None if it is not in it.
-
-    buf is an LF, as a sentinel, followed by LF-ended lines.  The plain form is
-    the round-log grammar without blank lines: lines of 8 comma-separated
-    fields -?[0-9]{1,19} of magnitude below 2**63, of which the rows
-    rounds_to_csv writes are one case.  The checks count: every byte is a
-    digit, a separator or a `-`, every `-` directly follows a separator, every
-    field ends in a digit and has at most 19 of them, and the LFs are exactly
-    every eighth separator.  A 19-digit field is bounded before its leading
-    digit is added, so no value wraps.
-    """
-    lf, comma, minus = b"\n,-"
-    width = len(_CSV_HEADER)
-    b = np.frombuffer(buf, np.uint8)
-    if len(b) < 2 or b[0] != lf or b[-1] != lf:
-        return None
-    is_lf = b == lf
-    is_sep = is_lf | (b == comma)
-    is_minus = b == minus
-    digit = b - np.uint8(ord("0"))  # wraps, so only a digit byte reads below 10
-    seps = np.flatnonzero(is_sep)
-    minuses = np.count_nonzero(is_minus)
-    rows, odd = divmod(len(seps) - 1, width)
-    if (
-        odd
-        or len(seps) + minuses + np.count_nonzero(digit < 10) != len(b)
-        or np.count_nonzero(is_lf) != rows + 1
-        or not is_lf[seps[::width]].all()
-    ):
-        return None
-    negative = is_minus[seps[:-1] + 1]  # the fields whose first byte is a `-`
-    if np.count_nonzero(negative) != minuses:  # a `-` that does not follow a separator
-        return None
-    ends = seps[1:] - 1  # each field's last byte
-    values = digit[ends].astype(np.int64)
-    if not (values < 10).all():  # an empty field or a bare `-`
-        return None
-    digits = np.diff(seps) - 1 - negative
-    longest = int(digits.max())
-    if longest > 19:
-        return None
-    if longest > 1:  # the fields with more digits, mostly the round column
-        longer = np.flatnonzero(digits > 1)
-        total = _digits_value(digit, ends[longer], digits[longer])
-        if total is None:
-            return None
-        values[longer] = total
-    values *= 1 - 2 * negative.astype(np.int8)  # -1 on a negative field, else 1
-    return np.ascontiguousarray(values.reshape(rows, width).T)  # each field a contiguous row to check and store
-
-
 def _canonical_rows(buf: bytes, n: int, lam: np.ndarray, narrow: np.ndarray) -> int | None:
     """Store a chunk of canonical rows, rounds n, n+1, ..., and return how many, or None if it is not one.
 
@@ -605,7 +556,7 @@ def _canonical_rows(buf: bytes, n: int, lam: np.ndarray, narrow: np.ndarray) -> 
         or np.count_nonzero(digit < 10) != len(b) - 8 * rows - 1 - minuses
     ):
         return None
-    rounds = _digits_value(digit, starts + width - 1, width)  # at most 18 digits each, so neither is None
+    rounds = _digits_value(digit, starts + width - 1, width)
     values = _digits_value(digit, at - 1, size)
     if not np.array_equal(rounds, np.arange(n, stop)) or (values < _LEAST.take(size - 1)).any():
         return None  # a round out of sequence, or a lambda with a leading zero
@@ -618,12 +569,10 @@ def _canonical_rows(buf: bytes, n: int, lam: np.ndarray, narrow: np.ndarray) -> 
 _LEAST = np.array([0] + [10**k for k in range(1, 18)], np.int64)
 
 
-def _digits_value(digit: np.ndarray, last: np.ndarray, size: np.ndarray) -> np.ndarray | None:
-    """The int64 values of the fields of 1 to 19 digits whose last digit is at last and that have size digits.
+def _digits_value(digit: np.ndarray, last: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The int64 values of the fields of 1 to 18 digits whose last digit is at last and that have size digits.
 
-    digit holds each byte's value less ord("0"), wrapped to uint8.  None if a
-    19-digit value is 2**63 or more; it is bounded before its leading digit is
-    added, so no value wraps.
+    digit holds each byte's value less ord("0"), wrapped to uint8.
     """
     value = digit.take(last).astype(np.int64)
     shortest = int(size.min())
@@ -632,10 +581,7 @@ def _digits_value(digit: np.ndarray, last: np.ndarray, size: np.ndarray) -> np.n
         tens = digit.take(last - place, mode="clip")
         if place >= shortest:
             tens[size <= place] = 0
-        tens = np.multiply(tens, 10**place, dtype=np.int64)  # uint8 digits, int64 products
-        if place == 18 and (value > np.int64(2**63 - 1) - tens).any():
-            return None
-        value += tens
+        value += np.multiply(tens, 10**place, dtype=np.int64)  # uint8 digits, int64 products
     return value
 
 
@@ -664,26 +610,38 @@ def _chunks(fh: BinaryIO) -> Iterator[bytes]:
         yield lf_lines(*head, b"\n")  # the last line holds no LF; a CR that ends it makes a CRLF
 
 
-def _normalized_rows(buf: bytes, first: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse a chunk that _plain_rows rejects, whose first line is file line `first`, less its blank lines.
+#: A line of the round-log grammar: 8 comma-separated fields of 1 to 19 digits, each maybe negative.
+_ROUND_LINE = re.compile(rb"-?[0-9]{1,19}(,-?[0-9]{1,19}){7}")
 
-    Returns the (8, rows) fields, each row's file line and the number of lines
-    in the chunk; if the rest still fails, its first line that is not a round
-    raises DomainError.
+
+def _other_rows(buf: bytes, first: int, lam: np.ndarray, narrow: np.ndarray, n: int) -> tuple[int, int]:
+    """Store a chunk that _canonical_rows declined, whose first line is file line first.
+
+    Returns the next n and the number of lines in the chunk.  The chunk's
+    lines less the blank ones are offered to _canonical_rows once more; if it
+    declines them too, each line is read in plain Python: a line of the
+    grammar whose fields are all below 2**63 in magnitude, else DomainError
+    names it.  The rows then go through _store.
     """
-    b = np.frombuffer(buf, np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))  # the sentinel, then each line's LF
-    sizes = np.diff(ends)  # each line's length with its LF; a blank line's is 1
-    lines = first + np.flatnonzero(sizes > 1)  # the file lines that are not blank
-    if not len(lines):
-        return np.zeros((len(_CSV_HEADER), 0), np.int64), lines, len(sizes)
-    # without the LF before each blank line; a chunk with none already failed
-    fields = _plain_rows(np.delete(b, ends[:-1][sizes == 1]).tobytes()) if len(lines) < len(sizes) else None
-    if fields is None:
-        rows = enumerate(buf[1:-1].split(b"\n"), first)
-        line, row = next((line, row) for line, row in rows if row and _plain_rows(b"\n%s\n" % row) is None)
-        raise DomainError(f"line {line}: {row.decode(errors='replace')!r} is not a round of 8 integer fields")
-    return fields, lines, len(sizes)
+    lines = buf[1:-1].split(b"\n")
+    kept = [line for line in lines if line]
+    if not kept:
+        return n, len(lines)
+    if len(kept) < len(lines):
+        stored = _canonical_rows(b"\n%s\n" % b"\n".join(kept), n, lam[n:], narrow[:, n:])
+        if stored is not None:
+            return n + stored, len(lines)
+    rows, line_nos = [], []
+    for line_no, line in enumerate(lines, first):
+        if not line:
+            continue
+        values = [int(field) for field in line.split(b",")] if _ROUND_LINE.fullmatch(line) else None
+        if values is None or max(map(abs, values)) >= 2**63:
+            text = line.decode(errors="replace")
+            raise DomainError(f"line {line_no}: {text!r} is not a round of 8 integer fields")
+        rows.append(values)
+        line_nos.append(line_no)
+    return _store(lam, narrow, n, np.array(rows, np.int64).T, line_nos), len(lines)
 
 
 def _store(lam: np.ndarray, narrow: np.ndarray, n: int, fields: np.ndarray, lines: Sequence[int]) -> int:
@@ -725,9 +683,10 @@ def rounds_from_csv(path: str) -> RoundLog:
     into columns allocated once and sized by its byte count (a round line
     takes at least 16 bytes), so a file too large for them to fit in memory
     raises DomainError.  Chunks of the rows rounds_to_csv writes, whatever
-    their endings, take the canonical tokenizer, and the plain one takes the
-    rest.  Each chunk's values are checked, as RoundLog checks them, before
-    they are narrowed.
+    their endings and with or without blank lines, take one numpy tokenizer;
+    any other chunk is read line by line in plain Python, some 30 times
+    slower per row.  Each chunk's values are checked, as RoundLog checks
+    them, before they are narrowed.
     """
     with open(path, "rb") as fh:
         bound = _row_bound(fh)
@@ -744,16 +703,9 @@ def rounds_from_csv(path: str) -> RoundLog:
         n, first = 0, 2  # first: the file line of the chunk's first line
         for buf in _chunks(fh):
             stored = _canonical_rows(buf, n, lam[n:], narrow[:, n:])
-            if stored is None:  # plain rows, else rows among blank lines, else an error
-                fields = _plain_rows(buf)
-                if fields is None:
-                    fields, lines, count = _normalized_rows(buf, first)
-                else:
-                    lines = range(first, first + fields.shape[1])
-                    count = len(lines)
-                n = _store(lam, narrow, n, fields, lines)
-                first += count
+            if stored is None:
+                n, lines = _other_rows(buf, first, lam, narrow, n)
             else:
-                n += stored
-                first += stored
+                n, lines = n + stored, stored
+            first += lines
     return RoundLog(lam[:n], *narrow[:, :n])

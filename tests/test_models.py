@@ -408,6 +408,34 @@ def test_causal_biased_info_takes_the_flip_probabilities_of_causal_pair_model(ba
     assert bc.biased_info(base, bias, p=0.5, ptilde=0.0) == 1.0  # the edges of [0, 1/2] are in it
 
 
+_BIAS = bc.Bias(0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: bc.table1_model(0.3), "table1_model: p=0.3 outside [0, 1/4]"),
+        (lambda: bc.causal_pair_model(0.1, 0.7), "causal_pair_model: ptilde=0.7 outside [0, 1/2]"),
+        (lambda: bc.table2_model(0.7), "table2_model: p=0.7 outside [0, 1/2]"),
+        (lambda: bc.one_sided_model(0.7), "one_sided_model: p=0.7 outside [0, 1/2]"),
+        (lambda: bc.one_sided_model("0.7"), "one_sided_model: p='0.7' is not a real number"),
+        (lambda: bc.biased_lift(bc.CausalClass.RETROCAUSAL, _BIAS, 0.3), "biased_lift: p=0.3 outside [0, 1/4]"),
+        (lambda: bc.biased_lift(bc.CausalClass.CAUSAL, _BIAS, 0.7), "biased_lift: p=0.7 outside [0, 1/2]"),
+        (lambda: bc.biased_lift(bc.CausalClass.ZIGZAG, _BIAS, 0.1, 0.7), "biased_lift: ptilde=0.7 outside [0, 1/2]"),
+        (lambda: bc.biased_lift(bc.CausalClass.ONE_SIDED, _BIAS, 0.7), "biased_lift: p=0.7 outside [0, 1/2]"),
+        (lambda: bc.biased_lift(bc.CausalClass.ONE_SIDED, _BIAS, "0.7"), "biased_lift: p='0.7' is not a real number"),
+    ],
+    ids=["table1", "causal-pair", "table2", "one-sided", "one-sided-not-real", "lift-retro", "lift-causal",
+         "lift-zigzag", "lift-one-sided", "lift-one-sided-not-real"],
+)
+def test_builder_errors_name_the_function_called(build, message):
+    # the one-sided and Table 2 builders and the lifts build through shared helpers, yet each error
+    # names the function the caller called, not a helper or another builder
+    with pytest.raises(bc.DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # non-real arguments
 # ---------------------------------------------------------------------------

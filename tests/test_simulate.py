@@ -603,7 +603,7 @@ def test_bad_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, bad
     ids=["plus", "leading-space", "trailing-space", "tab", "2**63", "-2**63", "20-digits"],
 )
 def test_round_log_reader_rejects_fields_outside_the_grammar(tmp_path, bad, end):
-    # np.loadtxt reads all but 2**63 as integers; the tokenizer takes -?[0-9]{1,19} below 2**63
+    # np.loadtxt reads all but 2**63 as integers; the grammar takes -?[0-9]{1,19} below 2**63 in magnitude
     path = tmp_path / "rounds.csv"
     path.write_bytes((_HEADER + _GOOD_ROWS + "\n" + bad + "\n").replace("\n", end).encode())
     with pytest.raises(bc.DomainError) as err:
@@ -611,44 +611,59 @@ def test_round_log_reader_rejects_fields_outside_the_grammar(tmp_path, bad, end)
     assert str(err.value) == f"line 7: {bad!r} is not a round of 8 integer fields"
 
 
-def test_round_log_reader_takes_19_digit_fields_as_plain_rows(tmp_path, monkeypatch):
+def test_round_log_reader_reads_19_digit_fields_line_by_line(tmp_path, monkeypatch):
+    # the canonical tokenizer takes lambda of at most 18 digits, so this log is read line by line
     k = np.arange(6)
     lam = np.array([2**63 - 1, 10**18, 0, 9 * 10**18 - 1, 9 * 10**18, 7])
     a, b = 1 - 2 * (k % 2), 1 - 2 * (k // 3)
     rounds = bc.RoundLog(lam, k % 2, k // 2 % 2, a, b, a, b)
     path = tmp_path / "rounds.csv"
     bc.rounds_to_csv(rounds, str(path))
-    monkeypatch.setattr(simulate, "_normalized_rows", None)  # the plain form is parsed in one pass
+    read = _spy_on_line_reads(monkeypatch)
     assert bc.rounds_from_csv(str(path)) == rounds
+    assert len(read) == len(rounds)
 
 
-def _random_fields(rng, rows):
-    """rows x 8 plain-form fields: signs, -0, leading zeros and 1 to 19 digits."""
+def _spy_on_line_reads(monkeypatch):
+    """The list of every line the line-by-line read of rounds_from_csv is given, from now on."""
+    lines, pattern = [], simulate._ROUND_LINE
+
+    class Spy:
+        @staticmethod
+        def fullmatch(line):
+            lines.append(line)
+            return pattern.fullmatch(line)
+
+    monkeypatch.setattr(simulate, "_ROUND_LINE", Spy)
+    return lines
+
+
+def _other_form(rng, rows):
+    """rows x 8 fields of the rounds 0..rows-1 in forms rounds_to_csv never writes.
+
+    Leading zeros, `-0` and a lambda of 1 to 19 digits up to 2**63 - 1: every line is a round of the
+    grammar, so the log and any edit of it read as the grammar reads them.
+    """
+
+    def form(value, width=19):
+        # a sign on a negative value and on some zeros, then up to 3 leading zeros within width digits
+        sign = "-" if value < 0 or (value == 0 and rng.random() < 0.3) else ""
+        digits = str(abs(value))
+        return sign + "0" * min(int(rng.choice([0, 0, 1, 3])), width - len(digits)) + digits
+
     fields = []
-    for _ in range(rows * 8):
-        digits = int(rng.choice([1, 1, 1, 2, 3, 7, 18]))
-        field = "".join(rng.choice(list("0123456789"), size=digits))
-        fields.append(("-" if rng.random() < 0.3 else "") + field)
-    fields[:7] = ["-0", "007", "9" * 18, "-" + "9" * 18, str(2**63 - 1), str(1 - 2**63), "0" + "9" * 18]
-    return [fields[i : i + 8] for i in range(0, len(fields), 8)]
-
-
-def _chunk(rows) -> bytes:
-    return b"\n" + "".join(",".join(row) + "\n" for row in rows).encode()
-
-
-def _loadtxt_fields(buf):
-    """The (8, rows) fields np.loadtxt reads from a chunk's lines, or None if it reads no table of 8."""
-    lines = io.StringIO(buf[1:].decode("utf-8", "replace"), newline="").readlines()
-    try:
-        table = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return table.T if table.shape[1] == 8 else None
+    for i in range(rows):
+        size = int(rng.choice([1, 1, 2, 7, 18, 19]))
+        lam = min(int("".join(rng.choice(list("0123456789"), size=size))), 2**63 - 1)
+        outcomes = rng.choice([-1, 1], size=4).tolist()
+        fields.append([form(i), form(lam), *(form(int(v)) for v in rng.integers(0, 2, size=2)), *map(form, outcomes)])
+    for row, lam in zip(fields, ["-0", "007", "9" * 18, "0" + "9" * 18, str(2**63 - 1), "0" * 19]):
+        row[1] = lam
+    return fields
 
 
 def _mutated(kind, rows, rng) -> bytes:
-    """A chunk of the rows with one defect of the given kind."""
+    """The lines of the rows, with one defect of the given kind."""
     rows = [list(row) for row in rows]
     i, j = int(rng.integers(len(rows))), int(rng.integers(7))  # field j has a successor in its row
     fields = {
@@ -681,16 +696,17 @@ def _mutated(kind, rows, rng) -> bytes:
         lines[-1] = lines[-1][:-1]
     elif kind == "trailing-field":
         lines.append("9")
-    return b"\n" + "".join(lines).encode()
+    return "".join(lines).encode()
 
 
-def test_plain_rows_match_loadtxt():
+def test_round_log_reader_reads_fields_in_other_forms_as_the_grammar(tmp_path):
+    # signs, -0, leading zeros and 1 to 19 digits, each read as int() reads it
     rng = np.random.default_rng(19)
+    path = tmp_path / "rounds.csv"
     for rows in [1, 2, 3, 8, 50] * 20:
-        buf = _chunk(_random_fields(rng, rows))
-        fields = simulate._plain_rows(buf)
-        assert fields is not None and fields.shape == (8, rows)
-        assert np.array_equal(fields, _loadtxt_fields(buf)), buf
+        data = (_HEADER + "".join(",".join(row) + "\n" for row in _other_form(rng, rows))).encode()
+        assert _grammar_log(data) is not None
+        _assert_reads_as_the_grammar(path, data)
 
 
 @pytest.mark.parametrize(
@@ -701,12 +717,11 @@ def test_plain_rows_match_loadtxt():
         "no-last-lf", "split-row", "shifted-row", "trailing-field",
     ],
 )
-def test_plain_rows_reject_or_match_loadtxt_on_mutated_chunks(kind):
+def test_round_log_reader_matches_the_grammar_on_mutated_logs(tmp_path, kind):
     rng = np.random.default_rng(1900)
+    path = tmp_path / "rounds.csv"
     for rows in [1, 2, 3, 8, 50] * 20:
-        buf = _mutated(kind, _random_fields(rng, rows), rng)
-        fields = simulate._plain_rows(buf)
-        assert fields is None or np.array_equal(fields, _loadtxt_fields(buf)), buf
+        _assert_reads_as_the_grammar(path, _HEADER.encode() + _mutated(kind, _other_form(rng, rows), rng))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -716,7 +731,8 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
     lam = rng.choice([0, 9, 10, 12345, 10**18 - 1, 2**62], size=n)
     rest = [rng.integers(0, 2, size=n) for _ in range(2)] + [rng.choice([-1, 1], size=n) for _ in range(4)]
     path = tmp_path / "rounds.csv"
-    # a blank line and a CRLF send their chunks through the normalizing pass
+    # a blank line sends its chunk to the canonical tokenizer again, and lambda = 2**62 (19 digits)
+    # sends its chunks to the line-by-line read
     text = bc.rounds_to_csv(bc.RoundLog(lam, *rest)).encode()
     path.write_bytes(text.replace(b"\n17,", b"\n\n17,").replace(b"\n200,", b"\r\n200,"))
     default = bc.rounds_from_csv(str(path))
@@ -730,42 +746,38 @@ def test_round_log_reader_is_independent_of_chunk_size(tmp_path, monkeypatch, ch
         assert str(err.value) == message
     path.write_bytes(text.replace(b"\n", b"\r").replace(b"\r", b"\n", 1))  # CRs after an LF header
     assert bc.rounds_from_csv(str(path)) == default
-    plain = bc.RoundLog(np.minimum(lam, 10**18 - 1), *rest)
+    canonical = bc.RoundLog(np.minimum(lam, 10**18 - 1), *rest)
     monkeypatch.setattr(simulate, "_BLOCK", 3)  # the write spans 100 blocks, each with its own column widths
-    bc.rounds_to_csv(plain, str(path))
-    assert bc.rounds_from_csv(str(path)) == plain
+    bc.rounds_to_csv(canonical, str(path))
+    assert bc.rounds_from_csv(str(path)) == canonical
 
 
-def test_chunks_with_a_cr_skip_the_plain_pass(tmp_path, monkeypatch):
-    # _chunks hands on CRLF and CR lines as LF-ended ones, so the rows rounds_to_csv writes take the
-    # canonical tokenizer whatever their endings, and no chunk is offered to the plain one
+def test_chunks_with_a_cr_or_a_blank_line_skip_the_line_by_line_read(tmp_path, monkeypatch):
+    # _chunks hands on CRLF and CR lines as LF-ended ones, and a chunk's blank lines are dropped before
+    # the canonical tokenizer is asked again, so the rows rounds_to_csv writes take the canonical
+    # tokenizer whatever their endings, and no line is read line by line
     k = np.arange(40)
     rounds = bc.RoundLog(k % 3, k % 2, k // 2 % 2, 1 - 2 * (k % 2), 1 - 2 * (k // 4 % 2), *([np.ones(40, np.int64)] * 2))
-    text = bc.rounds_to_csv(rounds).encode()
+    text = bc.rounds_to_csv(rounds).encode().replace(b"\n2", b"\n\n2")  # a blank line before rounds 2 and 2x
     path = tmp_path / "rounds.csv"
     # LF rows, then CRLF rows, then CR rows
     path.write_bytes(text[:300] + text[300:600].replace(b"\n", b"\r\n") + text[600:].replace(b"\n", b"\r"))
-    parsed = []  # (tokenizer, chunk, rows it parsed) per call of either tokenizer
-    canonical_rows, plain_rows = simulate._canonical_rows, simulate._plain_rows
+    parsed = []  # (chunk, rows it parsed) per call of the canonical tokenizer
+    canonical_rows = simulate._canonical_rows
 
     def canonical_spy(buf, n, lam, narrow):
         rows = canonical_rows(buf, n, lam, narrow)
-        parsed.append(("canonical", buf, rows or 0))
+        parsed.append((buf, rows or 0))
         return rows
 
-    def plain_spy(buf):
-        fields = plain_rows(buf)
-        parsed.append(("plain", buf, 0 if fields is None else fields.shape[1]))
-        return fields
-
     monkeypatch.setattr(simulate, "_canonical_rows", canonical_spy)
-    monkeypatch.setattr(simulate, "_plain_rows", plain_spy)
     monkeypatch.setattr(simulate, "_CHUNK", 64)
+    read = _spy_on_line_reads(monkeypatch)
     assert bc.rounds_from_csv(str(path)) == rounds
-    assert not any(b"\r" in buf for _, buf, _ in parsed)
-    assert sum(rows for name, _, rows in parsed if name == "canonical") == len(rounds)
-    # and no line was offered to the plain tokenizer, parsed or not
-    assert sum(buf.count(b"\n") - 1 for name, buf, _ in parsed if name == "plain") == 0
+    assert not any(b"\r" in buf for buf, _ in parsed)
+    assert any(b"\n\n" in buf for buf, _ in parsed)  # the chunks of blank lines are offered as they are
+    assert sum(rows for _, rows in parsed) == len(rounds)
+    assert read == []
 
 
 def test_cr_ended_lines_are_cut_into_chunks(monkeypatch):
@@ -913,33 +925,39 @@ _CANONICAL = bc.rounds_to_csv(_canonical_log([0, 7, 10**18 - 1, 12, 3, 0, 1, 99,
          "lambda-19-digits", "lambda-2**63", "round-and-lambda-joined", "round-extra-digit", "x=2", "setting-comma-moved",
          "outcome-commas-moved", "minus-moved", "blank-line", "split-row"],
 )
-def test_only_the_plain_path_reads_a_log_that_is_not_canonical(tmp_path, old, new):
+def test_the_line_by_line_read_takes_what_the_canonical_tokenizer_declines(tmp_path, monkeypatch, old, new):
     data = _CANONICAL[: len(_HEADER) - 1] + _CANONICAL[len(_HEADER) - 1 :].replace(old, new)
     assert data != _CANONICAL
     lam, narrow = np.zeros(20, np.int64), np.zeros((6, 20), np.int8)
     assert simulate._canonical_rows(b"\n" + data[len(_HEADER) :], 0, lam, narrow) is None
     assert not lam.any() and not narrow.any()  # a chunk that is not canonical stores nothing
+    read = _spy_on_line_reads(monkeypatch)
     _assert_reads_as_the_grammar(tmp_path / "rounds.csv", data)
+    # a blank line among canonical rows is dropped, and the canonical tokenizer reads the rest
+    assert bool(read) == (new != b"\n\n4,")
 
 
 @pytest.mark.parametrize(
     "data",
-    [_CANONICAL[:-1], _CANONICAL.replace(b"\n", b"\r\n"), _CANONICAL.replace(b"\n", b"\r")],
-    ids=["no-final-lf", "crlf", "cr"],
+    [
+        _CANONICAL[:-1],
+        _CANONICAL.replace(b"\n", b"\r\n"),
+        _CANONICAL.replace(b"\n", b"\r"),
+        _CANONICAL.replace(b"\n4,", b"\n\n4,") + b"\n\n",
+        _CANONICAL.replace(b"\n", b"\r\n").replace(b"\n4,", b"\n\r\n\r4,"),
+    ],
+    ids=["no-final-lf", "crlf", "cr", "blank-lines", "crlf-blank-lines"],
 )
-def test_a_canonical_log_with_other_line_endings_skips_the_plain_pass(tmp_path, monkeypatch, data):
-    # _chunks hands on these lines LF-ended, so the canonical tokenizer reads every row
+def test_a_canonical_log_with_other_line_endings_skips_the_line_by_line_read(tmp_path, monkeypatch, data):
+    # _chunks hands on these lines LF-ended, and blank lines are dropped, so the canonical tokenizer reads every row
     assert _grammar_log(data) == _grammar_log(_CANONICAL)
-
-    def no_plain_pass(buf):
-        raise AssertionError("a chunk of a canonical log was offered to the plain tokenizer")
-
-    monkeypatch.setattr(simulate, "_plain_rows", no_plain_pass)
+    read = _spy_on_line_reads(monkeypatch)
     _assert_reads_as_the_grammar(tmp_path / "rounds.csv", data)
+    assert read == []
 
 
 @pytest.mark.parametrize("first", [0, 5, 95, 881, 99_990, 10**17 - 7], ids=lambda n: f"from-{n}")
-def test_canonical_rows_match_the_plain_tokenizer(first):
+def test_canonical_rows_match_the_grammar(first):
     # rounds that cross one or more powers of ten, up to 18 digits; from 881 the last round is 1000
     rounds = _canonical_log([0, 7, 10**18 - 1, 12, 3, 0, 1, 99, 5, 2, 4, 6] * 10)
     text = bc.rounds_to_csv(rounds).encode()[len(_HEADER) - 1 :]
@@ -947,7 +965,7 @@ def test_canonical_rows_match_the_plain_tokenizer(first):
     buf = b"\n" + b"".join(b"%d%s\n" % (first + i, line[line.index(b",") :]) for i, line in enumerate(lines))
     lam, narrow = np.zeros(len(rounds) + 3, np.int64), np.zeros((6, len(rounds) + 3), np.int8)
     assert simulate._canonical_rows(buf, first, lam, narrow) == len(rounds)
-    fields = simulate._plain_rows(buf)
+    fields = np.array([[int(field) for field in line.split(b",")] for line in buf[1:-1].split(b"\n")]).T
     assert np.array_equal(fields[0], np.arange(first, first + len(rounds)))
     assert np.array_equal(lam[: len(rounds)], fields[1]) and np.array_equal(narrow[:, : len(rounds)], fields[2:])
     assert not lam[len(rounds) :].any()
