@@ -18,6 +18,9 @@ curve_sweep evaluates its grid in one array pass: the closed forms in
 curve_point's order of operations, every logarithm by math.log, and the scalar
 i_2 solve only at the causal points above S0, so each point is that of
 curve_point at the same grid value, bit for bit.
+
+appendix_checks takes i_2's slope f(p)/(4-s) and its curvature in closed
+form, at pairs that one array bisection on np.log solves for its whole grid.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from ._util import atomic_write_text
 from .core import (
     CausalClass, DomainError, _LOG2, _LOG2_3, _allocation_guard, _binary_entropies,
-    _exact_log, _quote, _real, _require_int, binary_entropy,
+    _quote, _real, _require_int, binary_entropy,
 )
 
 __all__ = [
@@ -69,12 +72,6 @@ _TINY = sys.float_info.min
 
 #: Interior points of each second-derivative grid in appendix_checks.
 _APPENDIX_GRID_POINTS = 400
-
-#: E = 2**-48 = 32 ulp(1/2): a bound on the rounding error of i_2_pair's residual (see _i_2_solve).
-_RESIDUAL_ERROR = 2.0**-48
-
-#: _i_2_solve solves the s below S0 + this apart: its convexity certificate fails up to ~6e-8 above S0.
-_UNCERTIFIED_NEAR_S0 = 1e-7
 
 
 @unique
@@ -259,147 +256,50 @@ def i_2_pair(s: float) -> ConjugatePair:
     return ConjugatePair(target / p_star, p_star)
 
 
-def _residuals(r: np.ndarray, q: np.ndarray, log) -> np.ndarray:
-    """i_2_pair's residual f(r) - f(q), elementwise, in the scalar path's order of operations."""
-    return r * log((1.0 - r) / r) / _LOG2 - q * log((1.0 - q) / q) / _LOG2
+def _i_2_pairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Arrays (p, p_star) of i_2_pair(s) for s strictly inside (S0, 4), and the bisection steps taken.
 
-
-def _approximate_roots(target: np.ndarray, p0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate roots of the i_2 residual g on [p0, 1/2] and the slopes g' there, by np.log.
-
-    Six bisection steps, then Newton steps from the right end of the bracket,
-    kept inside it, until no element moves by more than 1e-12 of its value
-    (at most 20 steps).  g is convex and g(1/2) > 0, so Newton from the right
-    descends to the root.  The values only place the certificates of
-    _i_2_solve, which are checked with math.log; they decide no bit.
+    One array bisection with i_2_pair's bracket [p0, 1/2], midpoints and
+    1e-15 stopping width, but np.log in place of math.log, so a pair may miss
+    i_2_pair's by a rounding of the residual near the root (within 1e-15).
     """
-    lo = np.full_like(target, p0)
-    hi = np.full_like(target, 0.5)
-    for _ in range(6):
-        q = 0.5 * (lo + hi)
-        below = _residuals(target / q, q, np.log) < 0.0
-        lo = np.where(below, q, lo)
-        hi = np.where(below, hi, q)
-    q = hi
-    for _ in range(20):
-        r = target / q
-        log_r = np.log((1.0 - r) / r)
-        log_q = np.log((1.0 - q) / q)
-        # g and g' times ln 2, with g'(q) = -f'(r) r/q - f'(q) and f'(p) ln 2 = ln((1-p)/p) - 1/(1-p)
-        g = r * log_r - q * log_q
-        slope = (1.0 / (1.0 - r) - log_r) * r / q + 1.0 / (1.0 - q) - log_q
-        last = q
-        q = np.fmin(np.fmax(q - g / slope, lo), hi)
-        if np.all(np.abs(q - last) <= 1e-12 * q):
-            break
-    return q, slope / _LOG2
-
-
-def _i_2_solve(s_values) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Arrays (p, p_star) of i_2_pair(s) for many s strictly inside (S0, 4), bit for bit.
-
-    Also returns the number of residuals evaluated with math.log and the
-    number of uncertified bracket sides (two per s).
-
-    The result of i_2_pair's bisection is fixed by the sign of its float
-    residual g^(q) at each midpoint q.  This replays that bisection on every
-    element at once: the same bracket [p0, 1/2], the same 0.5*(lo + hi)
-    midpoints, the same 1e-15 stopping width and 200-step limit.  A midpoint
-    is decided without g^ only where a certificate proves g^'s sign:
-
-    * g(q) = f(t/q) - f(q), with t = (4-s)/8 and r = t/q, is the exact
-      residual of the float inputs.  Where r <= p0 <= q and r < q,
-      g'' = (q-r)(1-qr) / (q^2 (1-q)^2 (1-r)^2 ln 2) + 2 f'(r) r / q^2 >= 0,
-      since f' >= 0 on [0, p0].  f(p0) = max f, so g(p0) <= 0.
-    * E = _RESIDUAL_ERROR bounds |g^ - g|.  With u = 2**-53, each term
-      p log((1-p)/p) / ln 2 takes two roundings inside the log (2u), libm's
-      log (<= 1 ulp <= 2u |log|), a product, a division and the rounded ln 2
-      (3.5u relative).  As f(p) <= f(p0) < 0.41 and p <= 1/2, a term is off
-      by <= 5.5u f(p) + 2u p / ln 2 <= 3.7u.  Rounding r = t/q moves f(r) by
-      <= r |f'(r)| u < 0.81u, and the final subtraction by < 0.41u: in all
-      |g^ - g| < 8.7u, and E = 32u.  Against 40-digit arithmetic the largest
-      error seen is ~1.8u.
-    * If g^(p0) < -2E, then g(p0) < -E: r(p0) = t/p0 lies a margin below the
-      maximizer of f, so r <= r(p0) < p0 <= q for every q >= p0, and g is
-      convex on [p0, 1/2].  If also g^(a) < -2E, then g < -E on [p0, a], so
-      every midpoint q <= a has g^(q) < 0 and sets lo.  If g^(b) > 2E, convexity
-      and g(p0) < 0 give g(q) >= g(b) > E for q >= b, so every midpoint q >= b
-      has g^(q) > 0 and sets hi.
-    * One g^(p0), at the least s of the call, certifies every s.  4 - s and
-      /8 are exact and a rounded division is monotone, so a larger s has a
-      t and an r(p0) no larger; f increases on [0, p0], so its g(p0) is no
-      larger either, and below -E.  That certificate fails within ~6e-8 of
-      S0, where no side is certified, so the s below S0 +
-      _UNCERTIFIED_NEAR_S0 are solved as a call of their own and leave the
-      others certified.
-
-    The np.log roots x^ of _approximate_roots place a and b about 2.25 E/g'
-    either side of x^, where |g| ~ 2.25 E.  Only a midpoint strictly between a
-    and b evaluates g^, with math.log.  A side whose check fails falls back to
-    a = p0 or b = 1/2, where the same loop evaluates g^ at every midpoint on
-    that side.  All brackets start as [p0, 1/2] and halve in step, so while
-    every one is wider than 1e-15 each element takes its step with np.where,
-    the same lo and hi the masked step writes; only the last stragglers take
-    the masked step.  The pairs pass ConjugatePair's range and
-    |f(p) - f(p*)| <= 1e-10 checks.
-    """
-    s = np.asarray(s_values, dtype=float)
-    if not np.all((s > s0()) & (s < 4.0)):
-        raise DomainError("_i_2_solve needs every s strictly inside (S0, 4)")
-    if s.size == 0:
-        return s.copy(), s.copy(), 0, 0
-    near = s < s0() + _UNCERTIFIED_NEAR_S0
-    if near.any() and not near.all():
-        p, p_star = np.empty_like(s), np.empty_like(s)
-        exact = uncertified = 0
-        for part in (near, ~near):
-            p[part], p_star[part], part_exact, part_uncertified = _i_2_solve(s[part])
-            exact += part_exact
-            uncertified += part_uncertified
-        return p, p_star, exact, uncertified
-    p0 = find_p0()
     target = (4.0 - s) / 8.0
-    root, slope = _approximate_roots(target, p0)
-    width = 2.25 * _RESIDUAL_ERROR / np.fmax(slope, _RESIDUAL_ERROR)
-    a = np.fmax(root - width, p0)
-    b = np.fmin(root + width, 0.5)
-    bound = 2.0 * _RESIDUAL_ERROR
-    r0 = float(target.max()) / p0
-    convex = r0 * math.log((1.0 - r0) / r0) / _LOG2 - f_of_p(p0) < -bound  # g^(p0), by _residuals' steps
-    ends = np.concatenate((a, b))
-    g_ends = _residuals(np.concatenate((target, target)) / ends, ends, _exact_log)
-    left = convex & (g_ends[: s.size] < -bound)
-    right = convex & (g_ends[s.size :] > bound)
-    a = np.where(left, a, p0)
-    b = np.where(right, b, 0.5)
-    exact = 1 + 2 * s.size
-    lo = np.full_like(target, p0)
+    lo = np.full_like(target, find_p0())
     hi = np.full_like(target, 0.5)
-    for _ in range(200):
+    for steps in range(200):
         live = hi - lo > 1e-15
-        every = live.all()
-        if not every and not live.any():
+        if not live.any():
             break
         q = 0.5 * (lo + hi)
-        below = q <= a
-        undecided = (a < q) & (q < b)
-        near = np.flatnonzero(undecided if every else undecided & live)
-        if near.size:
-            qn = q[near]
-            below[near] = _residuals(target[near] / qn, qn, _exact_log) < 0.0
-            exact += near.size
-        if every:
-            lo = np.where(below, q, lo)
-            hi = np.where(below, hi, q)
-        else:
-            np.copyto(lo, q, where=live & below)
-            np.copyto(hi, q, where=live & ~below)
+        r = target / q
+        below = r * np.log((1.0 - r) / r) < q * np.log((1.0 - q) / q)  # f(r) < f(q): the root lies above q
+        np.copyto(lo, q, where=live & below)
+        np.copyto(hi, q, where=live & ~below)
     p_star = 0.5 * (lo + hi)
-    p = target / p_star
-    in_range = (p > 0.0) & (p <= p0 + 1e-9) & (p_star >= p0 - 1e-9)
-    if not np.all(in_range & (np.abs(_residuals(p, p_star, np.log)) <= 1e-10)):
-        raise DomainError("_i_2_solve: a pair fails ConjugatePair's range or residual check")  # pragma: no cover
-    return p, p_star, exact, int(np.count_nonzero(~left) + np.count_nonzero(~right))
+    return target / p_star, p_star, steps
+
+
+def _i_2_derivatives(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """i_2' and i_2'' at each s strictly inside (S0, 4) in closed form, from the pairs of _i_2_pairs.
+
+    With f(p) = p log2((1-p)/p), the pair (p, p*) and the constraints
+    4 - 8 p p* = s and f(p) = f(p*):
+
+        i_2'  = f(p) / (4 - s)
+        i_2'' = (f'(p) p' (4 - s) + f(p)) / (4 - s)^2,  p' = -1 / (8 (p* + p f'(p) / f'(p*)))
+
+    Also returns the bisection steps and the largest |f(p) - f(p*)| of the pairs.
+    """
+    p, p_star, steps = _i_2_pairs(s)
+    log_p = np.log((1.0 - p) / p)
+    log_q = np.log((1.0 - p_star) / p_star)
+    f_p = p * log_p / _LOG2
+    residual = float(np.max(np.abs(f_p - p_star * log_q / _LOG2)))
+    slope_p = (log_p - 1.0 / (1.0 - p)) / _LOG2
+    slope_q = (log_q - 1.0 / (1.0 - p_star)) / _LOG2
+    dp = -1.0 / (8.0 * (p_star + p * slope_p / slope_q))
+    gap = 4.0 - s
+    return f_p / gap, (slope_p * dp * gap + f_p) / (gap * gap), steps, residual
 
 
 def i_2(s: float) -> float:
@@ -498,17 +398,21 @@ def sweep_to_csv(
 
 @dataclass(frozen=True)
 class AppendixReport:
-    """Numerical checks of the causal-curve branch geometry around S0."""
+    """Numerical checks of the causal-curve branch geometry around S0.
+
+    The slopes at S0 are finite differences; the i_1 curvature is a central
+    difference and the i_2 curvature and f(p)/(4-S) ratio (= i_2') are closed
+    forms, each on an interior grid of _APPENDIX_GRID_POINTS points.
+    """
 
     slope_i1_at_s0: float
     slope_i2_at_s0: float
     reference_slope: float  # h'(p0) / (8 p0)
     min_i1_second_derivative: float
     min_i2_second_derivative: float
-    f_ratio_monotone: bool
-    i2_pairs: int  # i_2 pairs solved for the i_2 grid
-    i2_exact_residuals: int  # residuals of those solves evaluated with math.log
-    i2_uncertified_sides: int  # bracket sides (two per pair) whose certificate failed
+    f_ratio_monotone: bool  # i_2' = f(p)/(4-S) strictly increases along the i_2 grid
+    i2_bisection_steps: int  # steps of the array bisection that solved the i_2 grid's pairs
+    i2_max_residual: float  # largest |f(p) - f(p*)| of those pairs
 
     @property
     def tangent_gap(self) -> float:
@@ -529,18 +433,16 @@ def i_1_curvature(s: float) -> float:
 
 
 def appendix_checks() -> AppendixReport:
-    """Finite-difference verification that i_1 and i_2 share a tangent at S0 and are convex.
+    """Verify that i_1 and i_2 share a tangent at S0 and are convex.
 
-    Slopes use step 1e-5 (central for i_1; i_2 lives on [S0, 4], so its slope
-    at S0 uses the second-order one-sided stencil).  Second derivatives use
-    central differences with step 1e-4 on interior grids of
-    _APPENDIX_GRID_POINTS points.  Both grids, the pair informations and the
-    f(p)/(4-S) ratios are evaluated as arrays in the scalar order of
-    operations, with math.log.  The i_2 grid's pairs at s, s + 1e-4 and
-    s - 1e-4 are solved together by _i_2_solve, which replays i_2_pair's
-    bisection from a certified bracket, so each pair has the bits of
-    i_2_pair(s); the report counts its pairs, its math.log residuals and its
-    uncertified bracket sides.
+    Slopes at S0 are finite differences with step 1e-5 (central for i_1; i_2
+    lives on [S0, 4], so its slope at S0 uses the second-order one-sided
+    stencil).  i_1's second derivative is a central difference with step
+    1e-4 on an interior grid of _APPENDIX_GRID_POINTS points, evaluated as
+    arrays in the scalar order of operations with math.log.  On the i_2
+    grid, the pairs are solved by one array bisection (_i_2_pairs) and i_2'
+    and i_2'' are taken in closed form (_i_2_derivatives); the report
+    counts the bisection's steps and its largest pair residual.
     """
     branch_point = s0()
     p0 = find_p0()
@@ -561,24 +463,15 @@ def appendix_checks() -> AppendixReport:
     min_dd1 = float(np.min((up - 2.0 * mid + down) / (h2 * h2)))
 
     grid2 = branch_point + (4.0 - branch_point) * k / (n - 1)
-    m = grid2.size
-    p, p_star, exact, uncertified = _i_2_solve(np.concatenate((grid2, grid2 + h2, grid2 - h2)))
-    h_p, h_p_star = np.split(_binary_entropies(np.concatenate((p, p_star))), 2)
-    info = 2.0 - h_p - h_p_star
-    min_dd2 = float(np.min((info[m : 2 * m] - 2.0 * info[:m] + info[2 * m :]) / (h2 * h2)))
-
-    a = p[:m]
-    ratios = a * _exact_log((1.0 - a) / a) / _LOG2 / (4.0 - grid2)
-    monotone = bool(np.all(ratios[1:] > ratios[:-1]))
+    slope, curvature, steps, residual = _i_2_derivatives(grid2)
 
     return AppendixReport(
         slope_i1_at_s0=slope1,
         slope_i2_at_s0=slope2,
         reference_slope=reference,
         min_i1_second_derivative=min_dd1,
-        min_i2_second_derivative=min_dd2,
-        f_ratio_monotone=monotone,
-        i2_pairs=p.size,
-        i2_exact_residuals=exact,
-        i2_uncertified_sides=uncertified,
+        min_i2_second_derivative=float(np.min(curvature)),
+        f_ratio_monotone=bool(np.all(slope[1:] > slope[:-1])),
+        i2_bisection_steps=steps,
+        i2_max_residual=residual,
     )

@@ -199,7 +199,13 @@ def _generator(seed: int) -> np.random.Generator:
     _require_int(seed, 0, message)
     if seed >= 2**128:
         raise DomainError(message.format(_quote(seed)))
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    # Philox(key=seed) would also seed an unused SeedSequence() from OS entropy, a syscall per
+    # generator; a fixed-seed Philox takes the key in its state, with counter 0 and an empty buffer
+    bits = np.random.Philox(0)
+    state = bits.state
+    state["state"]["key"] = np.array([int(seed) & (2**64 - 1), int(seed) >> 64], dtype=np.uint64)
+    bits.state = state
+    return np.random.Generator(bits)
 
 
 def _blocks(n: int) -> Iterator[slice]:

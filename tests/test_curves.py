@@ -5,11 +5,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import bellcost as bc
 from bellcost import curves
-from bellcost.curves import _i_2_solve
 
 from conftest import REF, S_Q
 
@@ -181,171 +179,22 @@ def test_i_2_pair_matches_a_bisection_through_f_of_p():
         assert (pair.p, pair.p_star) == reference(s), s
 
 
-def _assert_pairs_match_scalar(s_values):
-    p, p_star = _i_2_solve(s_values)[:2]
-    for s, a, b in zip(s_values, p.tolist(), p_star.tolist()):
-        pair = bc.i_2_pair(s)
-        assert (a, b) == (pair.p, pair.p_star), s
-
-
-def test_i_2_pairs_match_i_2_pair_bit_for_bit():
-    """The array bisection reproduces the scalar one exactly: grid, both edges, and random points."""
-    s0 = bc.s0()
-    edges = [s0 + 10.0**-k for k in range(1, 16)] + [4.0 - 10.0**-k for k in range(1, 16)]
-    grid2001 = [s0 + 1e-12, 4.0 - 1e-12, *(s0 + (4.0 - s0) * k / 2000 for k in range(1, 2000))]
-    uniform = np.random.default_rng(20240517).uniform(s0, 4.0, 20_000).tolist()
-    for values in (edges, grid2001, uniform):
-        _assert_pairs_match_scalar(values)
-    p, p_star = _i_2_solve([])[:2]
-    assert p.shape == p_star.shape == (0,)
-    assert curves._i_2_solve([])[2:] == (0, 0)
-
-
-def test_i_2_batch_solves_points_near_s0_apart():
-    """s within 1e-8 of S0 fail the convexity certificate; the far points of the same call keep theirs."""
-    s0 = bc.s0()
-    far = np.linspace(s0 + 1e-4, 4.0 - 1e-4, 2050)
-    near = s0 + np.linspace(1e-10, 1e-8, 50)
-    s_values = np.random.default_rng(30).permutation(np.concatenate((far, near)))
-    _assert_pairs_match_scalar(s_values.tolist())
-    assert _i_2_solve(far)[3] == 0
-    exact, uncertified = _i_2_solve(s_values)[2:]
-    assert uncertified <= 100
-    assert exact == _i_2_solve(far)[2] + _i_2_solve(near)[2]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=bc.s0(), max_value=4.0, exclude_min=True, exclude_max=True),
-        min_size=1,
-        max_size=40,
-    )
-)
-def test_i_2_pairs_property(s_values):
-    _assert_pairs_match_scalar(s_values)
-
-
-def test_i_2_pairs_rejects_points_off_the_open_branch():
-    for bad in ([2.0], [3.0, 3.9], [3.9, 4.0], [bc.s0()], [math.nan]):
-        with pytest.raises(bc.DomainError):
-            _i_2_solve(bad)[:2]
-
-
-def _seeded_branch_points(rng, n):
-    """n values of s in (S0, 4): uniform, within 1e-12 of S0, and within 1e-15 of 4."""
-    s0 = bc.s0()
-    s = np.concatenate(
-        [
-            rng.uniform(s0, 4.0, n - n // 5),
-            s0 + rng.uniform(0.0, 1e-12, n // 10),
-            4.0 - rng.integers(1, 3, n // 10) * 2.0**-51,  # the two floats below 4 within 1e-15 of it
-        ]
-    )
-    s = s[(s > s0) & (s < 4.0)]
-    assert s.size >= n - 10
-    return s
-
-
-def test_i_2_residual_error_is_within_a_tenth_of_its_bound():
-    """|g^ - g| <= E/10 for the float residual g^ that decides i_2_pair's bisection."""
-    mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(2311)
-    s = _seeded_branch_points(rng, 10_100)
-    target = (4.0 - s) / 8.0
-    _, p_star = _i_2_solve(s)[:2]
-    p0 = bc.find_p0()
-    # half of the points anywhere on [p0, 1/2], half next to the root, where the signs are decided
-    q = np.where(
-        rng.random(s.size) < 0.5,
-        rng.uniform(p0, 0.5, s.size),
-        p_star + rng.normal(0.0, 1e-13, s.size),
-    )
-    q = np.clip(q, p0, 0.5)
-    g_hat = curves._residuals(target / q, q, curves._exact_log)
-    with mp.workdps(40):
-        f = lambda p: p * mp.log((1 - p) / p) / mp.log(2)
-        worst = max(
-            abs(f(mp.mpf(t) / mp.mpf(x)) - f(mp.mpf(x)) - mp.mpf(g))
-            for t, x, g in zip(target.tolist(), q.tolist(), g_hat.tolist())
-        )
-    assert worst <= curves._RESIDUAL_ERROR / 10.0
-
-
-def test_i_2_residual_is_convex_where_the_bracket_lives():
-    """g'' = (q-r)(1-qr)/(q^2 (1-q)^2 (1-r)^2 ln 2) + 2 f'(r) r/q^2 >= 0 for r = t/q, q in [p0, 1/2]."""
-    mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(2312)
-    s = _seeded_branch_points(rng, 2_000)
-    p0 = bc.find_p0()
-    q = np.concatenate([np.full(200, p0), np.full(200, 0.5), rng.uniform(p0, 0.5, s.size - 400)])
-    with mp.workdps(40):
-        ln2 = mp.log(2)
-        f_slope = lambda p: mp.log((1 - p) / p) / ln2 - 1 / ((1 - p) * ln2)
-        for sv, qv in zip(s.tolist(), q.tolist()):
-            x = mp.mpf(qv)
-            r = mp.mpf((4.0 - sv) / 8.0) / x
-            curvature = (x - r) * (1 - x * r) / (x**2 * (1 - x) ** 2 * (1 - r) ** 2 * ln2)
-            curvature += 2 * f_slope(r) * r / x**2
-            assert curvature >= 0, (sv, qv)
-
-
 def _appendix_i_2_grid():
     n = curves._APPENDIX_GRID_POINTS + 2
     s0 = bc.s0()
-    grid2 = s0 + (4.0 - s0) * np.arange(1, n - 1) / (n - 1)
-    return np.concatenate((grid2, grid2 + 1e-4, grid2 - 1e-4))
+    return s0 + (4.0 - s0) * np.arange(1, n - 1) / (n - 1)
 
 
-def test_appendix_i_2_grid_makes_few_exact_residuals(monkeypatch):
-    """The certified bracket leaves at most 8 math.log residuals per pair (16 logarithms)."""
+def test_i_2_pairs_match_i_2_pair_on_the_appendix_grid():
+    """The array bisection on np.log lands within 1e-15 of scalar i_2_pair at every grid point."""
     s = _appendix_i_2_grid()
-    logs = []
-    exact_log = curves._exact_log
-    monkeypatch.setattr(curves, "_exact_log", lambda x: logs.append(x.size) or exact_log(x))
-    _, _, exact, uncertified = curves._i_2_solve(s)
-    assert sum(logs) <= 16 * s.size
-    assert exact <= 8 * s.size
-    assert uncertified == 0
-
-
-def test_i_2_solve_certifies_nothing_where_convexity_is_unproven():
-    """Within ~1e-8 of S0, g^(p0) is not below -2E: both sides fall back and every midpoint is evaluated."""
-    s0 = bc.s0()
-    s = [s0 + 1e-15, s0 + 1e-12, s0 + 1e-9]
-    _assert_pairs_match_scalar(s)
-    assert curves._i_2_solve(s)[3] == 2 * len(s)
-
-
-def test_i_2_solve_certifies_convexity_at_the_least_s():
-    """One g^(p0) at the least s stands for the call: two s share it, one residual fewer than two calls."""
-    exact = [curves._i_2_solve(s)[2] for s in ([3.7, 3.9], [3.7], [3.9])]
-    assert exact[0] == exact[1] + exact[2] - 1
-
-
-@pytest.mark.parametrize("offset, residuals", [(1e-6, 24), (1e-5, 21)])
-def test_i_2_solve_certifies_both_sides_just_above_the_unproven_band(offset, residuals):
-    """Newton runs until its step is below 1e-12 relative, so the roots near S0 are placed well enough."""
-    s = [bc.s0() + offset]
-    _assert_pairs_match_scalar(s)
-    assert curves._i_2_solve(s)[2:] == (residuals, 0)
-
-
-def test_i_2_pairs_ignore_the_approximate_roots(monkeypatch):
-    """Wrong np.log roots and slopes cost exact residuals, never bits: certificates are checked."""
-    s = np.concatenate([_appendix_i_2_grid()[::7], np.random.default_rng(2313).uniform(bc.s0(), 4.0, 300)])
-    *want, cheapest, _ = curves._i_2_solve(s)
-    rng = np.random.default_rng(2314)
-    fakes = [
-        lambda t, p0: (np.full_like(t, p0), np.full_like(t, math.nan)),  # no slope: both sides fall back
-        lambda t, p0: (np.full_like(t, 0.5), np.full_like(t, 1e-30)),  # a huge width
-        lambda t, p0: (rng.uniform(p0, 0.5, t.size), rng.uniform(-1.0, 3.0, t.size)),  # anywhere
-    ]
-    for fake in fakes:
-        monkeypatch.setattr(curves, "_approximate_roots", fake)
-        p, p_star, exact, _ = curves._i_2_solve(s)
-        assert np.array_equal(p, want[0]) and np.array_equal(p_star, want[1])
-        assert exact > cheapest
+    p, p_star, steps = curves._i_2_pairs(s)
+    assert p.shape == p_star.shape == s.shape
+    for value, a, b in zip(s.tolist(), p.tolist(), p_star.tolist()):
+        pair = bc.i_2_pair(value)
+        assert abs(a - pair.p) <= 1e-15 and abs(b - pair.p_star) <= 1e-15, value
+    # the bracket [p0, 1/2] halves until it is no wider than 1e-15
+    assert steps == math.ceil(math.log2((0.5 - bc.find_p0()) / 1e-15))
 
 
 def test_i_2_against_high_precision_reference():
@@ -628,18 +477,56 @@ def test_f_ratio_monotone(report):
     assert report.f_ratio_monotone
 
 
-def test_appendix_report_counts_its_i_2_solve(report):
-    """The report says how its 1 200 pairs were solved: math.log residuals and failed certificates."""
-    assert report.i2_pairs == 3 * curves._APPENDIX_GRID_POINTS
-    assert 3 * report.i2_pairs < report.i2_exact_residuals <= 8 * report.i2_pairs
-    assert report.i2_uncertified_sides == 0
+def test_i_2_closed_forms_match_numerical_derivatives():
+    """i_2' and i_2'' in closed form against central differences of scalar i_2."""
+    h = 1e-4
+    s = grid(bc.s0() + 0.01, 3.99, 40)
+    slope, curvature = curves._i_2_derivatives(s)[:2]
+    for value, d1, d2 in zip(s.tolist(), slope.tolist(), curvature.tolist()):
+        up, mid, down = bc.i_2(value + h), bc.i_2(value), bc.i_2(value - h)
+        assert (up - down) / (2.0 * h) == pytest.approx(d1, rel=1e-4), value
+        assert (up - 2.0 * mid + down) / (h * h) == pytest.approx(d2, rel=1e-4), value
+
+
+def test_i_2_slope_meets_the_reference_slope_at_s0(report):
+    """i_2' = f(p)/(4 - S) tends to h'(p0)/(8 p0) as S -> S0 from above, as fast as S does."""
+    offsets = 10.0 ** -np.arange(3.0, 10.0)
+    slope = curves._i_2_derivatives(bc.s0() + offsets)[0]
+    gaps = np.abs(slope - report.reference_slope)
+    assert np.all(gaps <= offsets + 1e-12)
+    assert gaps[-1] < 1e-8
+
+
+def test_i_2_curvature_against_high_precision_reference():
+    """i_2'' in closed form against a 50-digit second derivative of i_2 itself."""
+    mp = pytest.importorskip("mpmath")
+    points = [bc.s0() + 0.01, 3.8, 3.95]
+    curvature = curves._i_2_derivatives(np.array(points))[1]
+    with mp.workdps(50):
+        h = lambda p: -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
+        f = lambda p: p * mp.log((1 - p) / p, 2)
+
+        def i_2(s):
+            target = (4 - s) / 8
+            p_star = mp.findroot(lambda q: f(target / q) - f(q), mp.mpf(bc.i_2_pair(float(s)).p_star))
+            return 2 - h(target / p_star) - h(p_star)
+
+        for s, got in zip(points, curvature.tolist()):
+            assert got == pytest.approx(float(mp.diff(i_2, mp.mpf(s), 2)), rel=1e-12), s
+
+
+def test_appendix_report_counts_its_i_2_bisection(report):
+    """The report says how its i_2 pairs were solved: bisection steps and the largest residual."""
+    assert report.i2_bisection_steps == curves._i_2_pairs(_appendix_i_2_grid())[2]
+    assert 40 <= report.i2_bisection_steps <= 60
+    assert 0.0 <= report.i2_max_residual <= 1e-14
 
 
 def test_appendix_report_bits(report):
-    """Each i_2 pair is solved once for the curvature and the ratio checks, with the same bits."""
+    """The slopes at S0, the i_1 grid and the closed-form i_2 grid give the same bits every run."""
     assert report.slope_i1_at_s0.hex() == "0x1.0efa0a9fb6040p+0"
     assert report.slope_i2_at_s0.hex() == "0x1.0efa0a9eaf908p+0"
     assert report.reference_slope.hex() == "0x1.0efa0a9ecf3f2p+0"
     assert report.min_i1_second_derivative.hex() == "0x1.72b7696c56800p-3"
-    assert report.min_i2_second_derivative.hex() == "0x1.65fc7c53eeb00p-1"
+    assert report.min_i2_second_derivative.hex() == "0x1.65fc7c564bd53p-1"
     assert report.f_ratio_monotone is True

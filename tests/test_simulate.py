@@ -6,6 +6,8 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -63,6 +65,38 @@ def test_sample_rounds_argument_validation():
     assert bc.sample_rounds(quantum_causal_model(), 10, seed=np.int64(3), order=SOURCE) == (
         bc.sample_rounds(quantum_causal_model(), 10, seed=3, order=SOURCE)
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**100 + 7, 2**128 - 1, np.uint64(2**63)])
+def test_generator_is_philox_keyed_by_the_seed(seed):
+    """The stream is that of np.random.Philox(key=seed): same state, same draws."""
+    got = simulate._generator(seed)
+    want = np.random.Generator(np.random.Philox(key=int(seed)))
+    assert str(got.bit_generator.state) == str(want.bit_generator.state)
+    assert np.array_equal(got.random(1000), want.random(1000))
+    assert np.array_equal(got.integers(0, 2**63, 100), want.integers(0, 2**63, 100))
+
+
+def test_sampling_draws_no_os_entropy(monkeypatch):
+    """A seeded stream needs no entropy; Philox(key=...) alone would seed an unused SeedSequence from it."""
+    bit_generator = np.random.bit_generator
+    if not hasattr(bit_generator, "randbits"):
+        pytest.skip("this numpy draws seed entropy by another name")
+
+    def no_entropy(*args):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.Philox(key=5)  # the patch reaches numpy's own entropy draw
+    assert len(bc.sample_rounds(quantum_causal_model(), 10, seed=5, order=SOURCE)) == 10
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy.random loads on the first sample, so a run that never samples does not pay for it."""
+    code = "import sys, bellcost; sys.exit('numpy.random' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(bc.__file__))  # the bellcost under test
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, "10", None])
