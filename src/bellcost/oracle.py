@@ -15,20 +15,17 @@ up to grid resolution.
 
 The enumeration is exhaustive but organized as a meet-in-the-middle scan.
 The retrocausal and causal searches tabulate two halves, ordered state pairs,
-as rows (key, special mass q, best entropy sum) and join them in one pass,
+as rows (key, special mass q, entropy sum) and join them in one pass,
 _pair_join, on exactly complementary keys with the q sum within the budget.
-A retrocausal half is keyed by its summed cell masses.  For a fixed first
-state the pair's q is its second state's special cell mass shifted by a
-constant offset d, so each first state fills one shifted slab of the second
-state's grid; the first states are taken one offset at a time through one
-reused (N+1)^3 buffer, whose finite cells are read out as rows.  The two
-causal halves are one set of ordered state pairs within the special-product
-budget, enumerated once and read under two class maps; each half is keyed by
-its summed raw marginals.  The one-sided search needs no join: its marginal
-constraint gives both state pairs the same total t <= T = budget // 2, so
-one split table of pair entropies over (t, first state), (T+1)(min(T, N)+1)
-cells, bounds every point, and only the points within 1e-12 of that bound
-are summed exactly.
+A retrocausal half holds every ordered pair of the states kept in its two
+roles whose cell sums fit the grid, keyed by those sums.  The two causal
+halves are one set of ordered state pairs within the special-product
+budget, enumerated once and read under two class maps; each half is keyed
+by its summed raw marginals.  The one-sided search needs no join: its
+marginal constraint gives both state pairs the same total t <= T =
+budget // 2, so one split table of pair entropies over (t, first state),
+(T+1)(min(T, N)+1) cells, bounds every point, and only the points within
+1e-12 of that bound are summed exactly.
 Equal-value ties resolve to the first hit in lexicographic grid order, so
 results are reproducible.
 
@@ -90,6 +87,10 @@ __all__ = ["SearchConfig", "SearchResult", "brute_force_min_info"]
 #: four-term entropy sum and the 1e-9 tie tolerance of the retrocausal witness
 #: lookup, so equal-value ties resolve to the same first hit as unpruned.
 _MARGIN = 1e-6
+
+#: Most ordered option pairs one retrocausal half may enumerate; the pruned
+#: search keeps a few options per role, so only a floor far under the optimum nears it.
+_MAX_PAIRS = 2**20
 
 
 @dataclass(frozen=True)
@@ -284,81 +285,42 @@ def _retro_options(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np
     return options, entropies, _entropy_hull(options[:, 0], entropies)
 
 
-def _retro_half(
-    options: np.ndarray,
-    entropies: np.ndarray,
-    reach: np.ndarray,
-    sp_first: int,
-    sp_second: int,
-    n: int,
-    budget: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best entropy sums over ordered state pairs, as rows (cells, q, value).
+def _retro_pairs(
+    options: np.ndarray, entropies: np.ndarray, reach: np.ndarray, sp_first: int, sp_second: int, n: int, budget: int,
+) -> tuple[np.ndarray, ...]:
+    """Ordered state pairs of one half, as rows (first, second, cells, q, value), lexicographic.
 
-    cells is the flat (n+1)^3 grid index of the pair's cell mass sums
-    (c0, c1, c2) for the first three settings (the fourth is implied), q <=
-    budget its summed special-cell mass, and value the best entropy sum of
-    the pairs with those sums; no (q, cells) repeats.  Sums whose fourth
-    exceeds n cannot be completed to an exactly uniform model and are dropped.
-
-    reach[c] marks the options that can reach the entropy floor with special
-    cell c (_reaches); the first options are those reach[sp_first] keeps and
-    the second those reach[sp_second] keeps, and every value is the exact
-    maximum over all pairs of them.  At a floor of -inf every option is kept.
-
-    For a fixed first option u the offset d = q - c[sp_second] =
-    u[sp_first] - u[sp_second] is constant, and its pairs fill one slab: the
-    bounding box of the second options' grid, shifted by u and cut where the
-    cell sums leave the grid or, along sp_second (which must be one of the
-    first three cells), where q passes the budget.  The first options are
-    taken one offset at a time: their slabs fill one reused (n+1)^3 work
-    buffer, whose finite cells are read out as rows with q = d + c[sp_second].
-    Every value is an exact sum entropies[i] + entropies[j], so neither the
-    order nor the grouping of the maxima matters.
+    first indexes an option reach[sp_first] keeps and second one
+    reach[sp_second] keeps (reach[c]: _reaches with special cell c).  Every
+    such pair whose four cell sums are at most n, so that it completes to an
+    exactly uniform model, and whose special mass q is at most budget is a
+    row; cells is the flat (n+1)^3 index of its first three cell sums and
+    value its entropy sum.  (q, cells) may repeat.  A half of more than
+    _MAX_PAIRS ordered pairs raises DomainError before any pair is built.
     """
-    second = options[reach[sp_second], :3]
-    lo = second.min(axis=0, initial=n + 1)  # no second option: an empty box, so no slab is live
-    top = second.max(axis=0, initial=-1) + 1
-    grid = np.full(np.maximum(top - lo, 0), -np.inf)
-    grid[tuple((second - lo).T)] = entropies[reach[sp_second]]
-    first, h_first = options[reach[sp_first]], entropies[reach[sp_first]]
-    stop = np.minimum(top, n + 1 - first[:, :3])
-    # an option past the budget on its own gets stop <= 0 here, so an empty slab
-    stop[:, sp_second] = np.minimum(stop[:, sp_second], budget - first[:, sp_first] + 1)
-    live = (stop > lo).all(axis=1)
-    offset = first[:, sp_first] - first[:, sp_second]
-    slabs = np.column_stack([offset, first[:, :3] + lo, stop - lo])[live]
-    by_offset = np.argsort(slabs[:, 0], kind="stable")
-    rows = zip(slabs[by_offset].tolist(), h_first[live][by_offset].tolist())
-    work = np.empty((n + 1, n + 1, n + 1))
-    flat = work.reshape(-1)
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-    for d, group in itertools.groupby(rows, key=lambda row: row[0][0]):
-        work.fill(-np.inf)
-        for (_, s0, s1, s2, w0, w1, w2), h_u in group:
-            out = work[s0 : s0 + w0, s1 : s1 + w1, s2 : s2 + w2]
-            np.maximum(out, h_u + grid[:w0, :w1, :w2], out=out)
-        cells = np.flatnonzero(flat > -np.inf)
-        c = np.unravel_index(cells, work.shape)
-        complete = c[0] + c[1] + c[2] >= n  # the fourth cell sum, 2n - c0 - c1 - c2, is at most n
-        cells = cells[complete]
-        parts.append((cells, d + c[sp_second][complete], flat[cells]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    first, second = np.flatnonzero(reach[sp_first]), np.flatnonzero(reach[sp_second])
+    if len(first) * len(second) > _MAX_PAIRS:
+        raise DomainError(
+            f"brute_force_min_info: a retrocausal half would pair {len(first)} x {len(second)} "
+            f"grid options, more than {_MAX_PAIRS}"
+        )
+    u, v = options[first], options[second]
+    fits = u[:, sp_first, None] + v[None, :, sp_second] <= budget
+    for c in range(4):
+        fits &= u[:, c, None] + v[None, :, c] <= n
+    i, j = np.nonzero(fits)
+    c0, c1, c2 = (u[i, c] + v[j, c] for c in range(3))
+    q = u[i, sp_first] + v[j, sp_second]
+    first, second = first[i], second[j]
+    return first, second, (c0 * (n + 1) + c1) * (n + 1) + c2, q, entropies[first] + entropies[second]
 
 
-def _retro_pair_from(
-    options: np.ndarray, entropies: np.ndarray, sp_first: int, sp_second: int,
-    cells: int, q: int, value: float, n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First (lex) ordered option pair matching a _retro_half row."""
-    target = np.array([*np.unravel_index(cells, (n + 1,) * 3), 0], dtype=np.int64)
-    target[3] = 2 * n - target.sum()
-    second = target - options
-    rows = np.nonzero((second.min(axis=1) >= 0) & (options[:, sp_first] + second[:, sp_second] == q))[0]
-    hits = rows[entropies[rows] + _row_entropies(second[rows], n) >= value - 1e-9]
-    if len(hits) == 0:
-        raise NoFeasibleModel("internal: half witness not found")  # pragma: no cover
-    return options[hits[0]], second[hits[0]]
+def _retro_witness(half: tuple[np.ndarray, ...], row: int) -> tuple[int, int]:
+    """The first pair of row's (cells, q) group in a _retro_pairs half within 1e-9 of the group's best."""
+    first, second, cells, q, value = half
+    group = (cells == cells[row]) & (q == q[row])
+    hit = int(np.argmax(group & (value >= value[group].max() - 1e-9)))
+    return int(first[hit]), int(second[hit])
 
 
 def _exchange(i: int, c: int, j: int) -> np.ndarray:
@@ -424,29 +386,26 @@ def _retro_incumbent(n: int, budget: int) -> tuple[float, np.ndarray]:
 def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     n = cfg.resolution
     budget = _special_budget(cfg, n)
-    all_options, all_entropies, hull = _retro_options(n)  # first, so an oversized grid fails here
+    options, entropies, hull = _retro_options(n)  # first, so an oversized grid fails here
     floor, _ = _retro_incumbent(n, budget)
     ceiling = _ceilings(hull, budget)
     # reach[c]: the options that can reach the floor with special cell c
-    reach = np.array([_reaches(all_entropies, budget - all_options[:, c], ceiling, floor) for c in range(4)])
-    keep = np.logical_or.reduce(reach)  # kept in at least one role; each half keeps its own two
-    options, entropies, reach = all_options[keep], all_entropies[keep], reach[:, keep]
+    reach = np.array([_reaches(entropies, budget - options[:, c], ceiling, floor) for c in range(4)])
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
-    cells_a, q_a, value_a = _retro_half(options, entropies, reach, *SPECIAL[:2], n, budget)
-    half_b = _retro_half(options, entropies, reach, *SPECIAL[2:], n, budget)
+    half_a = _retro_pairs(options, entropies, reach, *SPECIAL[:2], n, budget)
+    half_b = _retro_pairs(options, entropies, reach, *SPECIAL[2:], n, budget)
     # A rows by (q, cells), so ties go to the least special mass, then the first
-    # cell sums; their partners hold the complement sums n - c, at flat index
-    # (n+1)^3 - 1 - cells
-    by_q = np.lexsort((cells_a, q_a))
-    cells_a, q_a, value_a = cells_a[by_q], q_a[by_q], value_a[by_q]
-    row_a, row_b = _pair_join((n + 1) ** 3 - 1 - cells_a, q_a, value_a, *half_b, budget)
-    k1, k2 = _retro_pair_from(
-        options, entropies, *SPECIAL[:2], cells_a[row_a], q_a[row_a], value_a[row_a], n
-    )
-    k3, k4 = _retro_pair_from(options, entropies, *SPECIAL[2:], *(col[row_b] for col in half_b), n)
-    dists = [SettingDist.joint((row / n).tolist()) for row in (k1, k2, k3, k4)]
-    return _grid_result(cfg, "oracle-retro", dists, len(options), math.comb(n + 3, 3), floor)
+    # cell sums, then the first pair; their partners hold the complement sums
+    # n - c, at flat index (n+1)^3 - 1 - cells
+    by_q = np.argsort(half_a[3] * (n + 1) ** 3 + half_a[2], kind="stable")
+    half_a = tuple(col[by_q] for col in half_a)
+    _, _, cells_a, q_a, value_a = half_a
+    row_a, row_b = _pair_join((n + 1) ** 3 - 1 - cells_a, q_a, value_a, *half_b[2:], budget)
+    states = (*_retro_witness(half_a, row_a), *_retro_witness(half_b, row_b))
+    dists = [SettingDist.joint((options[k] / n).tolist()) for k in states]
+    kept = int(np.count_nonzero(reach.any(axis=0)))  # kept in at least one role
+    return _grid_result(cfg, "oracle-retro", dists, kept, len(options), floor)
 
 
 # ---------------------------------------------------------------------------

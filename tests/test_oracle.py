@@ -246,6 +246,9 @@ GOLDEN = [
     (RETRO, 24, 3.6, "0x1.deec68a8a2838p-3", "440318583b67cb2f7830a8e3e1c0f670b7dbe2312988672fa0bfc982fb293af7"),
     (RETRO, 24, 3.9, "0x1.7c8af961add4cp-2", "521fd3a823da2db0b81f4b79879bcd9b6b11c18bdc83ab9c9f503a1c8cf8e430"),
     (RETRO, 40, 3.9, "0x1.6763b4da98f00p-2", "0022cc475b3762def3867ae6104c1701cb82ca7dd6e4a014b2bdcdb32c63005f"),
+    # the witness is a half's first pair within 1e-9 of its group's best, not the best itself
+    (RETRO, 18, 2.5, "0x1.cd2a1abcb91c0p-6", "48492b4d19343d8a26267854afac5357de766caeb2f3237e84817849663f7756"),
+    (RETRO, 23, 3.9, "0x1.7b6ef55533e5cp-2", "b276a851bd08813f858278d907ad52b47aee75e4d39eb8acd93a9f0ec0b82fe5"),
     (CAUSAL, 16, S_Q, "0x1.7546d267e6a90p-4", "369e661eb29922df139808e1fc4be35b47ba3335dc4a38d18281a9f0e23a9e2a"),
     # ties broken by the left-to-right order of the four entropy terms
     (CAUSAL, 16, 3.3, "0x1.0dcf35e30aba4p-2", "b84ad5d75e17de607816c7dbda9c396436de292df11ae17a53d98add69cf07b4"),
@@ -339,11 +342,11 @@ def _reach(options, entropies, n, budget, floor):
 
 
 def _half(options, entropies, sp_first, sp_second, n, budget, floor=-math.inf):
-    """_retro_half with the per-cell reach masks the search computes for it."""
-    from bellcost.oracle import _retro_half
+    """_retro_pairs with the per-cell reach masks the search computes for it."""
+    from bellcost.oracle import _retro_pairs
 
     reach = _reach(options, entropies, n, budget, floor)
-    return _retro_half(options, entropies, reach, sp_first, sp_second, n, budget)
+    return _retro_pairs(options, entropies, reach, sp_first, sp_second, n, budget)
 
 
 def _pairwise_kept_half(options, entropies, reach, sp_first, sp_second, n, budget):
@@ -363,11 +366,13 @@ def _pairwise_kept_half(options, entropies, reach, sp_first, sp_second, n, budge
 
 
 def _scatter_half(rows, n, budget):
-    """A _retro_half's rows as a dense F[q, c0, c1, c2], -inf where no row is, q = 0..min(budget, 2n)."""
-    cells, q, value = rows
-    assert len(np.unique(q * (n + 1) ** 3 + cells)) == len(q)  # no (q, cells) repeats
+    """A _retro_pairs half as a dense F[q, c0, c1, c2], q = 0..min(budget, 2n).
+
+    Each cell holds the best value of its rows, -inf where no row is.
+    """
+    _, _, cells, q, value = rows
     table = np.full((min(budget, 2 * n) + 1, (n + 1) ** 3), -np.inf)
-    table[q, cells] = value
+    np.maximum.at(table, (q, cells), value)
     return table.reshape(-1, n + 1, n + 1, n + 1)
 
 
@@ -383,8 +388,16 @@ def test_retro_half_matches_pairwise_loop(n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)
             if budget > 2 * n:  # one half's special mass never exceeds 2n, so the cap loses nothing
                 assert not np.isfinite(want[2 * n + 1 :]).any(), (n, sp_first)
-            got = _scatter_half(_half(K, H, sp_first, sp_second, n, budget), n, budget)
+            rows = _half(K, H, sp_first, sp_second, n, budget)
+            got = _scatter_half(rows, n, budget)
             assert np.array_equal(got, want[: 2 * n + 1]), (n, sp_first, budget)  # -inf cells included
+            # each row is its own pair, in lexicographic (first, second) order, which the witness tie rule reads
+            first, second, cells, q, value = rows
+            assert np.all(np.diff(first * len(K) + second) > 0), (n, sp_first, budget)
+            c = K[first] + K[second]
+            assert np.array_equal(cells, (c[:, 0] * (n + 1) + c[:, 1]) * (n + 1) + c[:, 2])
+            assert np.array_equal(q, K[first, sp_first] + K[second, sp_second])
+            assert np.array_equal(value, H[first] + H[second])
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
@@ -414,14 +427,14 @@ def test_pruned_retro_half_is_exact_above_the_floor(n):
                     assert np.array_equal(got, kept_pairs), (n, sp_first, budget, floor)
 
 
+@pytest.mark.parametrize("n", [24, 40, 64])
 @pytest.mark.parametrize("target", [S_Q, 2.0, -10.0])
-def test_retro_search_holds_at_most_four_cell_grids(target):
-    """One search's traced peak stays within four (n+1)^3 float64 grids, whatever the budget."""
+def test_retro_search_holds_under_one_cell_grid(target, n):
+    """One search's traced peak stays under one (n+1)^3 float64 grid, whatever the budget."""
     import tracemalloc
 
     from bellcost.oracle import _retro_options
 
-    n = 24
     cfg = bc.SearchConfig(resolution=n, target_s=target, causal_class=RETRO)
     grid_bytes = (n + 1) ** 3 * 8
     _retro_options(n)  # cached across searches, so not part of one search's peak
@@ -431,7 +444,7 @@ def test_retro_search_holds_at_most_four_cell_grids(target):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * grid_bytes, (target, peak / grid_bytes)
+    assert peak <= grid_bytes, (target, n, peak / grid_bytes)
 
 
 def _double_loop_join(key_a, q_a, value_a, key_b, q_b, value_b, budget):
@@ -488,15 +501,48 @@ def _set_floor(monkeypatch, floor):
         monkeypatch.setattr(oracle_mod, hook, lambda n, budget: (floor, None))
 
 
+def _lower_retro_floor(monkeypatch, by):
+    """Make the retrocausal search prune at its incumbent's entropy sum less by."""
+    import bellcost.oracle as oracle_mod
+
+    incumbent = oracle_mod._retro_incumbent
+    monkeypatch.setattr(oracle_mod, "_retro_incumbent", lambda n, budget: (incumbent(n, budget)[0] - by, None))
+
+
 @pytest.mark.parametrize("cls, n, target, info_hex, model_sha", GOLDEN)
 def test_golden_witnesses_do_not_depend_on_the_floor(cls, n, target, info_hex, model_sha, monkeypatch):
-    _set_floor(monkeypatch, -math.inf)
+    """Unpruned where the size rule allows it, else (retro, N >= 17) pruned 0.1 under the incumbent.
+
+    An unpruned retro half pairs every option of the grid with every other,
+    more than _MAX_PAIRS pairs from N = 17 on, so those rows keep tens to
+    hundreds of options per role instead of the default search's few.
+    """
+    from bellcost.oracle import _MAX_PAIRS
+
+    wide = cls is RETRO and math.comb(n + 3, 3) ** 2 > _MAX_PAIRS
+    if wide:
+        default = run(n, target, cls)
+        _lower_retro_floor(monkeypatch, 0.1)
+    else:
+        _set_floor(monkeypatch, -math.inf)
     res = run(n, target, cls)
     assert res.best_info.hex() == info_hex
     doc = json.dumps(bc.model_to_dict(res.best_model), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == model_sha
-    if cls is not ONE_SIDED:
+    if wide:
+        assert res.states_searched > default.states_searched
+    elif cls is not ONE_SIDED:
         assert res.states_searched == res.states_total
+
+
+def test_unpruned_retro_search_at_n24_meets_the_size_rule(monkeypatch):
+    """At floor -inf and N = 24 each half would pair 2 925 x 2 925 options; the search refuses."""
+    from bellcost.oracle import _MAX_PAIRS
+
+    assert math.comb(27, 3) ** 2 > _MAX_PAIRS >= math.comb(19, 3) ** 2  # N = 16 still runs unpruned
+    _set_floor(monkeypatch, -math.inf)
+    with pytest.raises(bc.DomainError, match="2925 x 2925 grid options"):
+        run(24, S_Q, RETRO)
 
 
 # the cases test_matches_naive_enumeration_on_small_grids checks against full enumeration
