@@ -210,13 +210,15 @@ def extreme_bias_example(q: float, signs: OutcomeSigns | None = None) -> Model:
 
     Deterministic settings per state give S = 4 with I = H(X,Y) = 2h(q),
     arbitrarily small as q approaches 0 or 1.  Needs 0 < q < 1 so that all
-    settings occur.
+    settings occur, and q^2 must not underflow to 0 (q below about 1.5e-162).
     """
     q = _real(q, "extreme_bias_example: q")
     if not 0.0 < q < 1.0:
         raise DomainError(f"extreme_bias_example: q={q!r} outside (0, 1)")
     dists = [SettingDist.factorized(*flip_marginals(mu, nu, 0.0, 0.0)) for mu, nu in LAMBDA_CLASSES]
     weights = (q * q, q * (1 - q), q * (1 - q), (1 - q) ** 2)
+    if 0.0 in weights:
+        raise DomainError(f"extreme_bias_example: q={q!r} leaves a state weight that underflows to 0")
     return class_model(dists, f"extreme-bias(q={q!r})", signs, weights)
 
 

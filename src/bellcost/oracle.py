@@ -31,25 +31,26 @@ results are reproducible.
 
 A point's information is 2 - (sum of its four state entropies)/4, so once
 the best entropy sum is known to be at least a floor F, only states and
-state pairs that can still reach F with the rest of the point matter.  The
-rest is bounded by an entropy ceiling C_k(m), the most entropy k grid states
-can hold with special masses summing to at most m: k times the upper concave
-hull, at m/k, of the best single-state entropy with special mass at most a
-given value, read off the grid.  A state is kept in a role, one of the
-four special cells, only if its entropy plus C_3 of the budget its special
-mass there leaves reaches F, and a retrocausal half pairs every first state
-kept in its role with every second state kept in its own; a causal pair is
-kept only if its entropy plus C_2 of its spare budget reaches F.  The
-retrocausal and causal searches take F from a feasible grid point of their
-own family, the incumbent, and run one pass pruned that way.  The
-retrocausal incumbent is the best circulant with an even special total,
-improved at an odd budget by the best one-unit exchange between two of its
-states that spends the odd unit; the causal one is four equal factorized
-states.  The tighter F is, the fewer states survive: at N = 24 and an odd
-budget of 3 the exchange keeps 16 of 2 925 states where the circulant alone
-kept 844.  Incumbent and ceiling are built from the grid alone, and every
-point within the tie tolerances of the optimum survives the pruning, so the
-value and witness are those of the unpruned search.
+state pairs that can still reach F with the rest of the point matter.  A
+rest table R bounds that rest: R[m] = C_k(budget - m), -inf past the budget,
+where C_k(r) = k hull(r/k) is the most entropy k grid states hold with
+special masses summing to at most r, and hull is the upper concave hull of
+the best single-state entropy with special mass at most a given value, read
+off the grid.  A state is kept in a role, one of the four special cells,
+only if its entropy plus R[its special mass there] (k = 3) reaches F, and a
+retrocausal half pairs every first state kept in its role with every second
+state kept in its own; a causal pair within the budget is kept only if its
+entropy plus R[its special mass] (k = 2) reaches F.  The retrocausal and
+causal searches take F from a feasible grid point of their own family, the
+incumbent, and run one pass pruned that way.  The retrocausal incumbent is
+the best circulant with an even special total, improved at an odd budget by
+the best one-unit exchange between two of its states that spends the odd
+unit; the causal one is four equal factorized states.  The tighter F is, the
+fewer states survive: at N = 24 and an odd budget of 3 the exchange keeps 16
+of 2 925 states where the circulant alone kept 844.  Incumbent and rest
+table are built from the grid alone, and every point within the tie
+tolerances of the optimum survives the pruning, so the value and witness are
+those of the unpruned search.
 
 The oracle reads the response classes and the witness builder from
 _geometry and the rest from core, never the models or the curves it verifies.
@@ -250,27 +251,18 @@ def _entropy_hull(masses: np.ndarray, entropies: np.ndarray) -> tuple[np.ndarray
     return xs, ys
 
 
-def _ceilings(hull: tuple[np.ndarray, np.ndarray], budget: int) -> np.ndarray:
-    """C[k, m] for k = 0..3 and m = 0..budget: the most entropy k grid states hold.
+def _rest(hull: tuple[np.ndarray, np.ndarray], budget: int, k: int, size: int) -> np.ndarray:
+    """R[m] for m = 0..size-1: the most entropy k more grid states hold beside special mass m.
 
-    C_k(m) bounds the entropy sum of k states whose special masses sum to at
-    most m.  Each state holds at most hull(its mass), and the hull is concave
-    and nondecreasing (flat past its last vertex), so k of them hold at most
-    k hull(m / k).
+    R[m] = C_k(budget - m) = k hull((budget - m) / k) for m <= budget, -inf
+    past it.  C_k(r) bounds the entropy sum of k states whose special masses
+    sum to at most r: each holds at most hull(its mass), and the hull is
+    concave and nondecreasing (flat past its last vertex).
     """
-    m = np.arange(budget + 1)
-    k = np.arange(4)[:, None]
-    return k * np.interp(m / np.maximum(k, 1), *hull)
-
-
-def _reaches(entropies: np.ndarray, spare: np.ndarray, ceiling: np.ndarray, floor: float) -> np.ndarray:
-    """Which states, with three more, can reach floor: entropy + C_3(spare) >= floor (less _MARGIN).
-
-    spare is the budget left over after each state's own special mass; a
-    state with spare < 0 lies in no feasible point.
-    """
-    rest = np.where(spare < 0, -np.inf, ceiling[3][np.maximum(spare, 0)])
-    return entropies + rest >= floor - _MARGIN
+    rest = np.full(size, -np.inf)
+    spare = budget - np.arange(min(size, budget + 1))
+    rest[: len(spare)] = k * np.interp(spare / k, *hull)
+    return rest
 
 
 @functools.lru_cache(maxsize=8)
@@ -291,12 +283,13 @@ def _retro_pairs(
     """Ordered state pairs of one half, as rows (first, second, cells, q, value), lexicographic.
 
     first indexes an option reach[sp_first] keeps and second one
-    reach[sp_second] keeps (reach[c]: _reaches with special cell c).  Every
-    such pair whose four cell sums are at most n, so that it completes to an
-    exactly uniform model, and whose special mass q is at most budget is a
-    row; cells is the flat (n+1)^3 index of its first three cell sums and
-    value its entropy sum.  (q, cells) may repeat.  A half of more than
-    _MAX_PAIRS ordered pairs raises DomainError before any pair is built.
+    reach[sp_second] keeps (reach[c]: the options that can reach the floor
+    with special cell c).  Every such pair whose four cell sums are at most
+    n, so that it completes to an exactly uniform model, and whose special
+    mass q is at most budget is a row; cells is the flat (n+1)^3 index of
+    its first three cell sums and value its entropy sum.  (q, cells) may
+    repeat.  A half of more than _MAX_PAIRS ordered pairs raises DomainError
+    before any pair is built.
     """
     first, second = np.flatnonzero(reach[sp_first]), np.flatnonzero(reach[sp_second])
     if len(first) * len(second) > _MAX_PAIRS:
@@ -388,9 +381,9 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     budget = _special_budget(cfg, n)
     options, entropies, hull = _retro_options(n)  # first, so an oversized grid fails here
     floor, _ = _retro_incumbent(n, budget)
-    ceiling = _ceilings(hull, budget)
+    rest = _rest(hull, budget, 3, n + 1)
     # reach[c]: the options that can reach the floor with special cell c
-    reach = np.array([_reaches(entropies, budget - options[:, c], ceiling, floor) for c in range(4)])
+    reach = np.array([entropies + rest.take(options[:, c]) >= floor - _MARGIN for c in range(4)])
 
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
     half_a = _retro_pairs(options, entropies, reach, *SPECIAL[:2], n, budget)
@@ -492,16 +485,15 @@ def _search_causal(cfg: SearchConfig) -> SearchResult:
     floor, _ = _causal_incumbent(n, budget)
     a, b, q1, h1, hull = _causal_options(n)
     h_grid = _grid_entropies(n)
-    ceiling = _ceilings(hull, budget)
-    keep = np.flatnonzero(_reaches(h1, budget - q1, ceiling, floor))
+    keep = np.flatnonzero(h1 + _rest(hull, budget, 3, n * n + 1).take(q1) >= floor - _MARGIN)
     qk, hk = q1[keep], h1[keep]
     # ordered state pairs within the budget that can reach the floor with two
     # more states, lexicographic in (a, b, a', b'); both halves enumerate this
-    # one set and differ only in their class maps
-    spare = budget - (qk[:, None] + qk[None, :])
-    first, second = np.nonzero(
-        (spare >= 0) & (hk[:, None] + hk[None, :] + ceiling[2][np.maximum(spare, 0)] >= floor - _MARGIN)
-    )
+    # one set and differ only in their class maps.  rest is -inf past the
+    # budget, but a -inf floor passes -inf, so the budget test stays explicit.
+    pair_q = qk[:, None] + qk[None, :]
+    rest = _rest(hull, budget, 2, 2 * n * n + 1)
+    first, second = np.nonzero((pair_q <= budget) & (hk[:, None] + hk[None, :] + rest[pair_q] >= floor - _MARGIN))
     first, second = keep[first], keep[second]
     q = q1[first] + q1[second]
     value = h1[first] + h_grid[a[second]] + h_grid[b[second]]

@@ -321,6 +321,35 @@ def test_verify_reports_search_counts(cls, total, capsys):
         assert doc["incumbent_info"] is None
 
 
+@pytest.mark.parametrize("cls", ["retro", "causal", "onesided"])
+def test_verify_judges_the_witness_at_its_achieved_s(cls, capsys):
+    """A tolerance that lets the witness land below the target is no failure: the curve bounds it at its own S."""
+    assert main(["verify", "--class", cls, "--s", "3", "--tolerance", "0.5", "--grid", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["achieved_s"] == pytest.approx(2.5, abs=1e-12)
+    assert doc["gap"] < 0  # analytic and gap stay at the target
+    assert doc["analytic"] == bc.curve_point(bc.CausalClass(cls), 3.0).info
+    assert doc["brute_force"] >= bc.curve_point(bc.CausalClass(cls), doc["achieved_s"]).info - 1e-9
+
+
+@pytest.mark.parametrize("cls", ["retro", "causal", "onesided"])
+def test_verify_fails_below_the_curve_at_the_achieved_s(cls, monkeypatch, capsys):
+    import dataclasses
+
+    import bellcost.cli as cli
+
+    search = cli.brute_force_min_info
+
+    def below_the_curve(cfg):
+        result = search(cfg)
+        bound = bc.curve_point(cfg.causal_class, bc.chsh_value(result.best_model)).info
+        return dataclasses.replace(result, best_info=bound - 1e-6)
+
+    monkeypatch.setattr(cli, "brute_force_min_info", below_the_curve)
+    assert main(["verify", "--class", cls, "--s", "3", "--tolerance", "0.5", "--grid", "8"]) == 1
+    assert main(["verify", "--class", cls, "--s", "sq", "--grid", "8"]) == 1
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -219,6 +219,18 @@ def test_extreme_bias_example():
             bc.extreme_bias_example(bad)
 
 
+@pytest.mark.parametrize("q", [1e-300, 1.5e-162])
+def test_extreme_bias_example_rejects_an_underflowing_weight(q):
+    """q^2 underflows to 0 there, which would drop setting (0, 0); the error names q."""
+    with pytest.raises(bc.DomainError, match=f"q={q!r}"):
+        bc.extreme_bias_example(q)
+
+
+def test_extreme_bias_example_builds_just_above_underflow():
+    m = bc.extreme_bias_example(2e-162)  # q^2 is the least subnormal, not 0
+    assert bc.chsh_value(m) == 4.0
+
+
 # ---------------------------------------------------------------------------
 # biased lifts
 # ---------------------------------------------------------------------------

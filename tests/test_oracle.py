@@ -242,7 +242,7 @@ GOLDEN = [
     (RETRO, 24, S_Q, "0x1.a116f426cdb60p-5", "c4f63c623e2d6a92ba050c40b7273dbf37cc4f39764b9058f1421a25e304c5f1"),
     (RETRO, 24, 3.5, "0x1.7ab85b3a38750p-3", "b33f64597e4ce64a13878d58c267b5af3121dbad8e342f34336f3fbf51340889"),
     (RETRO, 40, S_Q, "0x1.9ef2b65d72da0p-5", "18298b0e5eff3861201fb609e6a6aaeb3091b1b7b04d753acbb59be06fbb4dd6"),
-    # high targets, where the entropy ceilings prune hardest
+    # high targets, where the rest table prunes hardest
     (RETRO, 24, 3.6, "0x1.deec68a8a2838p-3", "440318583b67cb2f7830a8e3e1c0f670b7dbe2312988672fa0bfc982fb293af7"),
     (RETRO, 24, 3.9, "0x1.7c8af961add4cp-2", "521fd3a823da2db0b81f4b79879bcd9b6b11c18bdc83ab9c9f503a1c8cf8e430"),
     (RETRO, 40, 3.9, "0x1.6763b4da98f00p-2", "0022cc475b3762def3867ae6104c1701cb82ca7dd6e4a014b2bdcdb32c63005f"),
@@ -291,11 +291,13 @@ def _class_grid(cls, n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_entropy_ceiling_bounds_every_k_tuple(cls, n):
     """C_k(m) is at least the best entropy sum of k grid states with special masses summing to <= m."""
-    from bellcost.oracle import _ceilings, _entropy_hull
+    from bellcost.oracle import _entropy_hull, _rest
 
     masses, entropies = _class_grid(cls, n)
     top = 4 * n if cls is RETRO else 4 * n * n
-    ceiling = _ceilings(_entropy_hull(masses, entropies), top)
+    hull = _entropy_hull(masses, entropies)
+    # _rest(hull, top, k, top + 1)[m] is C_k(top - m), so reversed it is C_k(m) for m = 0..top
+    ceiling = {k: _rest(hull, top, k, top + 1)[::-1] for k in (1, 2, 3)}
     # best entropy at each exact mass; a k-tuple's best sum only depends on its masses
     exact = np.full(int(masses.max()) + 1, -np.inf)
     for q, h in zip(masses.tolist(), entropies.tolist()):
@@ -311,7 +313,7 @@ def test_entropy_ceiling_bounds_every_k_tuple(cls, n):
         best = np.maximum.accumulate(best)
         assert np.all(best <= ceiling[k] + 1e-12), (cls, n, k)
     # the hull touches psi, the best single-state entropy with mass <= x, at its vertices
-    xs, _ = _entropy_hull(masses, entropies)
+    xs, _ = hull
     psi = np.maximum.accumulate(exact)
     vertices = xs.astype(int)
     assert np.array_equal(ceiling[1][vertices], psi[vertices]), (cls, n)
@@ -336,9 +338,9 @@ def _pairwise_retro_half(n, sp_first, sp_second, budget):
 
 def _reach(options, entropies, n, budget, floor):
     """The per-cell reach masks the search computes at this floor."""
-    from bellcost.oracle import _ceilings, _reaches, _retro_options
+    from bellcost.oracle import _MARGIN, _rest, _retro_options
 
-    return _reaches(entropies, budget - options.T, _ceilings(_retro_options(n)[2], budget), floor)
+    return entropies + _rest(_retro_options(n)[2], budget, 3, n + 1).take(options.T) >= floor - _MARGIN
 
 
 def _half(options, entropies, sp_first, sp_second, n, budget, floor=-math.inf):
@@ -402,16 +404,16 @@ def test_retro_half_matches_pairwise_loop(n):
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_pruned_retro_half_is_exact_above_the_floor(n):
-    """Cells whose best pair plus the ceiling C_2 of the spare budget reaches the floor are exact."""
+    """Cells whose best pair plus the rest C_2 of the spare budget reaches the floor are exact."""
     from bellcost._geometry import SPECIAL
-    from bellcost.oracle import _ceilings, _compositions4, _retro_options, _row_entropies
+    from bellcost.oracle import _compositions4, _rest, _retro_options, _row_entropies
 
     K = _compositions4(n)
     H = _row_entropies(K, n)
     for sp_first, sp_second in ((SPECIAL[0], SPECIAL[1]), (SPECIAL[2], SPECIAL[3])):
         for budget in (1, n, 4 * n):
             want = _pairwise_retro_half(n, sp_first, sp_second, budget)[: 2 * n + 1]
-            rest = _ceilings(_retro_options(n)[2], budget)[2][budget - np.arange(len(want))]
+            rest = _rest(_retro_options(n)[2], budget, 2, len(want))
             for floor in (5.0, 6.5, 7.5, 7.9, float(want.max()) + 4.0):
                 kept = H >= floor - 6.0
                 for options, entropies in ((K, H), (K[kept], H[kept])):
