@@ -135,7 +135,16 @@ class CausalClass(Enum):
     """Causal structure of the measurement dependence.
 
     Zigzag is information-equivalent to Causal and is treated as such by
-    every curve query.
+    every curve query.  That reads the zigzag structure, which the paper's
+    abstract names without defining, as one in which the hidden variable
+    lambda is not a collider between the settings x and y.  In
+    x -> lambda -> y, y -> lambda -> x and x <- lambda -> y the settings are
+    independent given lambda, p(x, y | lambda) = p(x | lambda) p(y | lambda),
+    which is the causal constraint; conversely every factorized model
+    p(lambda) p(x | lambda) p(y | lambda) can be written as
+    p(x) p(lambda | x) p(y | lambda).  So the feasible set is the causal one.
+    The collider x -> lambda <- y leaves p(x, y | lambda) unconstrained,
+    which is the retrocausal class.
     """
 
     RETROCAUSAL = "retro"

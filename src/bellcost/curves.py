@@ -323,7 +323,13 @@ def i_OS(s: float) -> float:
 
 
 def i_Z(s: float) -> CurvePoint:
-    """Zigzag minimum; information-equivalent to the causal curve."""
+    """Zigzag minimum; information-equivalent to the causal curve.
+
+    With lambda not a collider between the settings (x -> lambda -> y,
+    y -> lambda -> x or x <- lambda -> y), x and y are independent given
+    lambda, so the zigzag feasible set is the causal one (see CausalClass);
+    the collider x -> lambda <- y would be the retrocausal class.
+    """
     return i_C(s)
 
 

@@ -26,8 +26,10 @@ marginal constraint gives both state pairs the same total t <= T =
 budget // 2, so one split table of pair entropies over (t, first state),
 (T+1)(min(T, N)+1) cells, bounds every point, and only the points within
 1e-12 of that bound are summed exactly.
-Equal-value ties resolve to the first hit in lexicographic grid order, so
-results are reproducible.
+Ties resolve to the first hit in a fixed order: the join's first A row with
+the greatest total (retrocausal rows by (q, cell sums, pair), causal pairs
+lexicographic) and its first best partner by (key, q); the one-sided search's
+first lexicographic (a1, a2, a3) of the left-to-right entropy sum.
 
 A point's information is 2 - (sum of its four state entropies)/4, so once
 the best entropy sum is known to be at least a floor F, only states and
@@ -85,8 +87,7 @@ from .core import (
 __all__ = ["SearchConfig", "SearchResult", "brute_force_min_info"]
 
 #: Slack (bits) under every pruning threshold.  It dwarfs the rounding of a
-#: four-term entropy sum and the 1e-9 tie tolerance of the retrocausal witness
-#: lookup, so equal-value ties resolve to the same first hit as unpruned.
+#: four-term entropy sum, so equal-value ties resolve to the same first hit as unpruned.
 _MARGIN = 1e-6
 
 #: Most ordered option pairs one retrocausal half may enumerate; the pruned
@@ -125,9 +126,9 @@ class SearchResult:
 
     states_searched counts the per-state grid options the pruned search kept
     in at least one of the four state roles, and states_total the options
-    the grid holds.  incumbent_info is the information of the feasible point
-    whose entropy sum set the pruning floor, at least best_info; None for
-    the one-sided search, which prunes nothing.
+    the grid holds.  incumbent_info, 2 - (entropy sum)/4 of the feasible point
+    whose sum set the pruning floor, is not below best_info, the witness's
+    mutual_information, by more than rounding; None for the one-sided search.
     """
 
     best_info: float
@@ -308,14 +309,6 @@ def _retro_pairs(
     return first, second, (c0 * (n + 1) + c1) * (n + 1) + c2, q, entropies[first] + entropies[second]
 
 
-def _retro_witness(half: tuple[np.ndarray, ...], row: int) -> tuple[int, int]:
-    """The first pair of row's (cells, q) group in a _retro_pairs half within 1e-9 of the group's best."""
-    first, second, cells, q, value = half
-    group = (cells == cells[row]) & (q == q[row])
-    hit = int(np.argmax(group & (value >= value[group].max() - 1e-9)))
-    return int(first[hit]), int(second[hit])
-
-
 def _exchange(i: int, c: int, j: int) -> np.ndarray:
     """4x4 count change: state i moves a unit from cell c onto its special cell, state j one back to c."""
     move = np.zeros((4, 4), dtype=np.int64)
@@ -388,14 +381,13 @@ def _search_retrocausal(cfg: SearchConfig) -> SearchResult:
     # halves: (lam00, lam10) with specials (cell 3, cell 2); (lam01, lam11) with (1, 0)
     half_a = _retro_pairs(options, entropies, reach, *SPECIAL[:2], n, budget)
     half_b = _retro_pairs(options, entropies, reach, *SPECIAL[2:], n, budget)
-    # A rows by (q, cells), so ties go to the least special mass, then the first
-    # cell sums, then the first pair; their partners hold the complement sums
-    # n - c, at flat index (n+1)^3 - 1 - cells
-    by_q = np.argsort(half_a[3] * (n + 1) ** 3 + half_a[2], kind="stable")
-    half_a = tuple(col[by_q] for col in half_a)
-    _, _, cells_a, q_a, value_a = half_a
-    row_a, row_b = _pair_join((n + 1) ** 3 - 1 - cells_a, q_a, value_a, *half_b[2:], budget)
-    states = (*_retro_witness(half_a, row_a), *_retro_witness(half_b, row_b))
+    # the join reads A rows by (q, cells, pair), so ties go to the least special mass, then the
+    # first cell sums, then the first pair; partners hold the sums n - c, at (n+1)^3 - 1 - cells
+    first_a, second_a, cells_a, q_a, value_a = half_a
+    by_q = np.argsort(q_a * (n + 1) ** 3 + cells_a, kind="stable")
+    row_a, row_b = _pair_join((n + 1) ** 3 - 1 - cells_a[by_q], q_a[by_q], value_a[by_q], *half_b[2:], budget)
+    row_a = by_q[row_a]
+    states = (first_a[row_a], second_a[row_a], half_b[0][row_b], half_b[1][row_b])
     dists = [SettingDist.joint((options[k] / n).tolist()) for k in states]
     kept = int(np.count_nonzero(reach.any(axis=0)))  # kept in at least one role
     return _grid_result(cfg, "oracle-retro", dists, kept, len(options), floor)

@@ -231,6 +231,14 @@ def test_gap_shrinkage(oracle_n40):
         assert all(g >= -1e-9 for g in gaps)
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_retro_grid_meets_i_R_within_4_over_n_squared(n):
+    """At S_Q the retro grid optimum lies within 4/N^2 of i_R at the S it reaches (2.33 and 3.15 measured)."""
+    res = run(n, S_Q, RETRO)
+    gap = res.best_info - bc.i_R(bc.chsh_value(res.best_model))
+    assert 0.0 <= gap * n * n <= 4.0, gap * n * n
+
+
 # ---------------------------------------------------------------------------
 # golden witnesses and reference kernels
 # ---------------------------------------------------------------------------
@@ -246,9 +254,11 @@ GOLDEN = [
     (RETRO, 24, 3.6, "0x1.deec68a8a2838p-3", "440318583b67cb2f7830a8e3e1c0f670b7dbe2312988672fa0bfc982fb293af7"),
     (RETRO, 24, 3.9, "0x1.7c8af961add4cp-2", "521fd3a823da2db0b81f4b79879bcd9b6b11c18bdc83ab9c9f503a1c8cf8e430"),
     (RETRO, 40, 3.9, "0x1.6763b4da98f00p-2", "0022cc475b3762def3867ae6104c1701cb82ca7dd6e4a014b2bdcdb32c63005f"),
-    # the witness is a half's first pair within 1e-9 of its group's best, not the best itself
-    (RETRO, 18, 2.5, "0x1.cd2a1abcb91c0p-6", "48492b4d19343d8a26267854afac5357de766caeb2f3237e84817849663f7756"),
-    (RETRO, 23, 3.9, "0x1.7b6ef55533e5cp-2", "b276a851bd08813f858278d907ad52b47aee75e4d39eb8acd93a9f0ec0b82fe5"),
+    # ties among equal-value pairs: the witness is the join's pick, the first A row in
+    # (q, cell sums, pair) order with the best total and its first best partner in (key, q) order
+    (RETRO, 18, 2.5, "0x1.cd2a1abcb9180p-6", "7ffc7c3d9be31dc6d949d14896cd17bb017ef8dfd7bae8826cb5eab3cbe7ccc4"),
+    (RETRO, 23, 3.9, "0x1.7b6ef55533e5cp-2", "cc21926feeb2aee34710ac4e1354822a7bf1c0bb4b6f2a3f8f08c5328efabd51"),
+    (RETRO, 31, 2.2, "0x1.c35d109cee100p-8", "aeb879b116fb0e8c6bf085fc3152f93f41c29aa7534dc5414ddcf86d659f8dbe"),
     (CAUSAL, 16, S_Q, "0x1.7546d267e6a90p-4", "369e661eb29922df139808e1fc4be35b47ba3335dc4a38d18281a9f0e23a9e2a"),
     # ties broken by the left-to-right order of the four entropy terms
     (CAUSAL, 16, 3.3, "0x1.0dcf35e30aba4p-2", "b84ad5d75e17de607816c7dbda9c396436de292df11ae17a53d98add69cf07b4"),
