@@ -10,7 +10,10 @@ the curves, and a seeded round sampler with a perfectly predicting adversary.
 """
 
 from .core import (
+    MODEL_SCHEMA,
     SETTINGS,
+    STRUCT_TOL,
+    SUM_TOL,
     BellcostError,
     CausalClass,
     Correlations,
@@ -38,6 +41,7 @@ from .core import (
     mutual_information,
     posterior_weights,
     save_model,
+    setting_index,
     shannon_entropy,
 )
 from .curves import (
@@ -50,6 +54,7 @@ from .curves import (
     curve_point,
     curve_sweep,
     f_of_p,
+    f_slope,
     find_p0,
     i_1,
     i_1_curvature,
@@ -65,6 +70,7 @@ from .curves import (
 )
 from ._geometry import BoundChainReport, OutcomeSigns, verify_bound_chain
 from .models import (
+    LAMBDA_CLASSES,
     Bias,
     Table2Branch,
     biased_info,

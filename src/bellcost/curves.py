@@ -19,8 +19,9 @@ curve_point's order of operations, every logarithm by math.log, and the scalar
 i_2 solve only at the causal points above S0, so each point is that of
 curve_point at the same grid value, bit for bit.
 
-appendix_checks takes i_2's slope f(p)/(4-s) and its curvature in closed
-form, at pairs that one array bisection on np.log solves for its whole grid.
+appendix_checks takes every slope and curvature in closed form: i_1's from
+p = sqrt((4-s)/8), i_2's at pairs that one array bisection on np.log solves
+for its whole grid.  The library differentiates nothing numerically.
 """
 
 from __future__ import annotations
@@ -404,11 +405,11 @@ def sweep_to_csv(
 
 @dataclass(frozen=True)
 class AppendixReport:
-    """Numerical checks of the causal-curve branch geometry around S0.
+    """Checks of the causal-curve branch geometry around S0, all from closed forms.
 
-    The slopes at S0 are finite differences; the i_1 curvature is a central
-    difference and the i_2 curvature and f(p)/(4-S) ratio (= i_2') are closed
-    forms, each on an interior grid of _APPENDIX_GRID_POINTS points.
+    The slopes at S0 are h'(p)/(8p) for i_1 and f(p)/(4-S) for i_2; the
+    curvatures and the f(p)/(4-S) ratio (= i_2') lie on interior grids of
+    _APPENDIX_GRID_POINTS points.
     """
 
     slope_i1_at_s0: float
@@ -426,7 +427,7 @@ class AppendixReport:
 
 
 def i_1_curvature(s: float) -> float:
-    """Closed-form second derivative of i_1, the cross-check for the numerical one.
+    """Closed-form second derivative of i_1; the tests check it against a central difference.
 
     With p = sqrt((4-s)/8):  i_1''(s) = [log2((1-p)/p) + 1/((1-p) ln 2)] / (128 p^3).
     Defined on [2, 4); the expression diverges as s -> 4.
@@ -439,43 +440,29 @@ def i_1_curvature(s: float) -> float:
 
 
 def appendix_checks() -> AppendixReport:
-    """Verify that i_1 and i_2 share a tangent at S0 and are convex.
+    """Verify that i_1 and i_2 share a tangent at S0 and are convex, from closed forms.
 
-    Slopes at S0 are finite differences with step 1e-5 (central for i_1; i_2
-    lives on [S0, 4], so its slope at S0 uses the second-order one-sided
-    stencil).  i_1's second derivative is a central difference with step
-    1e-4 on an interior grid of _APPENDIX_GRID_POINTS points, evaluated as
-    arrays in the scalar order of operations with math.log.  On the i_2
-    grid, the pairs are solved by one array bisection (_i_2_pairs) and i_2'
-    and i_2'' are taken in closed form (_i_2_derivatives); the report
-    counts the bisection's steps and its largest pair residual.
+    i_1'(S0) = h'(p)/(8p) at i_1's own p = sqrt((4-S0)/8), and i_2'(S0) =
+    f(p)/(4-S0) at the pair i_2_pair(S0).  i_1'' is i_1_curvature on an
+    interior grid of _APPENDIX_GRID_POINTS points.  On the i_2 grid, the
+    pairs are solved by one array bisection (_i_2_pairs) and i_2' and i_2''
+    are taken in closed form (_i_2_derivatives); the report counts the
+    bisection's steps and its largest pair residual.
     """
     branch_point = s0()
     p0 = find_p0()
-    h = 1e-5
-    slope1 = (i_1(branch_point + h) - i_1(branch_point - h)) / (2.0 * h)
-    slope2 = (
-        -3.0 * i_2(branch_point) + 4.0 * i_2(branch_point + h) - i_2(branch_point + 2.0 * h)
-    ) / (2.0 * h)
-    reference = _h_slope(p0) / (8.0 * p0)
-
-    h2 = 1e-4
+    p1 = math.sqrt((4.0 - branch_point) / 8.0)
     n = _APPENDIX_GRID_POINTS + 2
     k = np.arange(1, n - 1)
-    # every s and s +/- h2 lies inside (2, 4), where _check_s returns s as it is
     grid1 = 2.0 + (4.0 - 2.0) * k / (n - 1)
-    s1 = np.concatenate((grid1 + h2, grid1, grid1 - h2))
-    up, mid, down = np.split(2.0 - 2.0 * _binary_entropies(np.sqrt((4.0 - s1) / 8.0)), 3)
-    min_dd1 = float(np.min((up - 2.0 * mid + down) / (h2 * h2)))
-
     grid2 = branch_point + (4.0 - branch_point) * k / (n - 1)
     slope, curvature, steps, residual = _i_2_derivatives(grid2)
 
     return AppendixReport(
-        slope_i1_at_s0=slope1,
-        slope_i2_at_s0=slope2,
-        reference_slope=reference,
-        min_i1_second_derivative=min_dd1,
+        slope_i1_at_s0=_h_slope(p1) / (8.0 * p1),
+        slope_i2_at_s0=f_of_p(i_2_pair(branch_point).p) / (4.0 - branch_point),
+        reference_slope=_h_slope(p0) / (8.0 * p0),
+        min_i1_second_derivative=min(map(i_1_curvature, grid1.tolist())),
         min_i2_second_derivative=float(np.min(curvature)),
         f_ratio_monotone=bool(np.all(slope[1:] > slope[:-1])),
         i2_bisection_steps=steps,

@@ -1,6 +1,7 @@
 """Core types, entropies, exact evaluators, and serialization."""
 
 import dataclasses
+import importlib
 import json
 import math
 import pickle
@@ -16,6 +17,18 @@ from bellcost.core import setting_index
 from conftest import P_Q, REF, S_Q, random_model
 
 LOG2_3 = math.log2(3.0)
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["core", "curves", "models", "oracle", "simulate"])
+def test_every_public_name_resolves_on_the_package(module):
+    """Each name in a module's __all__ is the same object on bellcost itself."""
+    mod = importlib.import_module(f"bellcost.{module}")
+    assert [name for name in mod.__all__ if getattr(bc, name, None) is not getattr(mod, name)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,15 @@ def test_common_tangent(report):
     assert report.reference_slope == pytest.approx(REF["slope"], abs=1e-9)
 
 
+def test_slopes_at_s0_match_finite_differences(report):
+    """The closed-form slopes at S0 against stencils of scalar i_1 (central) and i_2 (one-sided, on [S0, 4])."""
+    s, h = bc.s0(), 1e-5
+    central = (bc.i_1(s + h) - bc.i_1(s - h)) / (2.0 * h)
+    one_sided = (-3.0 * bc.i_2(s) + 4.0 * bc.i_2(s + h) - bc.i_2(s + 2.0 * h)) / (2.0 * h)
+    assert abs(central - report.slope_i1_at_s0) <= 1e-8
+    assert abs(one_sided - report.slope_i2_at_s0) <= 1e-8
+
+
 def test_branch_convexity(report):
     assert report.min_i1_second_derivative > 0.0
     assert report.min_i2_second_derivative > 0.0
@@ -523,10 +532,10 @@ def test_appendix_report_counts_its_i_2_bisection(report):
 
 
 def test_appendix_report_bits(report):
-    """The slopes at S0, the i_1 grid and the closed-form i_2 grid give the same bits every run."""
-    assert report.slope_i1_at_s0.hex() == "0x1.0efa0a9fb6040p+0"
-    assert report.slope_i2_at_s0.hex() == "0x1.0efa0a9eaf908p+0"
+    """The closed-form slopes at S0 and the closed-form i_1 and i_2 grids give the same bits every run."""
+    assert report.slope_i1_at_s0.hex() == "0x1.0efa0a9ecf3f0p+0"
+    assert report.slope_i2_at_s0.hex() == "0x1.0efa0a9ecf3f1p+0"
     assert report.reference_slope.hex() == "0x1.0efa0a9ecf3f2p+0"
-    assert report.min_i1_second_derivative.hex() == "0x1.72b7696c56800p-3"
+    assert report.min_i1_second_derivative.hex() == "0x1.72b763571bdb3p-3"
     assert report.min_i2_second_derivative.hex() == "0x1.65fc7c564bd53p-1"
     assert report.f_ratio_monotone is True
